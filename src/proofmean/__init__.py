@@ -100,6 +100,6 @@ from .syntax import (
     render_formula,
     render_term,
 )
-from .cli import main, run
+from .cli import main
 
 __version__ = "0.1.0"

@@ -2,8 +2,9 @@
 
 Subcommands: check, term, normalize, sense, compare, corpus. Exit
 codes: 0 success, 1 check failure or different denotations, 2 usage or
-parse error, 3 inconclusive comparison. `--json` emits one object per
-invocation; its shape is fixed by the shipped schema.json.
+parse error, 3 inconclusive comparison, 4 input nested too deeply to
+process. `--json` emits one object per invocation; its shape is fixed
+by the shipped schema.json.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .syntax import (
     render_term,
 )
 
-__all__ = ["main", "run", "parse", "render_term"]
+__all__ = ["main", "parse", "render_term"]
 
 DEFAULT_FUEL = 4
 
@@ -497,11 +498,9 @@ def main(argv: list[str] | None = None) -> int:
     except ProofmeanError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-
-def run(argv: list[str] | None = None) -> int:
-    """Alias for main, the programmatic entry point."""
-    return main(argv)
+    except RecursionError:
+        print("error: input nested too deeply to process", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from .core import (
     Term,
     Var,
     VarRef,
+    alpha_equal,
 )
 from .rewrite import (
     INCONCLUSIVE,
@@ -293,17 +294,24 @@ def classify(
 ) -> Verdict:
     """Place the pair (d1, d2) in the identity landscape.
 
-    Plain rewriting equality is decided first; only failing that, and
-    only when the mode allows it, are permutative conversions brought
-    in, which may come back without a definite answer.
+    Plain rewriting equality is decided first, by comparing the normal
+    forms of the end terms; only failing that, and only when the mode
+    allows it, are permutative conversions searched from those normal
+    forms, which may come back without a definite answer.
     """
-    plain = same_denotation(d1, d2, BetaEta())
-    if plain is True:
+    t1, f1 = _conclusion(d1)
+    t2, f2 = _conclusion(d2)
+    if f1 != f2:
+        return DifferentDenotation()
+    n1, n2 = normalize(t1), normalize(t2)
+    if alpha_equal(n1, n2):
         if same_sense(d1, d2, multiset=multiset):
             return SameSenseSameDenotation()
         return DifferentSenseSameDenotation()
     if isinstance(mode, BetaEtaGamma):
-        wide = same_denotation(d1, d2, mode)
+        # normalize returns a normal form unchanged, so the search starts
+        # from n1 and n2 without rewriting them again.
+        wide = equivalent(n1, n2, mode)
         if wide is True:
             return SameDenotationUpToGamma(inconclusive=False)
         if wide is INCONCLUSIVE:

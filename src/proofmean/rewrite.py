@@ -16,6 +16,7 @@ from .core import (
     Abort,
     App,
     Case,
+    Context,
     Fst,
     Inl,
     Inr,
@@ -31,6 +32,7 @@ from .core import (
     free_vars,
     fresh_var,
     substitute,
+    type_of,
 )
 
 
@@ -79,7 +81,6 @@ class Inconclusive:
 INCONCLUSIVE = Inconclusive()
 
 DEFAULT_STEP_BUDGET = 1_000_000
-_SEARCH_NODE_BUDGET = 100
 
 
 # ---------- Single-step machinery ----------
@@ -295,14 +296,22 @@ def _gamma_in(t: Term) -> list[Term]:
     def inner(sl: Term, ul: Term) -> Case:
         return Case(r, x, a, sl, y, b, ul)
 
+    def same_type(sl: Term, ul: Term) -> bool:
+        # A projection pulled out of both branches needs one pair type
+        # under the case's own binders; free variables leave it unknown.
+        try:
+            return type_of(Context({x: a}), sl) == type_of(Context({y: b}), ul)
+        except ProofmeanError:
+            return False
+
     match s, u:
         case App(f1, a1), App(f2, a2) if a1 == a2 and not escapes(a1):
             out.append(App(inner(f1, f2), a1))
     match s, u:
-        case Fst(a1), Fst(a2):
+        case Fst(a1), Fst(a2) if same_type(a1, a2):
             out.append(Fst(inner(a1, a2)))
     match s, u:
-        case Snd(a1), Snd(a2):
+        case Snd(a1), Snd(a2) if same_type(a1, a2):
             out.append(Snd(inner(a1, a2)))
     match s, u:
         case Inl(a1, o1), Inl(a2, o2) if o1 == o2:
@@ -424,56 +433,11 @@ def normalize(t: Term, budget: int = DEFAULT_STEP_BUDGET) -> Term:
             return t
 
 
-def _meet_search(t1: Term, t2: Term, node_budget: int) -> bool:
-    # Bidirectional search over single beta/eta contractions from each
-    # side; insurance against the known non-confluent corner cases of
-    # eta with sums, where the phased normal forms can disagree.
-    def successors(u: Term) -> list[Term]:
-        return beta_steps(u) + eta_steps(u)
-
-    seen1 = {alpha_key(t1)}
-    seen2 = {alpha_key(t2)}
-    frontier1, frontier2 = [t1], [t2]
-    spent1 = spent2 = 1
-    while frontier1 or frontier2:
-        if seen1 & seen2:
-            return True
-        next1: list[Term] = []
-        for u in frontier1:
-            for v in successors(u):
-                if spent1 >= node_budget:
-                    break
-                k = alpha_key(v)
-                if k not in seen1:
-                    seen1.add(k)
-                    next1.append(v)
-                    spent1 += 1
-        frontier1 = next1
-        next2: list[Term] = []
-        for u in frontier2:
-            for v in successors(u):
-                if spent2 >= node_budget:
-                    break
-                k = alpha_key(v)
-                if k not in seen2:
-                    seen2.add(k)
-                    next2.append(v)
-                    spent2 += 1
-        frontier2 = next2
-    return bool(seen1 & seen2)
-
-
-def _beta_eta_equivalent(t1: Term, t2: Term) -> bool:
-    if alpha_equal(normalize(t1), normalize(t2)):
-        return True
-    return _meet_search(t1, t2, _SEARCH_NODE_BUDGET)
-
-
-def _gamma_search(t1: Term, t2: Term, fuel: int) -> "bool | Inconclusive":
-    # Bidirectional layers over beta-eta normal forms closed under
-    # single gamma steps; meeting is success, exhausting the closure is
-    # a definitive no, and running out of fuel with work left is open.
-    n1, n2 = normalize(t1), normalize(t2)
+def _gamma_search(n1: Term, n2: Term, fuel: int) -> "bool | Inconclusive":
+    # Bidirectional layers from the beta-eta normal forms n1 and n2,
+    # closed under single gamma steps; meeting is success, exhausting
+    # the closure is a definitive no, and running out of fuel with work
+    # left is open.
     seen1 = {alpha_key(n1)}
     seen2 = {alpha_key(n2)}
     frontier1, frontier2 = [n1], [n2]
@@ -508,15 +472,14 @@ def _gamma_search(t1: Term, t2: Term, fuel: int) -> "bool | Inconclusive":
 def equivalent(t1: Term, t2: Term, mode: EqualityMode = BetaEta()) -> "bool | Inconclusive":
     """Whether t1 and t2 denote the same conversion class under mode.
 
-    BetaEta answers True or False. BetaEtaGamma may also answer
-    INCONCLUSIVE when its fuel runs out before the search spaces meet
-    or close.
+    BetaEta compares the two normal forms; on typed terms that decides
+    beta-eta equality. BetaEtaGamma searches from those normal forms
+    and may also answer INCONCLUSIVE when its fuel runs out before the
+    search spaces meet or close.
     """
     match mode:
         case BetaEta():
-            return _beta_eta_equivalent(t1, t2)
-        case BetaEtaGamma(_):
-            if _beta_eta_equivalent(t1, t2):
-                return True
-            return _gamma_search(t1, t2, mode.fuel)
+            return alpha_equal(normalize(t1), normalize(t2))
+        case BetaEtaGamma(fuel):
+            return _gamma_search(normalize(t1), normalize(t2), fuel)
     raise TypeError(f"not an equality mode: {mode!r}")

@@ -90,6 +90,27 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def detour_chain(n: int) -> str:
+    # n nested pair-then-project detours around a hypothesis
+    d = "(hyp x p)"
+    for _ in range(n):
+        d = f"(and-e1 (and-i {d} (hyp x p)))"
+    return f"(nd chain (imp-i x {d}))"
+
+
+def test_too_deep_input_exits_4_without_a_traceback(write, capsys):
+    deep = write("deep.nd", detour_chain(400))
+    for command in ("check", "normalize"):
+        assert main([command, deep]) == 4
+        captured = capsys.readouterr()
+        assert "error: input nested too deeply" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+    shallow = write("shallow.nd", detour_chain(200))
+    for command in ("check", "normalize"):
+        assert main([command, shallow]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == r"\x:p. x"
+
+
 def test_term_command(write, capsys, schema):
     path = write("id.nd", "(imp-i a (hyp a p))")
     assert main(["term", path]) == 0

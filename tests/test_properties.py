@@ -8,13 +8,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from proofmean.core import (
+    And,
+    App,
+    Case,
     Context,
+    Fst,
+    Implies,
+    Inl,
+    Inr,
+    Lam,
+    Or,
+    Pair,
+    Snd,
     Var,
     VarRef,
     alpha_equal,
     alpha_key,
     canonicalize,
     free_vars,
+    fresh_var,
     substitute,
     term_size,
     type_of,
@@ -123,6 +135,33 @@ def test_normalize_is_idempotent_and_reaches_a_normal_form(case):
     assert eta_step(n) is None
     assert normalize(n) == n
     assert type_of(Context(ctx), n) == a
+
+
+def eta_expand(t, a):
+    """t wrapped in one eta redex at type a; t itself at an atom or _|_."""
+    match a:
+        case Implies(b, _):
+            z = fresh_var(Var("e"), free_vars(t))
+            return Lam(z, b, App(t, VarRef(z)))
+        case And():
+            return Pair(Fst(t), Snd(t))
+        case Or(b, c):
+            left, right = Var("l"), Var("r")
+            return Case(t, left, b, Inl(VarRef(left), c), right, c, Inr(VarRef(right), b))
+    return t
+
+
+@given(substitution_cases())
+def test_normalize_is_invariant_under_single_beta_eta_steps(case):
+    # Beta-eta equality compares normal forms and nothing else, so no
+    # single step may change the normal form. Generated terms rarely
+    # hold an eta redex; plugging an eta-expanded term in for a free
+    # variable puts them under binders, inside pairs and in redexes.
+    ctx, t, _, v, s, _ = case
+    for term in (t, substitute(t, v, eta_expand(s, ctx[v]))):
+        n = normalize(term)
+        for u in beta_steps(term) + eta_steps(term):
+            assert alpha_equal(normalize(u), n)
 
 
 # ---------- Substitution ----------
