@@ -100,6 +100,5 @@ from .syntax import (
     render_formula,
     render_term,
 )
-from .cli import main
 
 __version__ = "0.1.0"

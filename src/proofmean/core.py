@@ -3,11 +3,18 @@
 Everything here is an immutable value. Terms carry enough type
 annotations (binder types, the undetermined component of injections and
 abort) that every well-formed term has a unique type in a context.
+
+Term and formula nodes keep their hash once computed, and `rewrite`
+keeps on each term node whether it is beta-eta normal. Both live
+outside the dataclass fields, so equality, repr and
+`dataclasses.fields` never see them, and neither can go stale because
+a node never changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterator, Mapping, Union
 
 
@@ -23,26 +30,47 @@ class TypeMismatch(ProofmeanError):
     pass
 
 
+def _hash_once(cls):
+    """Make a frozen dataclass hash its class and fields on first use
+    and keep the result on the instance."""
+    key = attrgetter(*(f.name for f in fields(cls)))
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((cls, key(self)))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    return cls
+
+
 # ---------- Formulas ----------
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Atom:
     name: str
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class And:
     left: "Formula"
     right: "Formula"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Or:
     left: "Formula"
@@ -60,16 +88,21 @@ Formula = Union[Atom, Implies, And, Or, Absurd]
 # ---------- Variables and terms ----------
 
 
+# Var keeps the plain dataclass hash: the parser builds a new Var for
+# each occurrence and hashes it about once, so a cache costs more than
+# it saves.
 @dataclass(frozen=True)
 class Var:
     name: str
 
 
+@_hash_once
 @dataclass(frozen=True)
 class VarRef:
     var: Var
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Lam:
     bound: Var
@@ -77,40 +110,47 @@ class Lam:
     body: "Term"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class App:
     fun: "Term"
     arg: "Term"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Pair:
     first: "Term"
     second: "Term"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Fst:
     arg: "Term"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Snd:
     arg: "Term"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Inl:
     arg: "Term"
     other: Formula  # the right disjunct, not determined by arg
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Inr:
     arg: "Term"
     other: Formula  # the left disjunct
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Case:
     scrutinee: "Term"
@@ -122,6 +162,7 @@ class Case:
     right_branch: "Term"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Abort:
     arg: "Term"

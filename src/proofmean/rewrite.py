@@ -408,13 +408,51 @@ def gamma_steps(t: Term) -> list[Term]:
 # ---------- Normalization and equivalence ----------
 
 
+def _subterms(t: Term) -> tuple[Term, ...]:
+    match t:
+        case VarRef(_):
+            return ()
+        case Lam(_, _, a) | Fst(a) | Snd(a) | Inl(a, _) | Inr(a, _) | Abort(a, _):
+            return (a,)
+        case App(a, b) | Pair(a, b):
+            return (a, b)
+        case Case(r, _, _, s, _, _, u):
+            return (r, s, u)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _is_normal(t: Term) -> bool:
+    # True iff beta_step(t) and eta_step(t) are both None. Each node
+    # visited keeps its answer (see core), so a term built around
+    # already-checked parts, such as a gamma successor, costs only its
+    # new nodes. The walk stops at the first redex.
+    stack = [(t, False)]
+    while stack:
+        u, ready = stack.pop()
+        known = getattr(u, "_normal", None)
+        if known is not None:
+            if not known:
+                return False
+        elif not ready:
+            stack.append((u, True))
+            stack.extend((s, False) for s in _subterms(u))
+        elif _beta_contract(u) is None and _eta_contract(u) is None:
+            object.__setattr__(u, "_normal", True)
+        else:
+            object.__setattr__(u, "_normal", False)
+            return False
+    return True
+
+
 def normalize(t: Term, budget: int = DEFAULT_STEP_BUDGET) -> Term:
-    """The beta-eta normal form of t.
+    """The beta-eta normal form of t; t itself when it is already normal.
 
     Runs beta to exhaustion, then eta, looping while eta uncovers new
     beta redexes. Raises FuelExhausted past the step budget, which for
     well-typed input signals a bug rather than divergence.
     """
+    if _is_normal(t):
+        return t
     steps = 0
     while True:
         while (r := beta_step(t)) is not None:

@@ -31,6 +31,9 @@ from proofmean.core import (
     Term,
     Var,
     VarRef,
+    free_vars,
+    fresh_var,
+    substitute,
 )
 
 ATOMS = (Atom("p"), Atom("q"), Atom("r"))
@@ -153,6 +156,37 @@ def typed_terms(
     budget = draw(st.integers(1, max_size))
     term = go(target, budget, ())
     return dict(free), term, target
+
+
+def eta_expand(t: Term, a: Formula) -> Term:
+    """t wrapped in one eta redex at type a; t itself at an atom or _|_."""
+    match a:
+        case Implies(b, _):
+            z = fresh_var(Var("e"), free_vars(t))
+            return Lam(z, b, App(t, VarRef(z)))
+        case And():
+            return Pair(Fst(t), Snd(t))
+        case Or(b, c):
+            left, right = Var("l"), Var("r")
+            return Case(t, left, b, Inl(VarRef(left), c), right, c, Inr(VarRef(right), b))
+    return t
+
+
+@st.composite
+def eta_planted_terms(draw) -> tuple[dict[Var, Formula], Term, Formula]:
+    """A typed term with an eta redex planted in it, with its context and type.
+
+    Plain `typed_terms()` draws almost never hold an eta redex. Here an
+    eta-expanded term replaces one free variable, which puts the redex
+    under binders, inside pairs and in beta redexes; a closed term is
+    expanded as a whole. Nothing is planted at an atom or _|_.
+    """
+    ctx, t, a = draw(typed_terms())
+    if not ctx:
+        return ctx, eta_expand(t, a), a
+    v = draw(st.sampled_from(sorted(ctx, key=lambda u: u.name)))
+    ctx2, s, _ = draw(typed_terms(max_size=6, target=ctx[v], prefix="s"))
+    return {**ctx, **ctx2}, substitute(t, v, eta_expand(s, ctx[v])), a
 
 
 def _term_to_nd(t: Term, types: dict[Var, Formula]) -> _nd.NdDerivation:

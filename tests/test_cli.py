@@ -1,9 +1,14 @@
 import importlib.resources
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import proofmean
 from proofmean.cli import main
 
 ID_ND = "(nd ident (imp-i x (hyp x p)))"
@@ -109,6 +114,22 @@ def test_too_deep_input_exits_4_without_a_traceback(write, capsys):
     for command in ("check", "normalize"):
         assert main([command, shallow]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == r"\x:p. x"
+
+
+def test_module_entry_point_writes_nothing_to_stderr(corpus_dir):
+    # The package must not import `cli` itself: runpy would then find the
+    # module already loaded and warn on every `python -m proofmean.cli`.
+    src = str(pathlib.Path(proofmean.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "proofmean.cli", "check", str(corpus_dir / "nd_identity.nd")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_term_command(write, capsys, schema):

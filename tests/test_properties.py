@@ -1,23 +1,25 @@
 """Randomized laws over generated terms and derivations.
 
 Each suite runs 500 cases (set globally in conftest). Terms stay at or
-under 12 constructors, derivations at or under 10 nodes.
+under 12 constructors before an eta redex is planted in them,
+derivations at or under 10 nodes.
 """
+
+from dataclasses import fields, is_dataclass
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from proofmean.core import (
-    And,
+    Abort,
     App,
+    Atom,
     Case,
     Context,
     Fst,
-    Implies,
     Inl,
     Inr,
     Lam,
-    Or,
     Pair,
     Snd,
     Var,
@@ -26,7 +28,6 @@ from proofmean.core import (
     alpha_key,
     canonicalize,
     free_vars,
-    fresh_var,
     substitute,
     term_size,
     type_of,
@@ -47,6 +48,7 @@ from proofmean.sc import variable_types as sc_variable_types
 from strategies import (
     MAX_DERIVATION_NODES,
     MAX_TERM_CONSTRUCTORS,
+    eta_planted_terms,
     fresh_renaming,
     nd_derivations,
     rename_nd,
@@ -83,12 +85,12 @@ def test_beta_steps_preserve_the_type(case):
         assert type_of(context, u) == a
 
 
-@given(typed_terms())
-def test_eta_steps_preserve_the_type(case):
-    ctx, t, a = case
-    context = Context(ctx)
-    for u in eta_steps(t):
-        assert type_of(context, u) == a
+@given(typed_terms(), eta_planted_terms())
+def test_eta_steps_preserve_the_type(case, planted):
+    for ctx, t, a in (case, planted):
+        context = Context(ctx)
+        for u in eta_steps(t):
+            assert type_of(context, u) == a
 
 
 @given(typed_terms())
@@ -137,31 +139,84 @@ def test_normalize_is_idempotent_and_reaches_a_normal_form(case):
     assert type_of(Context(ctx), n) == a
 
 
-def eta_expand(t, a):
-    """t wrapped in one eta redex at type a; t itself at an atom or _|_."""
-    match a:
-        case Implies(b, _):
-            z = fresh_var(Var("e"), free_vars(t))
-            return Lam(z, b, App(t, VarRef(z)))
-        case And():
-            return Pair(Fst(t), Snd(t))
-        case Or(b, c):
-            left, right = Var("l"), Var("r")
-            return Case(t, left, b, Inl(VarRef(left), c), right, c, Inr(VarRef(right), b))
-    return t
-
-
-@given(substitution_cases())
-def test_normalize_is_invariant_under_single_beta_eta_steps(case):
+@given(typed_terms(), eta_planted_terms())
+def test_normalize_is_invariant_under_single_beta_eta_steps(case, planted):
     # Beta-eta equality compares normal forms and nothing else, so no
-    # single step may change the normal form. Generated terms rarely
-    # hold an eta redex; plugging an eta-expanded term in for a free
-    # variable puts them under binders, inside pairs and in redexes.
-    ctx, t, _, v, s, _ = case
-    for term in (t, substitute(t, v, eta_expand(s, ctx[v]))):
+    # single step may change the normal form.
+    for _, term, _ in (case, planted):
         n = normalize(term)
         for u in beta_steps(term) + eta_steps(term):
             assert alpha_equal(normalize(u), n)
+
+
+# ---------- Cached facts ----------
+
+TERMS = (VarRef, Lam, App, Pair, Fst, Snd, Inl, Inr, Case, Abort)
+
+
+def term_nodes(t):
+    """Every subterm of t, t included."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        stack.extend(k for f in fields(u) if isinstance(k := getattr(u, f.name), TERMS))
+
+
+def rebuilt(x):
+    """A separately built copy of a term or formula, sharing no node with it."""
+    if is_dataclass(x):
+        return type(x)(*(rebuilt(getattr(x, f.name)) for f in fields(x)))
+    return x
+
+
+def is_normal(t):
+    return beta_step(t) is None and eta_step(t) is None
+
+
+@given(typed_terms(), eta_planted_terms())
+def test_normalize_returns_its_input_exactly_when_it_is_normal(case, planted):
+    # normalize answers from a flag kept on each node. The flag must agree
+    # with the step functions on the term (twice, the second time from the
+    # cache), on each subterm once an ancestor has been walked, and on the
+    # gamma successors of the normal form, which reuse its checked parts.
+    for _, t, _ in (case, planted):
+        expected = is_normal(t)
+        assert (normalize(t) is t) == expected
+        assert (normalize(t) is t) == expected
+        for u in term_nodes(t):
+            assert (normalize(u) is u) == is_normal(u)
+        for g in gamma_steps(normalize(t)):
+            assert (normalize(g) is g) == is_normal(g)
+
+
+def test_normality_is_decided_afresh_when_gamma_makes_a_beta_redex():
+    # Pushing the application into the branches puts the normal form's
+    # own, already-checked lambdas under new applications.
+    p, q, r = Atom("p"), Atom("q"), Atom("r")
+    w, a, x, y, z = (Var(name) for name in ("w", "a", "x", "y", "z"))
+    ident = Lam(z, q, VarRef(z))
+    n = App(Case(VarRef(w), x, p, ident, y, r, ident), VarRef(a))
+    assert normalize(n) is n
+    pushed = Case(VarRef(w), x, p, App(ident, VarRef(a)), y, r, App(ident, VarRef(a)))
+    steps = gamma_steps(n)
+    g = steps[steps.index(pushed)]
+    assert g.left_branch.fun is ident
+    assert beta_step(g) is not None
+    assert normalize(g) == Case(VarRef(w), x, p, VarRef(a), y, r, VarRef(a))
+
+
+@given(typed_terms(), eta_planted_terms())
+def test_hash_is_kept_and_agrees_with_a_separately_built_equal_term(case, planted):
+    for _, t, a in (case, planted):
+        copy = rebuilt(t)
+        before = hash(t)
+        seen = {t, a, normalize(t), *gamma_steps(t)}
+        assert hash(t) == before == hash(copy)
+        assert copy in seen and rebuilt(a) in seen
+        assert copy == t and repr(copy) == repr(t)
+        for u in term_nodes(t):
+            assert hash(u) == hash(rebuilt(u))
 
 
 # ---------- Substitution ----------
