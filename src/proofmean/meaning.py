@@ -296,8 +296,10 @@ def classify(
 
     Plain rewriting equality is decided first, by comparing the normal
     forms of the end terms; only failing that, and only when the mode
-    allows it, are permutative conversions searched from those normal
-    forms, which may come back without a definite answer.
+    allows it, are permutative conversions tried: closed normal forms
+    with different values in the finite model are refuted at once, and
+    otherwise a search from them may come back without a definite
+    answer.
     """
     t1, f1 = _conclusion(d1)
     t2, f2 = _conclusion(d2)

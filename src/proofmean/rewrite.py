@@ -10,17 +10,24 @@ connect case-of-pair terms with pair-of-case terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from itertools import product
+from typing import Callable, Iterable, Mapping, Union
 
 from .core import (
     Abort,
+    Absurd,
+    And,
     App,
+    Atom,
     Case,
     Context,
+    Formula,
     Fst,
+    Implies,
     Inl,
     Inr,
     Lam,
+    Or,
     Pair,
     ProofmeanError,
     Snd,
@@ -479,7 +486,7 @@ def _gamma_search(n1: Term, n2: Term, fuel: int) -> "bool | Inconclusive":
     seen1 = {alpha_key(n1)}
     seen2 = {alpha_key(n2)}
     frontier1, frontier2 = [n1], [n2]
-    if seen1 & seen2:
+    if not seen1.isdisjoint(seen2):
         return True
 
     def expand(frontier: list[Term], seen: set[object]) -> list[Term]:
@@ -497,27 +504,149 @@ def _gamma_search(n1: Term, n2: Term, fuel: int) -> "bool | Inconclusive":
         if not frontier1 and not frontier2:
             return False
         frontier1 = expand(frontier1, seen1)
-        if seen1 & seen2:
+        if not seen1.isdisjoint(seen2):
             return True
         frontier2 = expand(frontier2, seen2)
-        if seen1 & seen2:
+        if not seen1.isdisjoint(seen2):
             return True
     if not frontier1 and not frontier2:
         return False
     return INCONCLUSIVE
 
 
+# ---------- A finite set model ----------
+
+# The largest type the model enumerates, and the evaluation steps one
+# refutation may spend; past either the search decides alone.
+MODEL_SIZE_BOUND = 256
+MODEL_STEP_BUDGET = 10_000
+
+
+class OutsideModelBounds(ProofmeanError):
+    pass
+
+
+class _Table(dict):
+    # A function value: each element of the domain, in the domain's
+    # order, mapped to its result. Hashable, so that functions can be
+    # arguments and results of other functions.
+    def __hash__(self) -> int:
+        return hash(tuple(self.items()))
+
+
+class FiniteModel:
+    """Values of terms in the set model where every atom is {0, 1}.
+
+    A /\\ B is the set of pairs, A \\/ B the tagged values (0, a) and
+    (1, b), A -> B every function as a table, and _|_ the empty set. The
+    model is bicartesian closed, so every beta, eta and gamma law holds
+    in it: terms with different values are not equal in any mode. One
+    instance spends one MODEL_STEP_BUDGET across all its calls and
+    raises OutsideModelBounds past it or past MODEL_SIZE_BOUND.
+    """
+
+    def __init__(self) -> None:
+        self._steps = MODEL_STEP_BUDGET
+        self._elements: dict[Formula, tuple] = {}
+
+    def _spend(self, steps: int) -> None:
+        self._steps -= steps
+        if self._steps < 0:
+            raise OutsideModelBounds(f"evaluation took over {MODEL_STEP_BUDGET} steps")
+
+    def elements(self, a: Formula) -> tuple:
+        """Every value of type a, in a fixed order."""
+        known = self._elements.get(a)
+        if known is not None:
+            return known
+        match a:
+            case Atom():
+                out: tuple = (0, 1)
+            case Absurd():
+                out = ()
+            case And(b, c):
+                bs, cs = self.elements(b), self.elements(c)
+                self._fits(a, len(bs) * len(cs))
+                out = tuple(product(bs, cs))
+            case Or(b, c):
+                bs, cs = self.elements(b), self.elements(c)
+                self._fits(a, len(bs) + len(cs))
+                out = tuple((0, v) for v in bs) + tuple((1, v) for v in cs)
+            case Implies(b, c):
+                bs, cs = self.elements(b), self.elements(c)
+                self._fits(a, len(cs) ** len(bs))
+                out = tuple(_Table(zip(bs, r)) for r in product(cs, repeat=len(bs)))
+            case _:
+                raise TypeError(f"not a formula: {a!r}")
+        self._spend(len(out))
+        self._elements[a] = out
+        return out
+
+    def _fits(self, a: Formula, size: int) -> None:
+        if size > MODEL_SIZE_BOUND:
+            raise OutsideModelBounds(f"{a!r} has over {MODEL_SIZE_BOUND} elements")
+
+    def value(self, t: Term, env: Mapping[Var, object]) -> object:
+        """The value of t with each free variable's value taken from env."""
+        self._spend(1)
+        match t:
+            case VarRef(v):
+                return env[v]
+            case Lam(x, a, body):
+                table = _Table()
+                for e in self.elements(a):
+                    table[e] = self.value(body, {**env, x: e})
+                return table
+            case App(f, a):
+                return self.value(f, env)[self.value(a, env)]
+            case Pair(a, b):
+                return (self.value(a, env), self.value(b, env))
+            case Fst(a):
+                return self.value(a, env)[0]
+            case Snd(a):
+                return self.value(a, env)[1]
+            case Inl(a, _):
+                return (0, self.value(a, env))
+            case Inr(a, _):
+                return (1, self.value(a, env))
+            case Case(r, x, _, s, y, _, u):
+                tag, v = self.value(r, env)
+                if tag == 0:
+                    return self.value(s, {**env, x: v})
+                return self.value(u, {**env, y: v})
+        # Abort is never reached: its argument would need a value of _|_.
+        raise TypeError(f"no value for {t!r}")
+
+
+def _refuted_in_model(n1: Term, n2: Term) -> bool:
+    # True only when both terms are closed, share one type, and take
+    # different values within the model's bounds; any other case is
+    # left to the search.
+    try:
+        if type_of(Context(), n1) != type_of(Context(), n2):
+            return False
+        model = FiniteModel()
+        return model.value(n1, {}) != model.value(n2, {})
+    except ProofmeanError:
+        return False
+
+
 def equivalent(t1: Term, t2: Term, mode: EqualityMode = BetaEta()) -> "bool | Inconclusive":
     """Whether t1 and t2 denote the same conversion class under mode.
 
     BetaEta compares the two normal forms; on typed terms that decides
-    beta-eta equality. BetaEtaGamma searches from those normal forms
-    and may also answer INCONCLUSIVE when its fuel runs out before the
-    search spaces meet or close.
+    beta-eta equality. BetaEtaGamma first answers False when the closed
+    normal forms take different values in the finite model, and
+    otherwise searches from them; the search may also answer
+    INCONCLUSIVE when its fuel runs out before the search spaces meet
+    or close.
     """
     match mode:
         case BetaEta():
             return alpha_equal(normalize(t1), normalize(t2))
         case BetaEtaGamma(fuel):
-            return _gamma_search(normalize(t1), normalize(t2), fuel)
+            n1, n2 = normalize(t1), normalize(t2)
+            if _refuted_in_model(n1, n2):
+                return False
+            return _gamma_search(n1, n2, fuel)
     raise TypeError(f"not an equality mode: {mode!r}")

@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 from hypothesis import settings
 
+from gamma_examples import CASE_OF_TUPLE, FST_CASE, SND_CASE, TUPLE_OF_CASES
 from proofmean.cli import main
 from proofmean.core import alpha_equal
 from proofmean.meaning import (
@@ -230,25 +231,26 @@ def test_round_trips_schema_and_exit_codes(load_corpus, corpus_dir, tmp_path, ca
     broken.write_text("(imp-i")
     clash = tmp_path / "clash.nd"
     clash.write_text("(and-i (hyp x p) (hyp x q))")
+    case_of_tuple = tmp_path / "case_of_tuple.nd"
+    case_of_tuple.write_text(CASE_OF_TUPLE)
+    tuple_of_cases = tmp_path / "tuple_of_cases.nd"
+    tuple_of_cases.write_text(TUPLE_OF_CASES)
     fst_case = tmp_path / "fst_case.nd"
-    fst_case.write_text(
-        r"(imp-i u (and-e1 (or-e (hyp u (p/\p)\/(p/\p)) x (hyp x p/\p) y (hyp y p/\p))))"
-    )
+    fst_case.write_text(FST_CASE)
     snd_case = tmp_path / "snd_case.nd"
-    snd_case.write_text(
-        r"(imp-i u (and-e2 (or-e (hyp u (p/\p)\/(p/\p)) x (hyp x p/\p) y (hyp y p/\p))))"
-    )
+    snd_case.write_text(SND_CASE)
+    gamma_at_fuel_1 = ["--mode=beta-eta-gamma", "--fuel=1"]
     observed = {
         0: main(["check", id_path]),
         1: main(["compare", str(pair_1), str(pair_2)]),
         2: main(["check", str(broken)]),
-        3: main(
-            ["compare", str(fst_case), str(snd_case), "--mode=beta-eta-gamma", "--fuel=1"]
-        ),
+        3: main(["compare", str(case_of_tuple), str(tuple_of_cases), *gamma_at_fuel_1]),
     }
     capsys.readouterr()
     for want, got in observed.items():
         check(failures, want == got, f"expected exit {want}, got {got}")
+    refuted = main(["compare", str(fst_case), str(snd_case), *gamma_at_fuel_1])
+    check(failures, refuted == 1, f"model-refuted pair exited {refuted}")
     check(failures, main(["check", str(clash)]) == 1, "variable clash should exit 1")
     capsys.readouterr()
     checklist("round trips, schema validation, and exit codes", failures)

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 import proofmean
+from gamma_examples import CASE_OF_TUPLE, FST_CASE, SND_CASE, TUPLE_OF_CASES
 from proofmean.cli import main
 
 ID_ND = "(nd ident (imp-i x (hyp x p)))"
@@ -18,12 +19,6 @@ WEAK_2 = "(imp-i y (imp-i z q (hyp y p)))"
 REUSE_ND = "(and-i (hyp x p) (hyp x p))"
 PAIR_1 = "(imp-i y (imp-i x (and-i (hyp x p) (hyp y p))))"
 PAIR_2 = "(imp-i x (imp-i y (and-i (hyp x p) (hyp y p))))"
-FST_CASE = (
-    r"(imp-i u (and-e1 (or-e (hyp u (p/\p)\/(p/\p)) x (hyp x p/\p) y (hyp y p/\p))))"
-)
-SND_CASE = (
-    r"(imp-i u (and-e2 (or-e (hyp u (p/\p)\/(p/\p)) x (hyp x p/\p) y (hyp y p/\p))))"
-)
 
 
 @pytest.fixture
@@ -209,19 +204,22 @@ def test_compare_different_denotation_exits_1(write, capsys, schema):
 
 
 def test_compare_gamma_definitive_answers(write, capsys, schema):
+    # The finite model separates the two projections before any search,
+    # so even fuel 1 gives a definite answer.
     a = write("a.nd", FST_CASE)
     b = write("b.nd", SND_CASE)
-    code, payload = run_json(
-        capsys, schema, ["compare", a, b, "--json", "--mode=beta-eta-gamma", "--fuel=4"]
-    )
-    assert code == 1
-    assert payload["verdict"] == "DifferentDenotation"
-    assert payload["details"]["fuel"] == 4
+    for fuel in (1, 4):
+        code, payload = run_json(
+            capsys, schema, ["compare", a, b, "--json", "--mode=beta-eta-gamma", f"--fuel={fuel}"]
+        )
+        assert code == 1
+        assert payload["verdict"] == "DifferentDenotation"
+        assert payload["details"]["fuel"] == fuel
 
 
 def test_compare_inconclusive_exits_3(write, capsys, schema):
-    a = write("a.nd", FST_CASE)
-    b = write("b.nd", SND_CASE)
+    a = write("a.nd", CASE_OF_TUPLE)
+    b = write("b.nd", TUPLE_OF_CASES)
     code, payload = run_json(
         capsys, schema, ["compare", a, b, "--json", "--mode=beta-eta-gamma", "--fuel=1"]
     )
@@ -230,6 +228,8 @@ def test_compare_inconclusive_exits_3(write, capsys, schema):
     assert payload["details"]["inconclusive"] is True
     assert main(["compare", a, b, "--mode=beta-eta-gamma", "--fuel=1"]) == 3
     assert "inconclusive" in capsys.readouterr().out
+    assert main(["compare", a, b, "--mode=beta-eta-gamma", "--fuel=2"]) == 0
+    capsys.readouterr()
 
 
 def test_compare_gamma_success_exits_0(write, capsys, schema, corpus_dir):
@@ -242,11 +242,17 @@ def test_compare_gamma_success_exits_0(write, capsys, schema, corpus_dir):
 
 
 def test_fuel_comes_from_the_environment(write, capsys, monkeypatch):
-    a = write("a.nd", FST_CASE)
-    b = write("b.nd", SND_CASE)
+    a = write("a.nd", CASE_OF_TUPLE)
+    b = write("b.nd", TUPLE_OF_CASES)
     monkeypatch.setenv("PROOFMEAN_FUEL", "1")
     assert main(["compare", a, b, "--mode=beta-eta-gamma"]) == 3
-    assert main(["compare", a, b, "--mode=beta-eta-gamma", "--fuel=4"]) == 1
+    assert main(["compare", a, b, "--mode=beta-eta-gamma", "--fuel=2"]) == 0
+    monkeypatch.setenv("PROOFMEAN_FUEL", "2")
+    assert main(["compare", a, b, "--mode=beta-eta-gamma"]) == 0
+    monkeypatch.setenv("PROOFMEAN_FUEL", "1")
+    c = write("c.nd", FST_CASE)
+    d = write("d.nd", SND_CASE)
+    assert main(["compare", c, d, "--mode=beta-eta-gamma"]) == 1
     monkeypatch.setenv("PROOFMEAN_FUEL", "banana")
     assert main(["compare", a, b, "--mode=beta-eta-gamma"]) == 2
     capsys.readouterr()
@@ -300,8 +306,13 @@ def test_corpus_exit_distinguishes_check_failures(write, tmp_path, capsys):
 
 
 def test_corpus_inconclusive_exits_3(write, tmp_path, capsys):
-    write("a.nd", FST_CASE)
-    write("b.nd", SND_CASE)
+    write("a.nd", CASE_OF_TUPLE)
+    write("b.nd", TUPLE_OF_CASES)
+    write("c.nd", FST_CASE)
+    write("d.nd", SND_CASE)
     assert main(["corpus", str(tmp_path), "--mode=beta-eta-gamma", "--fuel=1"]) == 3
     out = capsys.readouterr().out
-    assert "(inconclusive)" in out
+    assert "a vs b: SameDenotationUpToGamma (inconclusive)" in out
+    assert "c vs d: DifferentDenotation" in out
+    assert main(["corpus", str(tmp_path), "--mode=beta-eta-gamma", "--fuel=2"]) == 0
+    assert "(inconclusive)" not in capsys.readouterr().out

@@ -1,3 +1,4 @@
+from gamma_examples import CASE_OF_TUPLE, TUPLE_OF_CASES
 from proofmean.core import And, Atom, Lam, Or, Pair, Var, VarRef, alpha_equal
 from proofmean.meaning import (
     DifferentDenotation,
@@ -14,7 +15,7 @@ from proofmean.meaning import (
 from proofmean.nd import AndE1, AndE2, AndI, Hyp, ImpI, OrE
 from proofmean.rewrite import BetaEta, BetaEtaGamma
 from proofmean.sc import AndR, Rf
-from proofmean.syntax import parse_term
+from proofmean.syntax import parse, parse_term
 
 p, q = Atom("p"), Atom("q")
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -119,12 +120,17 @@ def test_gamma_mode_separates_permutative_variants(load_corpus):
 
 
 def test_gamma_mode_reports_fuel_exhaustion():
+    d1, d2 = parse(CASE_OF_TUPLE), parse(TUPLE_OF_CASES)
+    assert classify(d1, d2, BetaEtaGamma(fuel=1)) == SameDenotationUpToGamma(inconclusive=True)
+    assert classify(d1, d2, BetaEtaGamma(fuel=2)) == SameDenotationUpToGamma(inconclusive=False)
+    # The finite model tells these two projections apart before any
+    # search, so fuel 1 is enough.
     u = Var("u")
     scrutinee = Hyp(u, Or(And(p, p), And(p, p)))
-    d1 = ImpI(u, None, AndE1(OrE(scrutinee, x, Hyp(x, And(p, p)), y, Hyp(y, And(p, p)))))
-    d2 = ImpI(u, None, AndE2(OrE(scrutinee, x, Hyp(x, And(p, p)), y, Hyp(y, And(p, p)))))
-    assert classify(d1, d2, BetaEtaGamma(fuel=1)) == SameDenotationUpToGamma(inconclusive=True)
-    assert classify(d1, d2, BetaEtaGamma(fuel=4)) == DifferentDenotation()
+    d3 = ImpI(u, None, AndE1(OrE(scrutinee, x, Hyp(x, And(p, p)), y, Hyp(y, And(p, p)))))
+    d4 = ImpI(u, None, AndE2(OrE(scrutinee, x, Hyp(x, And(p, p)), y, Hyp(y, And(p, p)))))
+    assert classify(d3, d4, BetaEtaGamma(fuel=1)) == DifferentDenotation()
+    assert classify(d3, d4, BetaEtaGamma(fuel=4)) == DifferentDenotation()
 
 
 def test_classification_prefers_plain_equality(load_corpus):

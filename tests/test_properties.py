@@ -5,9 +5,12 @@ under 12 constructors before an eta redex is planted in them,
 derivations at or under 10 nodes.
 """
 
+import math
+import random
 from dataclasses import fields, is_dataclass
+from itertools import product
 
-from hypothesis import given
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from proofmean.core import (
@@ -36,6 +39,8 @@ from proofmean.meaning import same_sense, sense_of
 from proofmean.nd import check_nd, node_judgments
 from proofmean.nd import variable_types as nd_variable_types
 from proofmean.rewrite import (
+    FiniteModel,
+    OutsideModelBounds,
     beta_step,
     beta_steps,
     eta_step,
@@ -43,8 +48,15 @@ from proofmean.rewrite import (
     gamma_steps,
     normalize,
 )
-from proofmean.sc import check_sc, node_sequents
+from proofmean.sc import check_sc, end_term_sc, node_sequents
 from proofmean.sc import variable_types as sc_variable_types
+from proofmean.syntax import parse_term
+from gamma_examples import (
+    CASE_OF_TUPLE_TERM,
+    FST_CASE_TERM,
+    SND_CASE_TERM,
+    TUPLE_OF_CASES_TERM,
+)
 from strategies import (
     MAX_DERIVATION_NODES,
     MAX_TERM_CONSTRUCTORS,
@@ -147,6 +159,66 @@ def test_normalize_is_invariant_under_single_beta_eta_steps(case, planted):
         n = normalize(term)
         for u in beta_steps(term) + eta_steps(term):
             assert alpha_equal(normalize(u), n)
+
+
+# ---------- The finite model ----------
+
+
+def environments(ctx, limit=64):
+    """Assignments of model values to the variables of ctx: all of them,
+    or `limit` drawn with a fixed seed when there are more."""
+    names = sorted(ctx, key=lambda v: v.name)
+    domains = [FiniteModel().elements(ctx[v]) for v in names]
+    if math.prod(len(d) for d in domains) <= limit:
+        return [dict(zip(names, values)) for values in product(*domains)]
+    rng = random.Random(0)
+    return [{v: rng.choice(d) for v, d in zip(names, domains)} for _ in range(limit)]
+
+
+def assert_one_step_keeps_the_value(ctx, t):
+    # Refuting in the model is sound only if no conversion changes a
+    # value, so every single step and the normal form must keep it.
+    for env in environments(ctx):
+        value = FiniteModel().value(t, env)
+        for u in [normalize(t), *beta_steps(t), *eta_steps(t), *gamma_steps(t)]:
+            assert FiniteModel().value(u, env) == value
+
+
+@given(typed_terms(), eta_planted_terms())
+def test_conversions_keep_the_value_in_the_finite_model(case, planted):
+    for ctx, t, _ in (case, planted):
+        try:
+            assert_one_step_keeps_the_value(ctx, t)
+        except OutsideModelBounds:
+            reject()
+
+
+def test_gamma_steps_on_nested_cases_keep_the_value_in_the_finite_model(load_corpus):
+    # Generated terms rarely hold a gamma redex; these closed normal
+    # forms hold several. Two layers of successors reach the pair splits
+    # and the projections pulled into both branches, and the last two
+    # terms the lambda splits and the application and injection pull-ins.
+    def nf(name):
+        return normalize(end_term_sc(load_corpus(name).derivation))
+
+    starts = [
+        nf("sc_dist_1.sc"),
+        nf("sc_dist_3.sc"),
+        parse_term(CASE_OF_TUPLE_TERM),
+        parse_term(TUPLE_OF_CASES_TERM),
+        parse_term(FST_CASE_TERM),
+        parse_term(SND_CASE_TERM),
+        parse_term(r"\u:(p\/p). case u { x:p. \z:p. x | y:p. \z:p. z }"),
+        parse_term(
+            r"\w:r. \u:((r->q)\/(r->q))."
+            r" case u { x:(r->q). \z:r. inl[r] app(x, w) | y:(r->q). \z:r. inl[r] app(y, w) }"
+        ),
+    ]
+    for t in starts:
+        first = gamma_steps(t)
+        assert first
+        for u in [t, *first, *(g for s in first for g in gamma_steps(s))]:
+            assert_one_step_keeps_the_value({}, u)
 
 
 # ---------- Cached facts ----------

@@ -17,11 +17,19 @@ from proofmean.core import (
     VarRef,
     alpha_equal,
 )
+from gamma_examples import (
+    CASE_OF_TUPLE_TERM,
+    FST_CASE_TERM,
+    SND_CASE_TERM,
+    TUPLE_OF_CASES_TERM,
+)
 from proofmean.rewrite import (
     INCONCLUSIVE,
     BetaEta,
     BetaEtaGamma,
+    FiniteModel,
     FuelExhausted,
+    OutsideModelBounds,
     beta_step,
     beta_steps,
     equivalent,
@@ -30,6 +38,7 @@ from proofmean.rewrite import (
     gamma_steps,
     normalize,
 )
+from proofmean.sc import end_term_sc
 from proofmean.syntax import parse_term
 
 p, q = Atom("p"), Atom("q")
@@ -153,10 +162,69 @@ def test_gamma_mode_falls_back_to_beta_eta_first():
 
 
 def test_gamma_search_reports_fuel_exhaustion():
-    t1 = parse_term(r"\u:((p/\p)\/(p/\p)). fst(case u { x:(p/\p). x | y:(p/\p). y })")
-    t2 = parse_term(r"\u:((p/\p)\/(p/\p)). snd(case u { x:(p/\p). x | y:(p/\p). y })")
+    t1, t2 = parse_term(CASE_OF_TUPLE_TERM), parse_term(TUPLE_OF_CASES_TERM)
     assert equivalent(t1, t2, BetaEtaGamma(fuel=1)) is INCONCLUSIVE
+    assert equivalent(t1, t2, BetaEtaGamma(fuel=2)) is True
+
+
+def test_finite_model_refutes_different_denotations_before_the_search():
+    t1, t2 = parse_term(FST_CASE_TERM), parse_term(SND_CASE_TERM)
+    assert equivalent(t1, t2, BetaEtaGamma(fuel=1)) is False
     assert equivalent(t1, t2, BetaEtaGamma(fuel=4)) is False
+
+
+def test_finite_model_never_separates_what_the_search_joins(load_corpus):
+    def nf(name):
+        return normalize(end_term_sc(load_corpus(name).derivation))
+
+    joined = [
+        (nf("sc_dist_1.sc"), nf("sc_dist_3.sc")),
+        (nf("sc_dist_2.sc"), nf("sc_dist_3.sc")),
+        (parse_term(CASE_OF_TUPLE_TERM), parse_term(TUPLE_OF_CASES_TERM)),
+    ]
+    for t1, t2 in joined:
+        assert not alpha_equal(t1, t2)
+        model = FiniteModel()
+        assert model.value(t1, {}) == model.value(t2, {})
+        assert equivalent(t1, t2, BetaEtaGamma(fuel=4)) is True
+
+
+def test_finite_model_declines_and_leaves_the_search_to_answer():
+    # Each pair below differs in the model, yet the refutation declines
+    # and the search at fuel 1 answers as it would without the model.
+    def gamma_1(a, b):
+        return equivalent(parse_term(a), parse_term(b), BetaEtaGamma(fuel=1))
+
+    fst_open = r"fst(case u { x:(p/\p). x | y:(p/\p). y })"
+    snd_open = r"snd(case u { x:(p/\p). x | y:(p/\p). y })"
+    u = Var("u")
+    model = FiniteModel()
+    tagged = (0, (0, 1))
+    assert model.value(parse_term(fst_open), {u: tagged}) != model.value(
+        parse_term(snd_open), {u: tagged}
+    )
+    assert gamma_1(fst_open, snd_open) is INCONCLUSIVE
+
+    # Ill-typed: the right branch's annotation does not match the scrutinee.
+    head = r"\u:((p/\p)\/(p/\p)). "
+    ill_typed = head + r"snd(case u { x:(p/\p). x | y:(q/\q). y })"
+    assert gamma_1(FST_CASE_TERM, ill_typed) is INCONCLUSIVE
+
+    # Two types: the same projections at q instead of p.
+    at_q = r"\u:((q/\q)\/(q/\q)). snd(case u { x:(q/\q). x | y:(q/\q). y })"
+    assert gamma_1(FST_CASE_TERM, at_q) is INCONCLUSIVE
+
+    # Above the size bound: ((p->p)->p)->p has 2^16 elements.
+    big = r"\f:(((p->p)->p)->p). "
+    with pytest.raises(OutsideModelBounds):
+        FiniteModel().elements(parse_term(big + "f").bound_type)
+    assert gamma_1(big + FST_CASE_TERM, big + SND_CASE_TERM) is INCONCLUSIVE
+
+    # Past the step budget: 256 x 256 evaluations of the body.
+    many = r"\f:(((p/\p)/\(p/\p))->p). \g:(((p/\p)/\(p/\p))->p). "
+    with pytest.raises(OutsideModelBounds):
+        FiniteModel().value(parse_term(many + FST_CASE_TERM), {})
+    assert gamma_1(many + FST_CASE_TERM, many + SND_CASE_TERM) is INCONCLUSIVE
 
 
 def test_inconclusive_is_not_a_boolean():
