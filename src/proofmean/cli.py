@@ -5,6 +5,12 @@ codes: 0 success, 1 check failure or different denotations, 2 usage or
 parse error, 3 inconclusive comparison, 4 input nested too deeply to
 process. `--json` emits one object per invocation; its shape is fixed
 by the shipped schema.json.
+
+Each command checks each derivation once and formats facts kept
+elsewhere: judgments from the one `meaning.check` run (its root carries
+every node's), the tree's shape from `nd.preorder`, node labels from
+`syntax.render_node`, and a comparison's details from the evidence its
+verdict carries.
 """
 
 from __future__ import annotations
@@ -16,17 +22,20 @@ import sys
 from pathlib import Path
 
 from . import nd as _nd
-from . import sc as _sc
 from . import syntax
-from .core import Context, Formula, ProofmeanError, Term, term_size
+from .core import ProofmeanError, term_size
 from .meaning import (
+    Checked,
     DifferentDenotation,
     DifferentSenseSameDenotation,
     SameDenotationUpToGamma,
     SameSenseSameDenotation,
     Verdict,
+    check,
     classify,
+    conclusion,
     sense_of,
+    # Not called here; kept because bench/spans.py traces cli.sense_renaming.
     sense_renaming,
 )
 from .rewrite import BetaEta, BetaEtaGamma, EqualityMode, normalize
@@ -35,8 +44,10 @@ from .syntax import (
     ParseError,
     SourceFile,
     UnknownRule,
+    # Not called here; re-exported, and traced by bench/spans.py as cli.parse.
     parse,
     render_formula,
+    render_node,
     render_term,
 )
 
@@ -59,111 +70,20 @@ def _load(path: str) -> SourceFile:
     return syntax.parse_file(text, default_name=Path(path).stem)
 
 
-def _conclusion(sf: SourceFile) -> tuple[Term, Formula]:
-    if sf.calculus == "nd":
-        j = _nd.check_nd(sf.derivation)
-        return j.term, j.formula
-    s = _sc.check_sc(sf.derivation)
-    return s.term, s.succedent
-
-
-def _judgment_str(ctx: Context, term: Term, formula: Formula) -> str:
+def _judgment_str(j: Checked) -> str:
+    ctx, term, formula = conclusion(j)
     entries = sorted(ctx.items(), key=lambda kv: kv[0].name)
     left = ", ".join(f"{v.name}:{render_formula(f)}" for v, f in entries)
     prefix = f"{left} " if left else ""
     return f"{prefix}|- {render_term(term)} : {render_formula(formula)}"
 
 
-def _node_label(d) -> str:
-    match d:
-        case _nd.Hyp(x, f):
-            return f"hyp {x.name} {render_formula(f)}"
-        case _nd.ImpI(x, None, _):
-            return f"imp-i {x.name}"
-        case _nd.ImpI(x, h, _):
-            return f"imp-i {x.name} {render_formula(h)}"
-        case _nd.ImpE():
-            return "imp-e"
-        case _nd.AndI():
-            return "and-i"
-        case _nd.AndE1():
-            return "and-e1"
-        case _nd.AndE2():
-            return "and-e2"
-        case _nd.OrI1(other, _):
-            return f"or-i1 {render_formula(other)}"
-        case _nd.OrI2(other, _):
-            return f"or-i2 {render_formula(other)}"
-        case _nd.OrE(_, x, _, y, _):
-            return f"or-e {x.name} {y.name}"
-        case _nd.AbsurdE(target, _):
-            return f"absurd-e {render_formula(target)}"
-        case _sc.Rf(x, f):
-            return f"rf {x.name} {render_formula(f)}"
-        case _sc.AndR():
-            return "and-r"
-        case _sc.AndL(z, x, y, _):
-            return f"and-l {z.name} {x.name} {y.name}"
-        case _sc.OrR1(other, _):
-            return f"or-r1 {render_formula(other)}"
-        case _sc.OrR2(other, _):
-            return f"or-r2 {render_formula(other)}"
-        case _sc.OrL(z, x, y, _, _):
-            return f"or-l {z.name} {x.name} {y.name}"
-        case _sc.ImpR(x, _):
-            return f"imp-r {x.name}"
-        case _sc.ImpL(x, y, _, _):
-            return f"imp-l {x.name} {y.name}"
-        case _sc.AbsurdL(x, target):
-            return f"absurd-l {x.name} {render_formula(target)}"
-        case _sc.Weaken(x, f, _):
-            return f"weaken {x.name} {render_formula(f)}"
-        case _sc.Contract(kept, merged, _):
-            return f"contract {kept.name} {merged.name}"
-        case _sc.Cut(x, _, _):
-            return f"cut {x.name}"
-    raise TypeError(f"not a derivation node: {d!r}")
-
-
-def _node_children(d) -> tuple:
-    match d:
-        case _nd.Hyp():
-            return ()
-        case _nd.ImpI(_, _, premise):
-            return (premise,)
-        case _nd.ImpE(fun, arg):
-            return (fun, arg)
-        case _nd.AndI(left, right):
-            return (left, right)
-        case _nd.AndE1(premise) | _nd.AndE2(premise):
-            return (premise,)
-        case _nd.OrI1(_, premise) | _nd.OrI2(_, premise):
-            return (premise,)
-        case _nd.OrE(scrutinee, _, left, _, right):
-            return (scrutinee, left, right)
-        case _nd.AbsurdE(_, premise):
-            return (premise,)
-    return _sc._children(d)
-
-
-def _tree_lines(sf: SourceFile) -> list[str]:
-    if sf.calculus == "nd":
-        recorded = _nd.node_judgments(sf.derivation)
-        shown = {id(n): _judgment_str(j.open, j.term, j.formula) for n, j in recorded}
-    else:
-        recorded = _sc.node_sequents(sf.derivation)
-        shown = {
-            id(n): _judgment_str(s.antecedent, s.term, s.succedent) for n, s in recorded
-        }
-    lines: list[str] = []
-
-    def walk(node, depth: int) -> None:
-        lines.append(f"{'  ' * depth}{_node_label(node)}  [{shown[id(node)]}]")
-        for child in _node_children(node):
-            walk(child, depth + 1)
-
-    walk(sf.derivation, 0)
-    return lines
+def _tree_lines(d, root: Checked) -> list[str]:
+    shown = {id(node): _judgment_str(j) for node, j in root.nodes}
+    return [
+        f"{'  ' * depth}{render_node(node)}  [{shown[id(node)]}]"
+        for depth, node in _nd.preorder(d)
+    ]
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -209,14 +129,9 @@ def _mode_of(args) -> EqualityMode:
 
 def _cmd_check(args) -> int:
     sf = _load(args.file)
-    term, formula = _conclusion(sf)
-    if sf.calculus == "nd":
-        j = _nd.check_nd(sf.derivation)
-        headline = _judgment_str(j.open, term, formula)
-    else:
-        s = _sc.check_sc(sf.derivation)
-        headline = _judgment_str(s.antecedent, term, formula)
-    tree = _tree_lines(sf)
+    root = check(sf.derivation)
+    headline = _judgment_str(root)
+    tree = _tree_lines(sf.derivation, root)
     payload = {
         "command": "check",
         "inputs": [args.file],
@@ -229,7 +144,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_term(args) -> int:
     sf = _load(args.file)
-    term, formula = _conclusion(sf)
+    _, term, formula = conclusion(check(sf.derivation))
     rendered = render_term(term, canonical=args.canonical)
     payload = {
         "command": "term",
@@ -243,7 +158,7 @@ def _cmd_term(args) -> int:
 
 def _cmd_normalize(args) -> int:
     sf = _load(args.file)
-    term, formula = _conclusion(sf)
+    _, term, formula = conclusion(check(sf.derivation))
     normal = normalize(term)
     rendered = render_term(normal, canonical=args.canonical)
     payload = {
@@ -261,7 +176,6 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_sense(args) -> int:
     sf = _load(args.file)
-    _conclusion(sf)
     sense = sense_of(sf.derivation, multiset=args.multiset)
     ordered = sorted(sense.elements, key=lambda t: (term_size(t), render_term(t)))
     details: dict = {
@@ -279,37 +193,23 @@ def _cmd_sense(args) -> int:
     return 0
 
 
-def _verdict_details(args, sf1: SourceFile, sf2: SourceFile, verdict: Verdict) -> dict:
+def _verdict_details(args, verdict: Verdict) -> dict:
     details: dict = {"mode": args.mode}
     if args.mode == "beta-eta-gamma":
         details["fuel"] = _effective_fuel(args)
     match verdict:
-        case SameSenseSameDenotation():
-            renaming = sense_renaming(sf1.derivation, sf2.derivation, args.multiset)
-            assert renaming is not None
+        case SameSenseSameDenotation(renaming):
             details["renaming"] = {
                 a.name: b.name for a, b in sorted(renaming.items(), key=lambda kv: kv[0].name)
             }
-        case DifferentSenseSameDenotation():
-            s1 = sense_of(sf1.derivation).elements
-            s2 = sense_of(sf2.derivation).elements
-            details["only_in_first"] = _sorted_terms(s1 - s2)
-            details["only_in_second"] = _sorted_terms(s2 - s1)
-        case DifferentDenotation():
-            t1, _ = _conclusion(sf1)
-            t2, _ = _conclusion(sf2)
-            details["normal_forms"] = [
-                render_term(normalize(t1)),
-                render_term(normalize(t2)),
-            ]
-        case SameDenotationUpToGamma(inconclusive):
-            t1, _ = _conclusion(sf1)
-            t2, _ = _conclusion(sf2)
+        case DifferentSenseSameDenotation((s1, s2)):
+            details["only_in_first"] = _sorted_terms(s1.elements - s2.elements)
+            details["only_in_second"] = _sorted_terms(s2.elements - s1.elements)
+        case DifferentDenotation(normal_forms):
+            details["normal_forms"] = [render_term(t) for t in normal_forms]
+        case SameDenotationUpToGamma(inconclusive, normal_forms):
             details["inconclusive"] = inconclusive
-            details["normal_forms"] = [
-                render_term(normalize(t1)),
-                render_term(normalize(t2)),
-            ]
+            details["normal_forms"] = [render_term(t) for t in normal_forms]
     return details
 
 
@@ -327,7 +227,7 @@ def _cmd_compare(args) -> int:
     sf2 = _load(args.second)
     mode = _mode_of(args)
     verdict = classify(sf1.derivation, sf2.derivation, mode, multiset=args.multiset)
-    details = _verdict_details(args, sf1, sf2, verdict)
+    details = _verdict_details(args, verdict)
     name = type(verdict).__name__
     lines = [name]
     for key in ("renaming", "only_in_first", "only_in_second", "normal_forms"):
@@ -360,7 +260,7 @@ def _cmd_corpus(args) -> int:
         label = p.stem
         try:
             sf = _load(str(p))
-            term, formula = _conclusion(sf)
+            _, _, formula = conclusion(check(sf.derivation))
         except _PARSE_ERRORS as e:
             parse_failed = True
             files.append({"name": label, "ok": False, "stage": "parse", "error": str(e)})

@@ -4,12 +4,19 @@ The sense of a derivation is the set of terms written down while
 carrying it out. Its denotation is the value of its end term under
 rewriting. Two derivations can present the same value differently,
 and `classify` names the ways that can play out.
+
+Every fact of a derivation is read off one checker run: `check` returns
+the root judgment or sequent, which carries each node's judgment (the
+sense) and the variable types (for the renaming search), and its end
+term gives the denotation. `classify` checks each derivation once, and
+its verdict carries the evidence it found: the renaming, the two senses
+or the two normal forms.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from . import nd as _nd
@@ -18,6 +25,7 @@ from .core import (
     Abort,
     App,
     Case,
+    Context,
     Formula,
     Fst,
     Inl,
@@ -41,35 +49,21 @@ from .rewrite import (
 )
 
 Derivation = Union["_nd.NdDerivation", "_sc.ScDerivation"]
-
-_ND_NODES = (
-    _nd.Hyp,
-    _nd.ImpI,
-    _nd.ImpE,
-    _nd.AndI,
-    _nd.AndE1,
-    _nd.AndE2,
-    _nd.OrI1,
-    _nd.OrI2,
-    _nd.OrE,
-    _nd.AbsurdE,
-)
+Checked = Union["_nd.Judgment", "_sc.Sequent"]
 
 
-def _is_nd(d: Derivation) -> bool:
-    return isinstance(d, _ND_NODES)
+def check(d: Derivation) -> Checked:
+    """Check d with the checker of its own calculus. The root judgment
+    or sequent also carries each node's and the variable types."""
+    return _nd.check_nd(d) if isinstance(d, _nd.NdDerivation) else _sc.check_sc(d)
 
 
-def _conclusion(d: Derivation) -> tuple[Term, Formula]:
-    if _is_nd(d):
-        j = _nd.check_nd(d)
-        return j.term, j.formula
-    s = _sc.check_sc(d)
-    return s.term, s.succedent
-
-
-def _variable_types(d: Derivation) -> dict[Var, Formula]:
-    return _nd.variable_types(d) if _is_nd(d) else _sc.variable_types(d)
+def conclusion(j: Checked) -> tuple[Context, Term, Formula]:
+    """The context, term and formula of a judgment or a sequent."""
+    match j:
+        case _nd.Judgment(ctx, term, formula) | _sc.Sequent(ctx, term, formula):
+            return ctx, term, formula
+    raise TypeError(f"not a judgment or sequent: {j!r}")
 
 
 # ---------- Sense ----------
@@ -99,14 +93,15 @@ def sense_of(d: Derivation, multiset: bool = False) -> Sense:
     hypothesis leaves included. For sequents it is each node's
     succedent term together with each antecedent variable.
     """
+    return _sense(check(d), multiset)
+
+
+def _sense(root: Checked, multiset: bool) -> Sense:
     occurrences: list[Term] = []
-    if _is_nd(d):
-        for _, j in _nd.node_judgments(d):
-            occurrences.append(j.term)
-    else:
-        for _, s in _sc.node_sequents(d):
-            occurrences.append(s.term)
-            occurrences.extend(VarRef(v) for v in s.antecedent.vars())
+    for _, j in root.nodes:
+        occurrences.append(j.term)
+        if isinstance(j, _sc.Sequent):
+            occurrences.extend(VarRef(v) for v in j.antecedent.vars())
     counts = dict(Counter(occurrences)) if multiset else None
     return Sense(frozenset(occurrences), counts)
 
@@ -154,12 +149,17 @@ def sense_renaming(
 ) -> dict[Var, Var] | None:
     """A formula-preserving bijective renaming of variables carrying
     the sense of d1 onto the sense of d2, or None when there is none."""
-    s1 = sense_of(d1, multiset=multiset)
-    s2 = sense_of(d2, multiset=multiset)
+    c1, c2 = check(d1), check(d2)
+    return _renaming(_sense(c1, multiset), c1.types, _sense(c2, multiset), c2.types)
+
+
+def _renaming(
+    s1: Sense, tau1: Mapping[Var, Formula], s2: Sense, tau2: Mapping[Var, Formula]
+) -> dict[Var, Var] | None:
+    """The renaming search of `sense_renaming`, given both senses and
+    the variable types of the runs they came from."""
     if len(s1.elements) != len(s2.elements):
         return None
-    tau1 = _variable_types(d1)
-    tau2 = _variable_types(d2)
 
     def prepared(sense: Sense) -> list[tuple[object, tuple[Var, ...]]]:
         items = []
@@ -204,26 +204,34 @@ def sense_renaming(
             del inv[b]
         return None
 
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
-        key, vs1 = items1[order[i]]
-        for j in buckets[key]:
+    # Depth-first over `order` on an explicit stack, so a long sense
+    # costs no recursion: chosen[i] holds the bucket position matched to
+    # order[i] and the bindings that match added.
+    chosen: list[tuple[int, list[tuple[Var, Var]]]] = []
+    start = 0
+    while len(chosen) < len(order):
+        key, vs1 = items1[order[len(chosen)]]
+        bucket = buckets[key]
+        for pos in range(start, len(bucket)):
+            j = bucket[pos]
             if used[j]:
                 continue
             added = extend(vs1, items2[j][1])
-            if added is None:
-                continue
-            used[j] = True
-            if backtrack(i + 1):
-                return True
-            used[j] = False
+            if added is not None:
+                used[j] = True
+                chosen.append((pos, added))
+                start = 0
+                break
+        else:
+            if not chosen:
+                return None
+            pos, added = chosen.pop()
+            used[buckets[items1[order[len(chosen)]][0]][pos]] = False
             for a, b in added:
                 del rho[a]
                 del inv[b]
-        return False
-
-    return dict(rho) if backtrack(0) else None
+            start = pos + 1
+    return dict(rho)
 
 
 def same_sense(d1: Derivation, d2: Derivation, multiset: bool = False) -> bool:
@@ -237,8 +245,7 @@ def same_sense(d1: Derivation, d2: Derivation, multiset: bool = False) -> bool:
 
 def denotation_of(d: Derivation) -> Term:
     """The normal form of the end term of d."""
-    term, _ = _conclusion(d)
-    return normalize(term)
+    return normalize(check(d).term)
 
 
 def same_denotation(
@@ -248,8 +255,8 @@ def same_denotation(
 
     Derivations of different formulas never share a denotation.
     """
-    t1, f1 = _conclusion(d1)
-    t2, f2 = _conclusion(d2)
+    _, t1, f1 = conclusion(check(d1))
+    _, t2, f2 = conclusion(check(d2))
     if f1 != f2:
         return False
     return equivalent(t1, t2, mode)
@@ -258,24 +265,30 @@ def same_denotation(
 # ---------- Classification ----------
 
 
+# Each verdict keeps the evidence `classify` found, outside equality
+# and repr: the renaming of the first sense onto the second, the two
+# senses, or the normal forms of the two end terms.
+
+
 @dataclass(frozen=True)
 class SameSenseSameDenotation:
-    pass
+    renaming: Mapping[Var, Var] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class DifferentSenseSameDenotation:
-    pass
+    senses: tuple[Sense, Sense] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class DifferentDenotation:
-    pass
+    normal_forms: tuple[Term, Term] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class SameDenotationUpToGamma:
     inconclusive: bool = False
+    normal_forms: tuple[Term, Term] | None = field(default=None, compare=False, repr=False)
 
 
 Verdict = Union[
@@ -299,23 +312,26 @@ def classify(
     allows it, are permutative conversions tried: closed normal forms
     with different values in the finite model are refuted at once, and
     otherwise a search from them may come back without a definite
-    answer.
+    answer. Each derivation is checked once, and both its sense and its
+    denotation are read off that check.
     """
-    t1, f1 = _conclusion(d1)
-    t2, f2 = _conclusion(d2)
-    if f1 != f2:
-        return DifferentDenotation()
+    c1, c2 = check(d1), check(d2)
+    (_, t1, f1), (_, t2, f2) = conclusion(c1), conclusion(c2)
     n1, n2 = normalize(t1), normalize(t2)
+    if f1 != f2:
+        return DifferentDenotation((n1, n2))
     if alpha_equal(n1, n2):
-        if same_sense(d1, d2, multiset=multiset):
-            return SameSenseSameDenotation()
-        return DifferentSenseSameDenotation()
+        s1, s2 = _sense(c1, multiset), _sense(c2, multiset)
+        renaming = _renaming(s1, c1.types, s2, c2.types)
+        if renaming is not None:
+            return SameSenseSameDenotation(renaming)
+        return DifferentSenseSameDenotation((s1, s2))
     if isinstance(mode, BetaEtaGamma):
         # normalize returns a normal form unchanged, so the search starts
         # from n1 and n2 without rewriting them again.
         wide = equivalent(n1, n2, mode)
         if wide is True:
-            return SameDenotationUpToGamma(inconclusive=False)
+            return SameDenotationUpToGamma(False, (n1, n2))
         if wide is INCONCLUSIVE:
-            return SameDenotationUpToGamma(inconclusive=True)
-    return DifferentDenotation()
+            return SameDenotationUpToGamma(True, (n1, n2))
+    return DifferentDenotation((n1, n2))

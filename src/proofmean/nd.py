@@ -4,12 +4,19 @@ Nodes are pure syntax: a rule tag, its variable and formula arguments,
 and premise subtrees. The checker recomputes every judgment, builds the
 annotating term for each node, and enforces one formula per variable
 across the whole derivation.
+
+`Node`, `parts`, `premises` and `preorder` serve the nodes of both
+calculi: each rule is a dataclass whose fields come in the order its
+concrete syntax writes them, so one walk over the fields gives any
+node's premises, its label and its rendering (a uniplate-style walk;
+Mitchell & Runciman, "Uniform boilerplate", Haskell Workshop 2007).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from types import MappingProxyType
+from typing import Any, ClassVar, Iterator, Union
 
 from .core import (
     Abort,
@@ -49,55 +56,97 @@ class VariableTypeClash(ProofmeanError):
 # ---------- Derivation nodes ----------
 
 
+class Node:
+    """A derivation node of either calculus. Its fields hold variables,
+    formulas (None for an undeclared discharge) and premises, in the
+    order the concrete syntax writes them after the rule name."""
+
+    rule: ClassVar[str]
+
+
+# A node dataclass's __match_args__ names all its fields in order, and
+# reads faster than dataclasses.fields on every node of every parse.
+
+
+def parts(d: Node) -> tuple[Any, ...]:
+    """The field values of d, in the order of its concrete syntax."""
+    return tuple(getattr(d, name) for name in d.__match_args__)
+
+
+def premises(d: Node) -> list[Node]:
+    """The premises of d, left to right."""
+    return [p for name in d.__match_args__ if isinstance(p := getattr(d, name), Node)]
+
+
+def preorder(d: Node) -> Iterator[tuple[int, Node]]:
+    """Every node of d with its depth, each before its premises, left
+    to right. An explicit stack keeps deep derivations off the call
+    stack."""
+    stack = [(0, d)]
+    while stack:
+        depth, node = stack.pop()
+        yield depth, node
+        stack.extend((depth + 1, p) for p in reversed(premises(node)))
+
+
 @dataclass(frozen=True)
-class Hyp:
+class Hyp(Node):
+    rule = "hyp"
     var: Var
     formula: Formula
 
 
 @dataclass(frozen=True)
-class ImpI:
+class ImpI(Node):
+    rule = "imp-i"
     var: Var
     hypothesis: Formula | None
     premise: "NdDerivation"
 
 
 @dataclass(frozen=True)
-class ImpE:
+class ImpE(Node):
+    rule = "imp-e"
     fun: "NdDerivation"
     arg: "NdDerivation"
 
 
 @dataclass(frozen=True)
-class AndI:
+class AndI(Node):
+    rule = "and-i"
     left: "NdDerivation"
     right: "NdDerivation"
 
 
 @dataclass(frozen=True)
-class AndE1:
+class AndE1(Node):
+    rule = "and-e1"
     premise: "NdDerivation"
 
 
 @dataclass(frozen=True)
-class AndE2:
+class AndE2(Node):
+    rule = "and-e2"
     premise: "NdDerivation"
 
 
 @dataclass(frozen=True)
-class OrI1:
+class OrI1(Node):
+    rule = "or-i1"
     other: Formula  # the right disjunct
     premise: "NdDerivation"
 
 
 @dataclass(frozen=True)
-class OrI2:
+class OrI2(Node):
+    rule = "or-i2"
     other: Formula  # the left disjunct
     premise: "NdDerivation"
 
 
 @dataclass(frozen=True)
-class OrE:
+class OrE(Node):
+    rule = "or-e"
     scrutinee: "NdDerivation"
     left_var: Var
     left: "NdDerivation"
@@ -106,7 +155,8 @@ class OrE:
 
 
 @dataclass(frozen=True)
-class AbsurdE:
+class AbsurdE(Node):
+    rule = "absurd-e"
     target: Formula
     premise: "NdDerivation"
 
@@ -119,6 +169,12 @@ class Judgment:
     open: Context
     term: Term
     formula: Formula
+    # check_nd keeps on the root judgment what its run recorded: every
+    # node with its judgment, premises first, and each variable's formula.
+    # They are not fields, so equality and repr ignore them, and the
+    # judgment of every other node is built at no extra cost.
+    nodes = ()
+    types = MappingProxyType({})
 
 
 # ---------- Checking ----------
@@ -146,15 +202,12 @@ class _NdChecker:
         return Context(merged)
 
     def check(self, d: NdDerivation) -> Judgment:
-        j = self._check(d)
-        self.nodes.append((d, j))
-        return j
-
-    def _check(self, d: NdDerivation) -> Judgment:
+        # One frame per derivation level: each case sets `out`, which is
+        # recorded below.
         match d:
             case Hyp(x, a):
                 self.bind(x, a)
-                return Judgment(Context({x: a}), VarRef(x), a)
+                out = Judgment(Context({x: a}), VarRef(x), a)
             case ImpI(x, declared, premise):
                 j = self.check(premise)
                 from_open = j.open.get(x)
@@ -168,7 +221,7 @@ class _NdChecker:
                 if a is None:
                     raise BadDischarge(f"cannot determine the formula discharged with {x.name}")
                 self.bind(x, a)
-                return Judgment(j.open.without(x), Lam(x, a, j.term), Implies(a, j.formula))
+                out = Judgment(j.open.without(x), Lam(x, a, j.term), Implies(a, j.formula))
             case ImpE(fun, arg):
                 jf = self.check(fun)
                 ja = self.check(arg)
@@ -178,13 +231,13 @@ class _NdChecker:
                     raise RuleMismatch(
                         f"minor premise proves {ja.formula!r}, expected {jf.formula.left!r}"
                     )
-                return Judgment(
+                out = Judgment(
                     self.union(jf.open, ja.open), App(jf.term, ja.term), jf.formula.right
                 )
             case AndI(left, right):
                 j1 = self.check(left)
                 j2 = self.check(right)
-                return Judgment(
+                out = Judgment(
                     self.union(j1.open, j2.open),
                     Pair(j1.term, j2.term),
                     And(j1.formula, j2.formula),
@@ -193,18 +246,18 @@ class _NdChecker:
                 j = self.check(premise)
                 if not isinstance(j.formula, And):
                     raise RuleMismatch(f"premise proves {j.formula!r}, not a conjunction")
-                return Judgment(j.open, Fst(j.term), j.formula.left)
+                out = Judgment(j.open, Fst(j.term), j.formula.left)
             case AndE2(premise):
                 j = self.check(premise)
                 if not isinstance(j.formula, And):
                     raise RuleMismatch(f"premise proves {j.formula!r}, not a conjunction")
-                return Judgment(j.open, Snd(j.term), j.formula.right)
+                out = Judgment(j.open, Snd(j.term), j.formula.right)
             case OrI1(other, premise):
                 j = self.check(premise)
-                return Judgment(j.open, Inl(j.term, other), Or(j.formula, other))
+                out = Judgment(j.open, Inl(j.term, other), Or(j.formula, other))
             case OrI2(other, premise):
                 j = self.check(premise)
-                return Judgment(j.open, Inr(j.term, other), Or(other, j.formula))
+                out = Judgment(j.open, Inr(j.term, other), Or(other, j.formula))
             case OrE(scrutinee, x, left, y, right):
                 j0 = self.check(scrutinee)
                 if not isinstance(j0.formula, Or):
@@ -222,34 +275,39 @@ class _NdChecker:
                         raise BadDischarge(f"{v.name} is open at {got!r}, expected {f!r}")
                     self.bind(v, f)
                 open_ctx = self.union(j0.open, j1.open.without(x), j2.open.without(y))
-                return Judgment(
+                out = Judgment(
                     open_ctx, Case(j0.term, x, a, j1.term, y, b, j2.term), j1.formula
                 )
             case AbsurdE(target, premise):
                 j = self.check(premise)
                 if j.formula != Absurd():
                     raise RuleMismatch(f"premise proves {j.formula!r}, not absurdity")
-                return Judgment(j.open, Abort(j.term, target), target)
-        raise TypeError(f"not a derivation node: {d!r}")
+                out = Judgment(j.open, Abort(j.term, target), target)
+            case _:
+                raise TypeError(f"not a derivation node: {d!r}")
+        self.nodes.append((d, out))
+        return out
 
 
 def check_nd(d: NdDerivation) -> Judgment:
-    """Validate the derivation and return its root judgment."""
-    return _NdChecker().check(d)
+    """Validate the derivation and return its root judgment, carrying
+    every node's judgment and the variable types of the same run."""
+    checker = _NdChecker()
+    j = checker.check(d)
+    root = Judgment(j.open, j.term, j.formula)
+    object.__setattr__(root, "nodes", tuple(checker.nodes))
+    object.__setattr__(root, "types", checker.types)
+    return root
 
 
 def node_judgments(d: NdDerivation) -> tuple[tuple[NdDerivation, Judgment], ...]:
     """Every node of d paired with its computed judgment."""
-    checker = _NdChecker()
-    checker.check(d)
-    return tuple(checker.nodes)
+    return check_nd(d).nodes
 
 
 def variable_types(d: NdDerivation) -> dict[Var, Formula]:
     """The one formula each variable of d stands for."""
-    checker = _NdChecker()
-    checker.check(d)
-    return dict(checker.types)
+    return dict(check_nd(d).types)
 
 
 def end_term_nd(d: NdDerivation) -> Term:

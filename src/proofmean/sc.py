@@ -12,6 +12,7 @@ deduction checker and re-exported here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Union
 
 from .core import (
@@ -36,7 +37,7 @@ from .core import (
     VarRef,
 )
 from .core import substitute, substitute_many
-from .nd import RuleMismatch, VariableTypeClash
+from .nd import Node, RuleMismatch, VariableTypeClash, premises
 
 __all__ = [
     "Rf",
@@ -78,19 +79,22 @@ class ContextClash(ProofmeanError):
 
 
 @dataclass(frozen=True)
-class Rf:
+class Rf(Node):
+    rule = "rf"
     var: Var
     formula: Formula
 
 
 @dataclass(frozen=True)
-class AndR:
+class AndR(Node):
+    rule = "and-r"
     left: "ScDerivation"
     right: "ScDerivation"
 
 
 @dataclass(frozen=True)
-class AndL:
+class AndL(Node):
+    rule = "and-l"
     principal: Var
     first: Var
     second: Var
@@ -98,19 +102,22 @@ class AndL:
 
 
 @dataclass(frozen=True)
-class OrR1:
+class OrR1(Node):
+    rule = "or-r1"
     other: Formula  # the right disjunct
     premise: "ScDerivation"
 
 
 @dataclass(frozen=True)
-class OrR2:
+class OrR2(Node):
+    rule = "or-r2"
     other: Formula  # the left disjunct
     premise: "ScDerivation"
 
 
 @dataclass(frozen=True)
-class OrL:
+class OrL(Node):
+    rule = "or-l"
     principal: Var
     left_var: Var
     right_var: Var
@@ -119,13 +126,15 @@ class OrL:
 
 
 @dataclass(frozen=True)
-class ImpR:
+class ImpR(Node):
+    rule = "imp-r"
     var: Var
     premise: "ScDerivation"
 
 
 @dataclass(frozen=True)
-class ImpL:
+class ImpL(Node):
+    rule = "imp-l"
     principal: Var
     target: Var
     arg: "ScDerivation"
@@ -133,27 +142,31 @@ class ImpL:
 
 
 @dataclass(frozen=True)
-class AbsurdL:
+class AbsurdL(Node):
+    rule = "absurd-l"
     var: Var
     target: Formula
 
 
 @dataclass(frozen=True)
-class Weaken:
+class Weaken(Node):
+    rule = "weaken"
     var: Var
     formula: Formula
     premise: "ScDerivation"
 
 
 @dataclass(frozen=True)
-class Contract:
+class Contract(Node):
+    rule = "contract"
     kept: Var
     merged: Var
     premise: "ScDerivation"
 
 
 @dataclass(frozen=True)
-class Cut:
+class Cut(Node):
+    rule = "cut"
     var: Var
     left: "ScDerivation"
     right: "ScDerivation"
@@ -169,6 +182,12 @@ class Sequent:
     antecedent: Context
     term: Term
     succedent: Formula
+    # check_sc keeps on the root sequent what its run recorded: every
+    # node with its sequent, premises first, and each variable's formula.
+    # They are not fields, so equality and repr ignore them, and the
+    # sequent of every other node is built at no extra cost.
+    nodes = ()
+    types = MappingProxyType({})
 
 
 # ---------- Checking ----------
@@ -203,19 +222,16 @@ class _ScChecker:
             )
 
     def check(self, d: ScDerivation) -> Sequent:
-        s = self._check(d)
-        self.nodes.append((d, s))
-        return s
-
-    def _check(self, d: ScDerivation) -> Sequent:
+        # One frame per derivation level: each case sets `out`, which is
+        # recorded below.
         match d:
             case Rf(x, a):
                 self.bind(x, a)
-                return Sequent(Context({x: a}), VarRef(x), a)
+                out = Sequent(Context({x: a}), VarRef(x), a)
             case AndR(left, right):
                 s1 = self.check(left)
                 s2 = self.check(right)
-                return Sequent(
+                out = Sequent(
                     self.union(s1.antecedent, s2.antecedent),
                     Pair(s1.term, s2.term),
                     And(s1.succedent, s2.succedent),
@@ -235,13 +251,13 @@ class _ScChecker:
                 self.fresh_or_same(rest, z, conj)
                 self.bind(z, conj)
                 term = substitute_many(s.term, {x: Fst(VarRef(z)), y: Snd(VarRef(z))})
-                return Sequent(rest.extend(z, conj), term, s.succedent)
+                out = Sequent(rest.extend(z, conj), term, s.succedent)
             case OrR1(other, premise):
                 s = self.check(premise)
-                return Sequent(s.antecedent, Inl(s.term, other), Or(s.succedent, other))
+                out = Sequent(s.antecedent, Inl(s.term, other), Or(s.succedent, other))
             case OrR2(other, premise):
                 s = self.check(premise)
-                return Sequent(s.antecedent, Inr(s.term, other), Or(other, s.succedent))
+                out = Sequent(s.antecedent, Inr(s.term, other), Or(other, s.succedent))
             case OrL(z, x, y, left, right):
                 s1 = self.check(left)
                 s2 = self.check(right)
@@ -260,7 +276,7 @@ class _ScChecker:
                 self.fresh_or_same(rest, z, disj)
                 self.bind(z, disj)
                 term = Case(VarRef(z), x, a, s1.term, y, b, s2.term)
-                return Sequent(rest.extend(z, disj), term, s1.succedent)
+                out = Sequent(rest.extend(z, disj), term, s1.succedent)
             case ImpR(x, premise):
                 s = self.check(premise)
                 a = s.antecedent.get(x)
@@ -268,7 +284,7 @@ class _ScChecker:
                     raise RuleMismatch(
                         f"{x.name} must be in the premise antecedent; weaken it in first"
                     )
-                return Sequent(
+                out = Sequent(
                     s.antecedent.without(x), Lam(x, a, s.term), Implies(a, s.succedent)
                 )
             case ImpL(x, y, arg, body):
@@ -282,17 +298,17 @@ class _ScChecker:
                 self.fresh_or_same(rest, x, imp)
                 self.bind(x, imp)
                 term = substitute(s2.term, y, App(VarRef(x), s1.term))
-                return Sequent(rest.extend(x, imp), term, s2.succedent)
+                out = Sequent(rest.extend(x, imp), term, s2.succedent)
             case AbsurdL(x, target):
                 self.bind(x, Absurd())
-                return Sequent(
+                out = Sequent(
                     Context({x: Absurd()}), Abort(VarRef(x), target), target
                 )
             case Weaken(x, a, premise):
                 s = self.check(premise)
                 self.fresh_or_same(s.antecedent, x, a)
                 self.bind(x, a)
-                return Sequent(s.antecedent.extend(x, a), s.term, s.succedent)
+                out = Sequent(s.antecedent.extend(x, a), s.term, s.succedent)
             case Contract(kept, merged, premise):
                 s = self.check(premise)
                 fk = s.antecedent.get(kept)
@@ -306,12 +322,13 @@ class _ScChecker:
                         f"{kept.name} and {merged.name} stand at {fk!r} and {fm!r}, which differ"
                     )
                 if kept == merged:
-                    return s
-                return Sequent(
-                    s.antecedent.without(merged),
-                    substitute(s.term, merged, VarRef(kept)),
-                    s.succedent,
-                )
+                    out = s
+                else:
+                    out = Sequent(
+                        s.antecedent.without(merged),
+                        substitute(s.term, merged, VarRef(kept)),
+                        s.succedent,
+                    )
             case Cut(x, left, right):
                 s1 = self.check(left)
                 s2 = self.check(right)
@@ -326,27 +343,32 @@ class _ScChecker:
                         f"but {x.name} stands at {cut_formula!r}"
                     )
                 rest = self.union(s1.antecedent, s2.antecedent.without(x))
-                return Sequent(rest, substitute(s2.term, x, s1.term), s2.succedent)
-        raise TypeError(f"not a derivation node: {d!r}")
+                out = Sequent(rest, substitute(s2.term, x, s1.term), s2.succedent)
+            case _:
+                raise TypeError(f"not a derivation node: {d!r}")
+        self.nodes.append((d, out))
+        return out
 
 
 def check_sc(d: ScDerivation) -> Sequent:
-    """Validate the derivation and return its root sequent."""
-    return _ScChecker().check(d)
+    """Validate the derivation and return its root sequent, carrying
+    every node's sequent and the variable types of the same run."""
+    checker = _ScChecker()
+    s = checker.check(d)
+    root = Sequent(s.antecedent, s.term, s.succedent)
+    object.__setattr__(root, "nodes", tuple(checker.nodes))
+    object.__setattr__(root, "types", checker.types)
+    return root
 
 
 def node_sequents(d: ScDerivation) -> tuple[tuple[ScDerivation, Sequent], ...]:
     """Every node of d paired with its computed sequent."""
-    checker = _ScChecker()
-    checker.check(d)
-    return tuple(checker.nodes)
+    return check_sc(d).nodes
 
 
 def variable_types(d: ScDerivation) -> dict[Var, Formula]:
     """The one formula each variable of d stands for."""
-    checker = _ScChecker()
-    checker.check(d)
-    return dict(checker.types)
+    return dict(check_sc(d).types)
 
 
 def end_term_sc(d: ScDerivation) -> Term:
@@ -362,25 +384,6 @@ class CutInfo:
     path: tuple[int, ...]
     node: Cut
     principal: bool
-
-
-def _children(d: ScDerivation) -> tuple[ScDerivation, ...]:
-    match d:
-        case Rf() | AbsurdL():
-            return ()
-        case AndR(left, right):
-            return (left, right)
-        case OrL(_, _, _, left, right):
-            return (left, right)
-        case ImpL(_, _, arg, body):
-            return (arg, body)
-        case Cut(_, left, right):
-            return (left, right)
-        case AndL(_, _, _, premise) | OrR1(_, premise) | OrR2(_, premise):
-            return (premise,)
-        case ImpR(_, premise) | Weaken(_, _, premise) | Contract(_, _, premise):
-            return (premise,)
-    raise TypeError(f"not a derivation node: {d!r}")
 
 
 def _left_principal(d: ScDerivation) -> bool:
@@ -429,20 +432,16 @@ def cut_nodes(d: ScDerivation) -> tuple[CutInfo, ...]:
     contraction, with the rule introducing the cut formula: a right
     rule on the left, and a left rule on the cut variable on the right.
     """
-    checker = _ScChecker()
-    checker.check(d)
-    antecedent_of = {id(node): seq.antecedent for node, seq in checker.nodes}
-
+    antecedent_of = {id(node): seq.antecedent for node, seq in check_sc(d).nodes}
     found: list[CutInfo] = []
-
-    def walk(node: ScDerivation, path: tuple[int, ...]) -> None:
+    stack: list[tuple[ScDerivation, tuple[int, ...]]] = [(d, ())]
+    while stack:
+        node, path = stack.pop()
         if isinstance(node, Cut):
             principal = _left_principal(node.left) and _right_principal(
                 node.right, node.var, antecedent_of
             )
             found.append(CutInfo(path, node, principal))
-        for i, child in enumerate(_children(node)):
-            walk(child, path + (i,))
-
-    walk(d, ())
+        below = premises(node)
+        stack.extend((below[i], path + (i,)) for i in reversed(range(len(below))))
     return tuple(found)

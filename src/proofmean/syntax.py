@@ -25,6 +25,7 @@ the end of the line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import get_args
 
 from .core import (
     Abort,
@@ -70,25 +71,8 @@ class DanglingDischargeLabel(ProofmeanError):
 
 RESERVED = frozenset({"case", "fst", "snd", "inl", "inr", "abort", "app"})
 
-_ND_RULES = frozenset(
-    {"hyp", "imp-i", "imp-e", "and-i", "and-e1", "and-e2", "or-i1", "or-i2", "or-e", "absurd-e"}
-)
-_SC_RULES = frozenset(
-    {
-        "rf",
-        "and-r",
-        "and-l",
-        "or-r1",
-        "or-r2",
-        "or-l",
-        "imp-r",
-        "imp-l",
-        "absurd-l",
-        "weaken",
-        "contract",
-        "cut",
-    }
-)
+_ND_RULES = frozenset(node.rule for node in get_args(_nd.NdDerivation))
+_SC_RULES = frozenset(node.rule for node in get_args(_sc.ScDerivation))
 
 
 # ---------- Tokenizer ----------
@@ -443,52 +427,14 @@ class _Parser:
 
 
 def _check_discharge_labels(d: "_nd.NdDerivation") -> None:
-    def hyp_vars(node: "_nd.NdDerivation") -> set[Var]:
-        match node:
-            case _nd.Hyp(x, _):
-                return {x}
-            case _nd.ImpI(_, _, premise):
-                return hyp_vars(premise)
-            case _nd.ImpE(fun, arg):
-                return hyp_vars(fun) | hyp_vars(arg)
-            case _nd.AndI(left, right):
-                return hyp_vars(left) | hyp_vars(right)
-            case _nd.AndE1(premise) | _nd.AndE2(premise):
-                return hyp_vars(premise)
-            case _nd.OrI1(_, premise) | _nd.OrI2(_, premise):
-                return hyp_vars(premise)
-            case _nd.OrE(scrutinee, _, left, _, right):
-                return hyp_vars(scrutinee) | hyp_vars(left) | hyp_vars(right)
-            case _nd.AbsurdE(_, premise):
-                return hyp_vars(premise)
-        raise TypeError(f"not a derivation node: {node!r}")
-
-    def walk(node: "_nd.NdDerivation") -> None:
+    for _, node in _nd.preorder(d):
         if isinstance(node, _nd.ImpI) and node.hypothesis is None:
-            if node.var not in hyp_vars(node.premise):
+            hypotheses = (h for _, h in _nd.preorder(node.premise) if isinstance(h, _nd.Hyp))
+            if all(h.var != node.var for h in hypotheses):
                 raise DanglingDischargeLabel(
                     f"imp-i label {node.var.name!r} matches no hypothesis; "
                     f"a vacuous discharge must declare its formula"
                 )
-        match node:
-            case _nd.Hyp(_, _):
-                pass
-            case _nd.ImpI(_, _, premise) | _nd.AndE1(premise) | _nd.AndE2(premise):
-                walk(premise)
-            case _nd.OrI1(_, premise) | _nd.OrI2(_, premise) | _nd.AbsurdE(_, premise):
-                walk(premise)
-            case _nd.ImpE(fun, arg):
-                walk(fun)
-                walk(arg)
-            case _nd.AndI(left, right):
-                walk(left)
-                walk(right)
-            case _nd.OrE(scrutinee, _, left, _, right):
-                walk(scrutinee)
-                walk(left)
-                walk(right)
-
-    walk(d)
 
 
 @dataclass(frozen=True)
@@ -611,64 +557,24 @@ def render_term(t: Term, canonical: bool = False) -> str:
     return render(t)
 
 
+def _render_part(part: Var | Formula) -> str:
+    return part.name if isinstance(part, Var) else render_formula(part)
+
+
+def render_node(d: _nd.Node) -> str:
+    """The rule of d with its variables and formulas, premises left out."""
+    shown = [p for p in _nd.parts(d) if p is not None and not isinstance(p, _nd.Node)]
+    return " ".join([d.rule, *map(_render_part, shown)])
+
+
 def render_derivation(d: "_nd.NdDerivation | _sc.ScDerivation") -> str:
-    match d:
-        case _nd.Hyp(x, f):
-            return f"(hyp {x.name} {render_formula(f)})"
-        case _nd.ImpI(x, None, premise):
-            return f"(imp-i {x.name} {render_derivation(premise)})"
-        case _nd.ImpI(x, hypothesis, premise):
-            return f"(imp-i {x.name} {render_formula(hypothesis)} {render_derivation(premise)})"
-        case _nd.ImpE(fun, argument):
-            return f"(imp-e {render_derivation(fun)} {render_derivation(argument)})"
-        case _nd.AndI(left, right):
-            return f"(and-i {render_derivation(left)} {render_derivation(right)})"
-        case _nd.AndE1(premise):
-            return f"(and-e1 {render_derivation(premise)})"
-        case _nd.AndE2(premise):
-            return f"(and-e2 {render_derivation(premise)})"
-        case _nd.OrI1(other, premise):
-            return f"(or-i1 {render_formula(other)} {render_derivation(premise)})"
-        case _nd.OrI2(other, premise):
-            return f"(or-i2 {render_formula(other)} {render_derivation(premise)})"
-        case _nd.OrE(scrutinee, x, left, y, right):
-            return (
-                f"(or-e {render_derivation(scrutinee)} {x.name} {render_derivation(left)}"
-                f" {y.name} {render_derivation(right)})"
-            )
-        case _nd.AbsurdE(target, premise):
-            return f"(absurd-e {render_formula(target)} {render_derivation(premise)})"
-        case _sc.Rf(x, f):
-            return f"(rf {x.name} {render_formula(f)})"
-        case _sc.AndR(left, right):
-            return f"(and-r {render_derivation(left)} {render_derivation(right)})"
-        case _sc.AndL(z, x, y, premise):
-            return f"(and-l {z.name} {x.name} {y.name} {render_derivation(premise)})"
-        case _sc.OrR1(other, premise):
-            return f"(or-r1 {render_formula(other)} {render_derivation(premise)})"
-        case _sc.OrR2(other, premise):
-            return f"(or-r2 {render_formula(other)} {render_derivation(premise)})"
-        case _sc.OrL(z, x, y, left, right):
-            return (
-                f"(or-l {z.name} {x.name} {y.name} {render_derivation(left)}"
-                f" {render_derivation(right)})"
-            )
-        case _sc.ImpR(x, premise):
-            return f"(imp-r {x.name} {render_derivation(premise)})"
-        case _sc.ImpL(x, y, argument, body):
-            return (
-                f"(imp-l {x.name} {y.name} {render_derivation(argument)}"
-                f" {render_derivation(body)})"
-            )
-        case _sc.AbsurdL(x, target):
-            return f"(absurd-l {x.name} {render_formula(target)})"
-        case _sc.Weaken(x, f, premise):
-            return f"(weaken {x.name} {render_formula(f)} {render_derivation(premise)})"
-        case _sc.Contract(kept, merged, premise):
-            return f"(contract {kept.name} {merged.name} {render_derivation(premise)})"
-        case _sc.Cut(x, left, right):
-            return f"(cut {x.name} {render_derivation(left)} {render_derivation(right)})"
-    raise TypeError(f"not a derivation node: {d!r}")
+    words = [d.rule]
+    for part in _nd.parts(d):
+        if isinstance(part, _nd.Node):
+            words.append(render_derivation(part))
+        elif part is not None:
+            words.append(_render_part(part))
+    return f"({' '.join(words)})"
 
 
 def render_file(sf: SourceFile) -> str:

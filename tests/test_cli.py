@@ -99,7 +99,8 @@ def detour_chain(n: int) -> str:
 
 
 def test_too_deep_input_exits_4_without_a_traceback(write, capsys):
-    deep = write("deep.nd", detour_chain(400))
+    # Every stage takes one frame per level, so about 490 detours fit.
+    deep = write("deep.nd", detour_chain(1000))
     for command in ("check", "normalize"):
         assert main([command, deep]) == 4
         captured = capsys.readouterr()
@@ -109,6 +110,11 @@ def test_too_deep_input_exits_4_without_a_traceback(write, capsys):
     for command in ("check", "normalize"):
         assert main([command, shallow]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == r"\x:p. x"
+    # A walk that took two frames per level would fail here.
+    near_ceiling = write("near.nd", detour_chain(260))
+    for argv in (["check"], ["normalize"], ["sense"], ["compare", near_ceiling]):
+        assert main([*argv, near_ceiling]) == 0, argv
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_module_entry_point_writes_nothing_to_stderr(corpus_dir):
