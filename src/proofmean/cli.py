@@ -234,7 +234,7 @@ def _cmd_compare(args) -> int:
         if key in details:
             lines.append(f"{key}: {details[key]}")
     if details.get("inconclusive"):
-        lines.append("inconclusive: fuel exhausted before the search closed")
+        lines.append("inconclusive: the search found no meeting and the model no difference")
     payload = {
         "command": "compare",
         "inputs": [args.first, args.second],

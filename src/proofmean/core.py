@@ -1,4 +1,5 @@
-"""Formulas, typed lambda terms, contexts, substitution, and typing.
+"""Formulas, typed lambda terms, contexts, the table every structural
+term walk reads, substitution, and typing.
 
 Everything here is an immutable value. Terms carry enough type
 annotations (binder types, the undetermined component of injections and
@@ -230,27 +231,57 @@ class Context:
         return f"Context({{{inner}}})"
 
 
+# ---------- Traversal ----------
+
+# For each term class, its subterm fields in declaration order, each
+# with the field naming the variable bound over it, or None. Every
+# structural walk reads a node's shape from this table alone (the
+# uniplate style of Mitchell & Runciman, "Uniform boilerplate", Haskell
+# Workshop 2007); the other fields (VarRef's variable, the formula
+# annotations) are carried along unchanged.
+SUBTERMS: dict[type, tuple[tuple[str, str | None], ...]] = {
+    VarRef: (),
+    Lam: (("body", "bound"),),
+    App: (("fun", None), ("arg", None)),
+    Pair: (("first", None), ("second", None)),
+    Fst: (("arg", None),),
+    Snd: (("arg", None),),
+    Inl: (("arg", None),),
+    Inr: (("arg", None),),
+    Case: (("scrutinee", None), ("left_branch", "left_var"), ("right_branch", "right_var")),
+    Abort: (("arg", None),),
+}
+
+# The other fields of each class: VarRef's variable and the formula
+# annotations, which no walk descends into.
+LABELS = {
+    cls: tuple(f for f in cls.__match_args__ if f not in {n for pair in subterms for n in pair})
+    for cls, subterms in SUBTERMS.items()
+}
+
+
+def children(t: Term) -> list[Term]:
+    """The subterms of t, in declaration order."""
+    return [getattr(t, name) for name, _ in SUBTERMS[type(t)]]
+
+
+def rebuild(t: Term, changes: Mapping[str, object]) -> Term:
+    """A node like t with the fields named in changes replaced."""
+    return type(t)(*[changes.get(f, getattr(t, f)) for f in t.__match_args__])
+
+
 # ---------- Free variables and substitution ----------
 
 
 def free_vars(t: Term) -> frozenset[Var]:
     """The variables with a free occurrence in t."""
-    match t:
-        case VarRef(v):
-            return frozenset((v,))
-        case Lam(x, _, body):
-            return free_vars(body) - {x}
-        case App(f, a):
-            return free_vars(f) | free_vars(a)
-        case Pair(a, b):
-            return free_vars(a) | free_vars(b)
-        case Fst(a) | Snd(a):
-            return free_vars(a)
-        case Inl(a, _) | Inr(a, _) | Abort(a, _):
-            return free_vars(a)
-        case Case(r, x, _, s, y, _, u):
-            return free_vars(r) | (free_vars(s) - {x}) | (free_vars(u) - {y})
-    raise TypeError(f"not a term: {t!r}")
+    if type(t) is VarRef:
+        return frozenset((t.var,))
+    out: frozenset[Var] = frozenset()
+    for name, binder in SUBTERMS[type(t)]:
+        fvs = free_vars(getattr(t, name))
+        out |= fvs if binder is None else fvs - {getattr(t, binder)}
+    return out
 
 
 def fresh_var(base: Var, avoid: frozenset[Var] | set[Var]) -> Var:
@@ -274,46 +305,26 @@ def _rebind(x: Var, body: Term, live: dict[Var, Term]) -> tuple[Var, dict[Var, T
 
 
 def substitute_many(t: Term, subs: Mapping[Var, Term]) -> Term:
-    """Simultaneous capture-avoiding substitution of subs into t."""
-    match t:
-        case VarRef(v):
-            return subs.get(v, t)
-        case Lam(x, a, body):
-            live = {v: s for v, s in subs.items() if v != x and v in free_vars(body)}
+    """Simultaneous capture-avoiding substitution of subs into t.
+
+    A node none of whose subterms changes is returned as it is."""
+    if type(t) is VarRef:
+        return subs.get(t.var, t)
+    changes: dict[str, object] = {}
+    for name, binder in SUBTERMS[type(t)]:
+        s = getattr(t, name)
+        if binder is None:
+            live = subs
+        else:
+            x, fvs = getattr(t, binder), free_vars(s)
+            live = {v: w for v, w in subs.items() if v != x and v in fvs}
             if not live:
-                return t
-            x2, live = _rebind(x, body, live)
-            return Lam(x2, a, substitute_many(body, live))
-        case App(f, a):
-            return App(substitute_many(f, subs), substitute_many(a, subs))
-        case Pair(a, b):
-            return Pair(substitute_many(a, subs), substitute_many(b, subs))
-        case Fst(a):
-            return Fst(substitute_many(a, subs))
-        case Snd(a):
-            return Snd(substitute_many(a, subs))
-        case Inl(a, o):
-            return Inl(substitute_many(a, subs), o)
-        case Inr(a, o):
-            return Inr(substitute_many(a, subs), o)
-        case Abort(a, c):
-            return Abort(substitute_many(a, subs), c)
-        case Case(r, x, a, s, y, b, u):
-            r2 = substitute_many(r, subs)
-            live_l = {v: w for v, w in subs.items() if v != x and v in free_vars(s)}
-            live_r = {v: w for v, w in subs.items() if v != y and v in free_vars(u)}
-            if live_l:
-                x2, live_l = _rebind(x, s, live_l)
-                s2 = substitute_many(s, live_l)
-            else:
-                x2, s2 = x, s
-            if live_r:
-                y2, live_r = _rebind(y, u, live_r)
-                u2 = substitute_many(u, live_r)
-            else:
-                y2, u2 = y, u
-            return Case(r2, x2, a, s2, y2, b, u2)
-    raise TypeError(f"not a term: {t!r}")
+                continue
+            changes[binder], live = _rebind(x, s, live)
+        s2 = substitute_many(s, live)
+        if s2 is not s:
+            changes[name] = s2
+    return rebuild(t, changes) if changes else t
 
 
 def substitute(t: Term, x: Var, s: Term) -> Term:
@@ -324,83 +335,32 @@ def substitute(t: Term, x: Var, s: Term) -> Term:
 # ---------- Alpha equivalence ----------
 
 
-def _alpha(t1: Term, t2: Term, env1: dict[Var, int], env2: dict[Var, int], depth: int) -> bool:
-    match t1, t2:
-        case VarRef(v1), VarRef(v2):
-            b1, b2 = env1.get(v1), env2.get(v2)
-            if b1 is None and b2 is None:
-                return v1 == v2
-            return b1 == b2 and b1 is not None
-        case Lam(x1, a1, b1), Lam(x2, a2, b2):
-            if a1 != a2:
-                return False
-            return _alpha(b1, b2, {**env1, x1: depth}, {**env2, x2: depth}, depth + 1)
-        case App(f1, a1), App(f2, a2):
-            return _alpha(f1, f2, env1, env2, depth) and _alpha(a1, a2, env1, env2, depth)
-        case Pair(a1, b1), Pair(a2, b2):
-            return _alpha(a1, a2, env1, env2, depth) and _alpha(b1, b2, env1, env2, depth)
-        case Fst(a1), Fst(a2):
-            return _alpha(a1, a2, env1, env2, depth)
-        case Snd(a1), Snd(a2):
-            return _alpha(a1, a2, env1, env2, depth)
-        case Inl(a1, o1), Inl(a2, o2):
-            return o1 == o2 and _alpha(a1, a2, env1, env2, depth)
-        case Inr(a1, o1), Inr(a2, o2):
-            return o1 == o2 and _alpha(a1, a2, env1, env2, depth)
-        case Abort(a1, c1), Abort(a2, c2):
-            return c1 == c2 and _alpha(a1, a2, env1, env2, depth)
-        case Case(r1, x1, a1, s1, y1, b1, u1), Case(r2, x2, a2, s2, y2, b2, u2):
-            if a1 != a2 or b1 != b2:
-                return False
-            if not _alpha(r1, r2, env1, env2, depth):
-                return False
-            if not _alpha(s1, s2, {**env1, x1: depth}, {**env2, x2: depth}, depth + 1):
-                return False
-            return _alpha(u1, u2, {**env1, y1: depth}, {**env2, y2: depth}, depth + 1)
-    return False
-
-
-def alpha_equal(t1: Term, t2: Term) -> bool:
-    """True iff t1 and t2 differ only in bound-variable names."""
-    return _alpha(t1, t2, {}, {}, 0)
-
-
 def _alpha_key(t: Term, env: dict[Var, int], depth: int) -> object:
-    match t:
-        case VarRef(v):
-            lvl = env.get(v)
-            return ("fv", v.name) if lvl is None else ("bv", lvl)
-        case Lam(x, a, body):
-            return ("lam", a, _alpha_key(body, {**env, x: depth}, depth + 1))
-        case App(f, a):
-            return ("app", _alpha_key(f, env, depth), _alpha_key(a, env, depth))
-        case Pair(a, b):
-            return ("pair", _alpha_key(a, env, depth), _alpha_key(b, env, depth))
-        case Fst(a):
-            return ("fst", _alpha_key(a, env, depth))
-        case Snd(a):
-            return ("snd", _alpha_key(a, env, depth))
-        case Inl(a, o):
-            return ("inl", o, _alpha_key(a, env, depth))
-        case Inr(a, o):
-            return ("inr", o, _alpha_key(a, env, depth))
-        case Abort(a, c):
-            return ("abort", c, _alpha_key(a, env, depth))
-        case Case(r, x, a, s, y, b, u):
-            return (
-                "case",
-                a,
-                b,
-                _alpha_key(r, env, depth),
-                _alpha_key(s, {**env, x: depth}, depth + 1),
-                _alpha_key(u, {**env, y: depth}, depth + 1),
-            )
-    raise TypeError(f"not a term: {t!r}")
+    # A bound variable's key is the depth of its binder, a free one's is
+    # the variable itself.
+    cls = type(t)
+    if cls is VarRef:
+        return env.get(t.var, t.var)
+    key = [cls]
+    for f in LABELS[cls]:
+        key.append(getattr(t, f))
+    for name, binder in SUBTERMS[cls]:
+        if binder is None:
+            key.append(_alpha_key(getattr(t, name), env, depth))
+        else:
+            inner = {**env, getattr(t, binder): depth}
+            key.append(_alpha_key(getattr(t, name), inner, depth + 1))
+    return tuple(key)
 
 
 def alpha_key(t: Term) -> object:
     """A hashable key equal for exactly the alpha-equivalent terms."""
     return _alpha_key(t, {}, 0)
+
+
+def alpha_equal(t1: Term, t2: Term) -> bool:
+    """True iff t1 and t2 differ only in bound-variable names."""
+    return _alpha_key(t1, {}, 0) == _alpha_key(t2, {}, 0)
 
 
 def canonicalize(t: Term) -> Term:
@@ -420,52 +380,27 @@ def canonicalize(t: Term) -> Term:
                 return Var(name)
 
     def go(t: Term, ren: dict[Var, Var]) -> Term:
-        match t:
-            case VarRef(v):
-                return VarRef(ren.get(v, v))
-            case Lam(x, a, body):
-                x2 = next_var()
-                return Lam(x2, a, go(body, {**ren, x: x2}))
-            case App(f, a):
-                return App(go(f, ren), go(a, ren))
-            case Pair(a, b):
-                return Pair(go(a, ren), go(b, ren))
-            case Fst(a):
-                return Fst(go(a, ren))
-            case Snd(a):
-                return Snd(go(a, ren))
-            case Inl(a, o):
-                return Inl(go(a, ren), o)
-            case Inr(a, o):
-                return Inr(go(a, ren), o)
-            case Abort(a, c):
-                return Abort(go(a, ren), c)
-            case Case(r, x, a, s, y, b, u):
-                r2 = go(r, ren)
-                x2 = next_var()
-                s2 = go(s, {**ren, x: x2})
-                y2 = next_var()
-                u2 = go(u, {**ren, y: y2})
-                return Case(r2, x2, a, s2, y2, b, u2)
-        raise TypeError(f"not a term: {t!r}")
+        if type(t) is VarRef:
+            return VarRef(ren.get(t.var, t.var))
+        changes: dict[str, object] = {}
+        for name, binder in SUBTERMS[type(t)]:
+            inner = ren
+            if binder is not None:
+                changes[binder] = x2 = next_var()
+                inner = {**ren, getattr(t, binder): x2}
+            changes[name] = go(getattr(t, name), inner)
+        return rebuild(t, changes)
 
     return go(t, {})
 
 
 def term_size(t: Term) -> int:
     """Number of term constructors in t."""
-    match t:
-        case VarRef(_):
-            return 1
-        case Lam(_, _, body):
-            return 1 + term_size(body)
-        case App(a, b) | Pair(a, b):
-            return 1 + term_size(a) + term_size(b)
-        case Fst(a) | Snd(a) | Inl(a, _) | Inr(a, _) | Abort(a, _):
-            return 1 + term_size(a)
-        case Case(r, _, _, s, _, _, u):
-            return 1 + term_size(r) + term_size(s) + term_size(u)
-    raise TypeError(f"not a term: {t!r}")
+    size, stack = 0, [t]
+    while stack:
+        size += 1
+        stack.extend(children(stack.pop()))
+    return size
 
 
 # ---------- Typing ----------

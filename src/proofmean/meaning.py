@@ -21,23 +21,7 @@ from typing import Mapping, Union
 
 from . import nd as _nd
 from . import sc as _sc
-from .core import (
-    Abort,
-    App,
-    Case,
-    Context,
-    Formula,
-    Fst,
-    Inl,
-    Inr,
-    Lam,
-    Pair,
-    Snd,
-    Term,
-    Var,
-    VarRef,
-    alpha_equal,
-)
+from .core import LABELS, SUBTERMS, Context, Formula, Term, Var, VarRef, alpha_equal
 from .rewrite import (
     INCONCLUSIVE,
     BetaEta,
@@ -96,12 +80,19 @@ def sense_of(d: Derivation, multiset: bool = False) -> Sense:
     return _sense(check(d), multiset)
 
 
-def _sense(root: Checked, multiset: bool) -> Sense:
-    occurrences: list[Term] = []
+def _occurrences(root: Checked) -> list[Term]:
+    # The sense's terms, each as often as it occurs, in the order the
+    # checker recorded the nodes; antecedent variables by name.
+    out: list[Term] = []
     for _, j in root.nodes:
-        occurrences.append(j.term)
+        out.append(j.term)
         if isinstance(j, _sc.Sequent):
-            occurrences.extend(VarRef(v) for v in j.antecedent.vars())
+            out.extend(VarRef(v) for v, _ in j.antecedent.items())
+    return out
+
+
+def _sense(root: Checked, multiset: bool) -> Sense:
+    occurrences = _occurrences(root)
     counts = dict(Counter(occurrences)) if multiset else None
     return Sense(frozenset(occurrences), counts)
 
@@ -113,35 +104,18 @@ def _skeleton(t: Term, out: list[Var]):
     traversal order, so two terms with equal skeletons correspond
     variable for variable.
     """
-    match t:
-        case VarRef(v):
-            out.append(v)
-            return ("var",)
-        case Lam(x, a, b):
-            out.append(x)
-            return ("lam", a, _skeleton(b, out))
-        case App(f, a):
-            return ("app", _skeleton(f, out), _skeleton(a, out))
-        case Pair(s, u):
-            return ("pair", _skeleton(s, out), _skeleton(u, out))
-        case Fst(p):
-            return ("fst", _skeleton(p, out))
-        case Snd(p):
-            return ("snd", _skeleton(p, out))
-        case Inl(s, b):
-            return ("inl", b, _skeleton(s, out))
-        case Inr(s, a):
-            return ("inr", a, _skeleton(s, out))
-        case Case(r, x, a, s, y, b, u):
-            kr = _skeleton(r, out)
-            out.append(x)
-            ks = _skeleton(s, out)
-            out.append(y)
-            ku = _skeleton(u, out)
-            return ("case", a, b, kr, ks, ku)
-        case Abort(s, c):
-            return ("abort", c, _skeleton(s, out))
-    raise TypeError(f"not a term: {t!r}")
+    cls = type(t)
+    if cls is VarRef:
+        out.append(t.var)
+        return None
+    key = [cls]
+    for f in LABELS[cls]:
+        key.append(getattr(t, f))
+    for name, binder in SUBTERMS[cls]:
+        if binder is not None:
+            out.append(getattr(t, binder))
+        key.append(_skeleton(getattr(t, name), out))
+    return tuple(key)
 
 
 def sense_renaming(
@@ -149,29 +123,29 @@ def sense_renaming(
 ) -> dict[Var, Var] | None:
     """A formula-preserving bijective renaming of variables carrying
     the sense of d1 onto the sense of d2, or None when there is none."""
-    c1, c2 = check(d1), check(d2)
-    return _renaming(_sense(c1, multiset), c1.types, _sense(c2, multiset), c2.types)
+    return _renaming(check(d1), check(d2), multiset)
 
 
-def _renaming(
-    s1: Sense, tau1: Mapping[Var, Formula], s2: Sense, tau2: Mapping[Var, Formula]
-) -> dict[Var, Var] | None:
-    """The renaming search of `sense_renaming`, given both senses and
-    the variable types of the runs they came from."""
-    if len(s1.elements) != len(s2.elements):
+def _renaming(c1: Checked, c2: Checked, multiset: bool) -> dict[Var, Var] | None:
+    """The renaming search of `sense_renaming` between two checked
+    derivations. It takes the sense elements in the order the checker
+    recorded them, so which renaming it finds does not depend on
+    hashing."""
+    counts1, counts2 = Counter(_occurrences(c1)), Counter(_occurrences(c2))
+    if len(counts1) != len(counts2):
         return None
+    tau1, tau2 = c1.types, c2.types
 
-    def prepared(sense: Sense) -> list[tuple[object, tuple[Var, ...]]]:
+    def prepared(counts: Counter) -> list[tuple[object, tuple[Var, ...]]]:
         items = []
-        for e in sense.elements:
+        for e, count in counts.items():
             vs: list[Var] = []
             skel = _skeleton(e, vs)
-            count = sense.counts[e] if sense.counts is not None else 0
-            items.append(((skel, count), tuple(vs)))
+            items.append(((skel, count if multiset else 0), tuple(vs)))
         return items
 
-    items1 = prepared(s1)
-    items2 = prepared(s2)
+    items1 = prepared(counts1)
+    items2 = prepared(counts2)
     if Counter(k for k, _ in items1) != Counter(k for k, _ in items2):
         return None
 
@@ -321,11 +295,10 @@ def classify(
     if f1 != f2:
         return DifferentDenotation((n1, n2))
     if alpha_equal(n1, n2):
-        s1, s2 = _sense(c1, multiset), _sense(c2, multiset)
-        renaming = _renaming(s1, c1.types, s2, c2.types)
+        renaming = _renaming(c1, c2, multiset)
         if renaming is not None:
             return SameSenseSameDenotation(renaming)
-        return DifferentSenseSameDenotation((s1, s2))
+        return DifferentSenseSameDenotation((_sense(c1, multiset), _sense(c2, multiset)))
     if isinstance(mode, BetaEtaGamma):
         # normalize returns a normal form unchanged, so the search starts
         # from n1 and n2 without rewriting them again.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Literal, Mapping, Union
 
 from .core import (
     Abort,
@@ -30,14 +30,17 @@ from .core import (
     Or,
     Pair,
     ProofmeanError,
+    SUBTERMS,
     Snd,
     Term,
     Var,
     VarRef,
     alpha_equal,
     alpha_key,
+    children,
     free_vars,
     fresh_var,
+    rebuild,
     substitute,
     type_of,
 )
@@ -125,80 +128,17 @@ def _first(t: Term, at_root: Callable[[Term], Term | None]) -> Term | None:
     r = at_root(t)
     if r is not None:
         return r
-    match t:
-        case VarRef(_):
-            return None
-        case Lam(x, a, body):
-            r = _first(body, at_root)
-            return None if r is None else Lam(x, a, r)
-        case App(f, a):
-            r = _first(f, at_root)
-            if r is not None:
-                return App(r, a)
-            r = _first(a, at_root)
-            return None if r is None else App(f, r)
-        case Pair(a, b):
-            r = _first(a, at_root)
-            if r is not None:
-                return Pair(r, b)
-            r = _first(b, at_root)
-            return None if r is None else Pair(a, r)
-        case Fst(a):
-            r = _first(a, at_root)
-            return None if r is None else Fst(r)
-        case Snd(a):
-            r = _first(a, at_root)
-            return None if r is None else Snd(r)
-        case Inl(a, o):
-            r = _first(a, at_root)
-            return None if r is None else Inl(r, o)
-        case Inr(a, o):
-            r = _first(a, at_root)
-            return None if r is None else Inr(r, o)
-        case Abort(a, c):
-            r = _first(a, at_root)
-            return None if r is None else Abort(r, c)
-        case Case(r0, x, a, s, y, b, u):
-            r = _first(r0, at_root)
-            if r is not None:
-                return Case(r, x, a, s, y, b, u)
-            r = _first(s, at_root)
-            if r is not None:
-                return Case(r0, x, a, r, y, b, u)
-            r = _first(u, at_root)
-            return None if r is None else Case(r0, x, a, s, y, b, r)
-    raise TypeError(f"not a term: {t!r}")
+    for name, _ in SUBTERMS[type(t)]:
+        r = _first(getattr(t, name), at_root)
+        if r is not None:
+            return rebuild(t, {name: r})
+    return None
 
 
 def _everywhere(t: Term, at_root: Callable[[Term], Iterable[Term]]) -> list[Term]:
     out = list(at_root(t))
-    match t:
-        case VarRef(_):
-            pass
-        case Lam(x, a, body):
-            out += [Lam(x, a, r) for r in _everywhere(body, at_root)]
-        case App(f, a):
-            out += [App(r, a) for r in _everywhere(f, at_root)]
-            out += [App(f, r) for r in _everywhere(a, at_root)]
-        case Pair(a, b):
-            out += [Pair(r, b) for r in _everywhere(a, at_root)]
-            out += [Pair(a, r) for r in _everywhere(b, at_root)]
-        case Fst(a):
-            out += [Fst(r) for r in _everywhere(a, at_root)]
-        case Snd(a):
-            out += [Snd(r) for r in _everywhere(a, at_root)]
-        case Inl(a, o):
-            out += [Inl(r, o) for r in _everywhere(a, at_root)]
-        case Inr(a, o):
-            out += [Inr(r, o) for r in _everywhere(a, at_root)]
-        case Abort(a, c):
-            out += [Abort(r, c) for r in _everywhere(a, at_root)]
-        case Case(r0, x, a, s, y, b, u):
-            out += [Case(r, x, a, s, y, b, u) for r in _everywhere(r0, at_root)]
-            out += [Case(r0, x, a, r, y, b, u) for r in _everywhere(s, at_root)]
-            out += [Case(r0, x, a, s, y, b, r) for r in _everywhere(u, at_root)]
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+    for name, _ in SUBTERMS[type(t)]:
+        out += [rebuild(t, {name: r}) for r in _everywhere(getattr(t, name), at_root)]
     return out
 
 
@@ -415,19 +355,6 @@ def gamma_steps(t: Term) -> list[Term]:
 # ---------- Normalization and equivalence ----------
 
 
-def _subterms(t: Term) -> tuple[Term, ...]:
-    match t:
-        case VarRef(_):
-            return ()
-        case Lam(_, _, a) | Fst(a) | Snd(a) | Inl(a, _) | Inr(a, _) | Abort(a, _):
-            return (a,)
-        case App(a, b) | Pair(a, b):
-            return (a, b)
-        case Case(r, _, _, s, _, _, u):
-            return (r, s, u)
-    raise TypeError(f"not a term: {t!r}")
-
-
 def _is_normal(t: Term) -> bool:
     # True iff beta_step(t) and eta_step(t) are both None. Each node
     # visited keeps its answer (see core), so a term built around
@@ -442,7 +369,7 @@ def _is_normal(t: Term) -> bool:
                 return False
         elif not ready:
             stack.append((u, True))
-            stack.extend((s, False) for s in _subterms(u))
+            stack.extend((s, False) for s in children(u))
         elif _beta_contract(u) is None and _eta_contract(u) is None:
             object.__setattr__(u, "_normal", True)
         else:
@@ -478,11 +405,12 @@ def normalize(t: Term, budget: int = DEFAULT_STEP_BUDGET) -> Term:
             return t
 
 
-def _gamma_search(n1: Term, n2: Term, fuel: int) -> "bool | Inconclusive":
+def _gamma_search(n1: Term, n2: Term, fuel: int) -> "Literal[True] | Inconclusive":
     # Bidirectional layers from the beta-eta normal forms n1 and n2,
-    # closed under single gamma steps; meeting is success, exhausting
-    # the closure is a definitive no, and running out of fuel with work
-    # left is open.
+    # closed under single gamma steps; meeting is success. Running out
+    # of fuel or exhausting both closures is open: the closures follow
+    # only this module's gamma laws, so their missing each other proves
+    # no difference.
     seen1 = {alpha_key(n1)}
     seen2 = {alpha_key(n2)}
     frontier1, frontier2 = [n1], [n2]
@@ -502,15 +430,13 @@ def _gamma_search(n1: Term, n2: Term, fuel: int) -> "bool | Inconclusive":
 
     for _ in range(fuel):
         if not frontier1 and not frontier2:
-            return False
+            break
         frontier1 = expand(frontier1, seen1)
         if not seen1.isdisjoint(seen2):
             return True
         frontier2 = expand(frontier2, seen2)
         if not seen1.isdisjoint(seen2):
             return True
-    if not frontier1 and not frontier2:
-        return False
     return INCONCLUSIVE
 
 
@@ -635,11 +561,11 @@ def equivalent(t1: Term, t2: Term, mode: EqualityMode = BetaEta()) -> "bool | In
     """Whether t1 and t2 denote the same conversion class under mode.
 
     BetaEta compares the two normal forms; on typed terms that decides
-    beta-eta equality. BetaEtaGamma first answers False when the closed
-    normal forms take different values in the finite model, and
-    otherwise searches from them; the search may also answer
-    INCONCLUSIVE when its fuel runs out before the search spaces meet
-    or close.
+    beta-eta equality. BetaEtaGamma answers False only when the closed
+    normal forms take different values in the finite model. Otherwise
+    it searches from them, and answers True when the search spaces
+    meet and INCONCLUSIVE when they do not, whether the fuel ran out or
+    both spaces closed.
     """
     match mode:
         case BetaEta():

@@ -25,6 +25,7 @@ the end of the line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import get_args
 
 from .core import (
@@ -427,14 +428,33 @@ class _Parser:
 
 
 def _check_discharge_labels(d: "_nd.NdDerivation") -> None:
-    for _, node in _nd.preorder(d):
+    # One preorder pass. `waiting` maps a variable to the preorder
+    # positions of the label-less imp-i nodes above the current node
+    # that no hypothesis of it has met yet, outermost first; a Hyp meets
+    # them all. `path` holds every open label-less imp-i with its depth,
+    # and one still waiting when the pass leaves its premise dangles;
+    # a last node at depth 0 closes them all.
+    waiting: dict[Var, list[int]] = {}
+    path: list[tuple[int, int, Var]] = []
+    dangling: list[tuple[int, Var]] = []
+    for i, (depth, node) in enumerate(chain(_nd.preorder(d), [(0, None)])):
+        while path and path[-1][0] >= depth:
+            _, j, v = path.pop()
+            unmet = waiting.get(v)
+            if unmet and unmet[-1] == j:
+                unmet.pop()
+                dangling.append((j, v))
         if isinstance(node, _nd.ImpI) and node.hypothesis is None:
-            hypotheses = (h for _, h in _nd.preorder(node.premise) if isinstance(h, _nd.Hyp))
-            if all(h.var != node.var for h in hypotheses):
-                raise DanglingDischargeLabel(
-                    f"imp-i label {node.var.name!r} matches no hypothesis; "
-                    f"a vacuous discharge must declare its formula"
-                )
+            path.append((depth, i, node.var))
+            waiting.setdefault(node.var, []).append(i)
+        elif isinstance(node, _nd.Hyp):
+            waiting.pop(node.var, None)
+    if dangling:
+        _, v = min(dangling)
+        raise DanglingDischargeLabel(
+            f"imp-i label {v.name!r} matches no hypothesis; "
+            f"a vacuous discharge must declare its formula"
+        )
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,28 @@ def test_compare_same_sense_reports_the_renaming(write, capsys, schema):
     assert any("renaming" in line for line in out)
 
 
+def test_compare_prints_one_renaming_under_every_hash_seed(write):
+    # y and z both weaken p, so two renamings carry one sense onto the
+    # other; the one printed must not follow the hash seed.
+    a = write("a.sc", "(sc w1 (imp-r x (weaken y p (weaken z p (rf x p)))))")
+    b = write("b.sc", "(sc w2 (imp-r u (weaken v p (weaken w p (rf u p)))))")
+    src = str(pathlib.Path(proofmean.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = set()
+    for seed in range(8):
+        proc = subprocess.run(
+            [sys.executable, "-m", "proofmean.cli", "compare", a, b, "--json"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)},
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    assert json.loads(outputs.pop())["verdict"] == "SameSenseSameDenotation"
+
+
 def test_compare_different_sense_lists_the_difference(write, capsys, schema):
     a = write("id.nd", ID_ND)
     b = write("detour.nd", DETOUR_ND)

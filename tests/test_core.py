@@ -1,3 +1,6 @@
+from dataclasses import fields
+from typing import get_args, get_type_hints
+
 import pytest
 
 from proofmean.core import (
@@ -14,7 +17,9 @@ from proofmean.core import (
     Lam,
     Or,
     Pair,
+    SUBTERMS,
     Snd,
+    Term,
     TypeMismatch,
     UnboundVariable,
     Var,
@@ -94,17 +99,46 @@ def test_alpha_equal_ignores_bound_names_only():
     assert not alpha_equal(Lam(x, p, VarRef(z)), Lam(y, p, VarRef(y)))
 
 
-def test_alpha_key_agrees_with_alpha_equal():
-    terms = [
-        Lam(x, p, VarRef(x)),
-        Lam(y, p, VarRef(y)),
-        Lam(x, q, VarRef(x)),
-        Pair(VarRef(x), VarRef(y)),
-        Pair(VarRef(x), VarRef(x)),
+def test_alpha_key_agrees_with_canonical_forms():
+    # canonicalize renames binders by a separate walk, so two terms are
+    # alpha-equal exactly when their canonical forms are equal. The
+    # pairs include shadowing and a free variable named like a binder.
+    f = Var("f")
+    pairs = [
+        (Lam(x, p, VarRef(x)), Lam(y, p, VarRef(y)), True),
+        (Lam(x, p, VarRef(x)), Lam(x, q, VarRef(x)), False),
+        (Pair(VarRef(x), VarRef(y)), Pair(VarRef(x), VarRef(x)), False),
+        (App(Lam(x, p, VarRef(x)), VarRef(x)), App(Lam(y, p, VarRef(y)), VarRef(x)), True),
+        (App(Lam(x, p, VarRef(x)), VarRef(x)), App(Lam(y, p, VarRef(y)), VarRef(y)), False),
+        (Lam(x, p, Lam(x, q, VarRef(x))), Lam(x, p, Lam(y, q, VarRef(y))), True),
+        (Lam(x, p, Lam(x, q, VarRef(x))), Lam(y, p, Lam(x, q, VarRef(y))), False),
+        (Lam(x, p, VarRef(y)), Lam(y, p, VarRef(y)), False),
+        (
+            Case(VarRef(f), x, p, VarRef(x), y, q, VarRef(x)),
+            Case(VarRef(f), y, p, VarRef(y), z, q, VarRef(x)),
+            True,
+        ),
+        (
+            Case(VarRef(f), x, p, VarRef(x), y, q, VarRef(x)),
+            Case(VarRef(f), y, p, VarRef(y), x, q, VarRef(x)),
+            False,
+        ),
     ]
-    for t1 in terms:
-        for t2 in terms:
-            assert (alpha_key(t1) == alpha_key(t2)) == alpha_equal(t1, t2)
+    for t1, t2, same in pairs:
+        assert (canonicalize(t1) == canonicalize(t2)) == same, (t1, t2)
+        assert (alpha_key(t1) == alpha_key(t2)) == same, (t1, t2)
+        assert alpha_equal(t1, t2) == same, (t1, t2)
+
+
+def test_the_traversal_table_lists_exactly_the_term_fields():
+    assert set(SUBTERMS) == set(get_args(Term))
+    for cls, subterms in SUBTERMS.items():
+        hints = get_type_hints(cls)
+        names = [f.name for f in fields(cls)]
+        assert [name for name, _ in subterms] == [n for n in names if hints[n] == Term], cls
+        binders = [binder for _, binder in subterms if binder is not None]
+        if cls is not VarRef:
+            assert binders == [n for n in names if hints[n] is Var], cls
 
 
 def test_canonicalize_renames_in_traversal_order():

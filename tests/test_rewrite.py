@@ -167,6 +167,29 @@ def test_gamma_search_reports_fuel_exhaustion():
     assert equivalent(t1, t2, BetaEtaGamma(fuel=2)) is True
 
 
+def test_gamma_search_never_answers_different():
+    # The extensional theory of sums identifies each pair and the finite
+    # model gives both sides one value, but this module's gamma laws
+    # never join them. Exhausting those laws proves no difference.
+    pairs = [
+        (
+            r"\u:(p\/p). \w:r. case u { x:p. case u { a:p. w | b:p. w } | y:p. w }",
+            r"\u:(p\/p). \w:r. w",
+        ),
+        (
+            r"\u:(p\/p). case u { x:p. case u { a:p. inl[p] a | b:p. inr[p] x }"
+            r" | y:p. inr[p] y }",
+            r"\u:(p\/p). u",
+        ),
+    ]
+    for a, b in pairs:
+        t1, t2 = parse_term(a), parse_term(b)
+        model = FiniteModel()
+        assert model.value(t1, {}) == model.value(t2, {})
+        for fuel in (1, 2, 4, 6):
+            assert equivalent(t1, t2, BetaEtaGamma(fuel=fuel)) is INCONCLUSIVE
+
+
 def test_finite_model_refutes_different_denotations_before_the_search():
     t1, t2 = parse_term(FST_CASE_TERM), parse_term(SND_CASE_TERM)
     assert equivalent(t1, t2, BetaEtaGamma(fuel=1)) is False

@@ -187,6 +187,8 @@ def test_imp_i_extended_form_takes_a_formula():
 def test_imp_i_short_form_label_must_occur():
     with pytest.raises(DanglingDischargeLabel):
         parse("(imp-i z (hyp x p))")
+    with pytest.raises(DanglingDischargeLabel, match="label 'z'"):
+        parse("(imp-i x (imp-i z (hyp x p)))")
 
 
 def test_parse_sc_derivation():
