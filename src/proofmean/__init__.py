@@ -63,7 +63,6 @@ from .nd import (
     end_term_nd,
 )
 from .sc import (
-    ContextClash,
     CutInfo,
     FreshnessViolation,
     ScDerivation,

@@ -33,6 +33,7 @@ from .meaning import (
     Verdict,
     check,
     classify,
+    classify_checked,
     conclusion,
     sense_of,
     # Not called here; kept because bench/spans.py traces cli.sense_renaming.
@@ -72,8 +73,7 @@ def _load(path: str) -> SourceFile:
 
 def _judgment_str(j: Checked) -> str:
     ctx, term, formula = conclusion(j)
-    entries = sorted(ctx.items(), key=lambda kv: kv[0].name)
-    left = ", ".join(f"{v.name}:{render_formula(f)}" for v, f in entries)
+    left = ", ".join(f"{v.name}:{render_formula(f)}" for v, f in ctx.items())
     prefix = f"{left} " if left else ""
     return f"{prefix}|- {render_term(term)} : {render_formula(formula)}"
 
@@ -246,21 +246,22 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    root = Path(args.dir)
+    directory = Path(args.dir)
     paths = sorted(
-        (p for p in root.iterdir() if p.suffix in (".nd", ".sc")),
+        (p for p in directory.iterdir() if p.suffix in (".nd", ".sc")),
         key=lambda p: p.name,
     )
     mode = _mode_of(args)
     files: list[dict] = []
-    checked: list[tuple[str, SourceFile]] = []
+    checked: list[tuple[str, Checked]] = []
     parse_failed = False
     check_failed = False
     for p in paths:
         label = p.stem
         try:
             sf = _load(str(p))
-            _, _, formula = conclusion(check(sf.derivation))
+            root = check(sf.derivation)
+            _, _, formula = conclusion(root)
         except _PARSE_ERRORS as e:
             parse_failed = True
             files.append({"name": label, "ok": False, "stage": "parse", "error": str(e)})
@@ -277,14 +278,14 @@ def _cmd_corpus(args) -> int:
                 "formula": render_formula(formula),
             }
         )
-        checked.append((label, sf))
+        checked.append((label, root))
     pairs: list[dict] = []
     inconclusive = False
     for i in range(len(checked)):
         for j in range(i + 1, len(checked)):
-            a, sfa = checked[i]
-            b, sfb = checked[j]
-            verdict = classify(sfa.derivation, sfb.derivation, mode)
+            a, root_a = checked[i]
+            b, root_b = checked[j]
+            verdict = classify_checked(root_a, root_b, mode)
             entry = {"first": a, "second": b, "verdict": type(verdict).__name__}
             if isinstance(verdict, SameDenotationUpToGamma):
                 entry["inconclusive"] = verdict.inconclusive

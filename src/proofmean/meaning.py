@@ -22,6 +22,7 @@ from typing import Mapping, Union
 from . import nd as _nd
 from . import sc as _sc
 from .core import LABELS, SUBTERMS, Context, Formula, Term, Var, VarRef, alpha_equal
+from .nd import Checked
 from .rewrite import (
     INCONCLUSIVE,
     BetaEta,
@@ -33,7 +34,6 @@ from .rewrite import (
 )
 
 Derivation = Union["_nd.NdDerivation", "_sc.ScDerivation"]
-Checked = Union["_nd.Judgment", "_sc.Sequent"]
 
 
 def check(d: Derivation) -> Checked:
@@ -289,7 +289,17 @@ def classify(
     answer. Each derivation is checked once, and both its sense and its
     denotation are read off that check.
     """
-    c1, c2 = check(d1), check(d2)
+    return classify_checked(check(d1), check(d2), mode, multiset)
+
+
+def classify_checked(
+    c1: Checked,
+    c2: Checked,
+    mode: EqualityMode = BetaEta(),
+    multiset: bool = False,
+) -> Verdict:
+    """`classify` on the roots of two checker runs, so a caller that
+    holds them need not check the derivations again."""
     (_, t1, f1), (_, t2, f2) = conclusion(c1), conclusion(c2)
     n1, n2 = normalize(t1), normalize(t2)
     if f1 != f2:

@@ -8,15 +8,17 @@ across the whole derivation.
 `Node`, `parts`, `premises` and `preorder` serve the nodes of both
 calculi: each rule is a dataclass whose fields come in the order its
 concrete syntax writes them, so one walk over the fields gives any
-node's premises, its label and its rendering (a uniplate-style walk;
-Mitchell & Runciman, "Uniform boilerplate", Haskell Workshop 2007).
+node's premises, its label, its rendering and its parsing (a
+uniplate-style walk; Mitchell & Runciman, "Uniform boilerplate",
+Haskell Workshop 2007). `Checker` holds the bookkeeping both checkers
+share, and `Checked` is the base of a judgment and a sequent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Any, ClassVar, Iterator, Union
+from typing import Any, ClassVar, Iterator, Mapping, Union
 
 from .core import (
     Abort,
@@ -101,89 +103,99 @@ class ImpI(Node):
     rule = "imp-i"
     var: Var
     hypothesis: Formula | None
-    premise: "NdDerivation"
+    premise: NdDerivation
 
 
 @dataclass(frozen=True)
 class ImpE(Node):
     rule = "imp-e"
-    fun: "NdDerivation"
-    arg: "NdDerivation"
+    fun: NdDerivation
+    arg: NdDerivation
 
 
 @dataclass(frozen=True)
 class AndI(Node):
     rule = "and-i"
-    left: "NdDerivation"
-    right: "NdDerivation"
+    left: NdDerivation
+    right: NdDerivation
 
 
 @dataclass(frozen=True)
 class AndE1(Node):
     rule = "and-e1"
-    premise: "NdDerivation"
+    premise: NdDerivation
 
 
 @dataclass(frozen=True)
 class AndE2(Node):
     rule = "and-e2"
-    premise: "NdDerivation"
+    premise: NdDerivation
 
 
 @dataclass(frozen=True)
 class OrI1(Node):
     rule = "or-i1"
     other: Formula  # the right disjunct
-    premise: "NdDerivation"
+    premise: NdDerivation
 
 
 @dataclass(frozen=True)
 class OrI2(Node):
     rule = "or-i2"
     other: Formula  # the left disjunct
-    premise: "NdDerivation"
+    premise: NdDerivation
 
 
 @dataclass(frozen=True)
 class OrE(Node):
     rule = "or-e"
-    scrutinee: "NdDerivation"
+    scrutinee: NdDerivation
     left_var: Var
-    left: "NdDerivation"
+    left: NdDerivation
     right_var: Var
-    right: "NdDerivation"
+    right: NdDerivation
 
 
 @dataclass(frozen=True)
 class AbsurdE(Node):
     rule = "absurd-e"
     target: Formula
-    premise: "NdDerivation"
+    premise: NdDerivation
 
 
 NdDerivation = Union[Hyp, ImpI, ImpE, AndI, AndE1, AndE2, OrI1, OrI2, OrE, AbsurdE]
 
 
+class Checked:
+    """A node's checked conclusion in either calculus: a judgment or a
+    sequent. A checker run keeps on its root what it recorded: every
+    node with its conclusion, premises first, and each variable's
+    formula. They are not fields, so equality and repr ignore them, and
+    the conclusion of every other node is built at no extra cost."""
+
+    nodes: tuple[tuple[Node, Checked], ...] = ()
+    types: Mapping[Var, Formula] = MappingProxyType({})
+
+
 @dataclass(frozen=True)
-class Judgment:
+class Judgment(Checked):
     open: Context
     term: Term
     formula: Formula
-    # check_nd keeps on the root judgment what its run recorded: every
-    # node with its judgment, premises first, and each variable's formula.
-    # They are not fields, so equality and repr ignore them, and the
-    # judgment of every other node is built at no extra cost.
-    nodes = ()
-    types = MappingProxyType({})
 
 
 # ---------- Checking ----------
 
 
-class _NdChecker:
+class Checker:
+    """What the checkers of both calculi share: one formula per variable
+    across the run, the conclusion recorded at every node, and the root
+    that carries both. A subclass's `check` takes one frame per
+    derivation level and appends each node it concludes to `nodes`."""
+
     def __init__(self) -> None:
         self.types: dict[Var, Formula] = {}
-        self.nodes: list[tuple[NdDerivation, Judgment]] = []
+        self.nodes: list[tuple[Node, Checked]] = []
 
     def bind(self, v: Var, f: Formula) -> None:
         prev = self.types.get(v)
@@ -193,14 +205,23 @@ class _NdChecker:
             raise VariableTypeClash(f"{v.name} occurs at both {prev!r} and {f!r}")
 
     def union(self, *ctxs: Context) -> Context:
+        # Every context entry passed through `bind`, so contexts agree
+        # wherever they overlap and merging needs no check.
         merged: dict[Var, Formula] = {}
         for ctx in ctxs:
-            for v, f in ctx.items():
-                if v in merged and merged[v] != f:
-                    raise VariableTypeClash(f"{v.name} occurs at both {merged[v]!r} and {f!r}")
-                merged[v] = f
+            merged.update(ctx._bindings)
         return Context(merged)
 
+    def run(self, d: Node) -> Checked:
+        """Check d and return its root conclusion, carrying every node's
+        conclusion and the variable types of this run."""
+        root = replace(self.check(d))
+        object.__setattr__(root, "nodes", tuple(self.nodes))
+        object.__setattr__(root, "types", self.types)
+        return root
+
+
+class _NdChecker(Checker):
     def check(self, d: NdDerivation) -> Judgment:
         # One frame per derivation level: each case sets `out`, which is
         # recorded below.
@@ -292,12 +313,7 @@ class _NdChecker:
 def check_nd(d: NdDerivation) -> Judgment:
     """Validate the derivation and return its root judgment, carrying
     every node's judgment and the variable types of the same run."""
-    checker = _NdChecker()
-    j = checker.check(d)
-    root = Judgment(j.open, j.term, j.formula)
-    object.__setattr__(root, "nodes", tuple(checker.nodes))
-    object.__setattr__(root, "types", checker.types)
-    return root
+    return _NdChecker().run(d)
 
 
 def node_judgments(d: NdDerivation) -> tuple[tuple[NdDerivation, Judgment], ...]:

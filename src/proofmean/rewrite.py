@@ -322,18 +322,7 @@ def _gamma_splits(t: Term) -> list[Term]:
     match t:
         # lambda split, inward: push an abstraction into both branches
         case Lam(z, c, Case() as inner_case) if z not in free_vars(inner_case.scrutinee):
-            cc = _freshen_case_binders(inner_case, frozenset((z,)))
-            out.append(
-                Case(
-                    cc.scrutinee,
-                    cc.left_var,
-                    cc.left_type,
-                    Lam(z, c, cc.left_branch),
-                    cc.right_var,
-                    cc.right_type,
-                    Lam(z, c, cc.right_branch),
-                )
-            )
+            out.append(_case_out(inner_case, lambda h: Lam(z, c, h), frozenset((z,))))
     return out
 
 

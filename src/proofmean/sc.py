@@ -12,7 +12,6 @@ deduction checker and re-exported here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Union
 
 from .core import (
@@ -37,7 +36,7 @@ from .core import (
     VarRef,
 )
 from .core import substitute, substitute_many
-from .nd import Node, RuleMismatch, VariableTypeClash, premises
+from .nd import Checked, Checker, Node, RuleMismatch, VariableTypeClash, premises
 
 __all__ = [
     "Rf",
@@ -63,15 +62,10 @@ __all__ = [
     "RuleMismatch",
     "VariableTypeClash",
     "FreshnessViolation",
-    "ContextClash",
 ]
 
 
 class FreshnessViolation(ProofmeanError):
-    pass
-
-
-class ContextClash(ProofmeanError):
     pass
 
 
@@ -88,8 +82,8 @@ class Rf(Node):
 @dataclass(frozen=True)
 class AndR(Node):
     rule = "and-r"
-    left: "ScDerivation"
-    right: "ScDerivation"
+    left: ScDerivation
+    right: ScDerivation
 
 
 @dataclass(frozen=True)
@@ -98,21 +92,21 @@ class AndL(Node):
     principal: Var
     first: Var
     second: Var
-    premise: "ScDerivation"
+    premise: ScDerivation
 
 
 @dataclass(frozen=True)
 class OrR1(Node):
     rule = "or-r1"
     other: Formula  # the right disjunct
-    premise: "ScDerivation"
+    premise: ScDerivation
 
 
 @dataclass(frozen=True)
 class OrR2(Node):
     rule = "or-r2"
     other: Formula  # the left disjunct
-    premise: "ScDerivation"
+    premise: ScDerivation
 
 
 @dataclass(frozen=True)
@@ -121,15 +115,15 @@ class OrL(Node):
     principal: Var
     left_var: Var
     right_var: Var
-    left: "ScDerivation"
-    right: "ScDerivation"
+    left: ScDerivation
+    right: ScDerivation
 
 
 @dataclass(frozen=True)
 class ImpR(Node):
     rule = "imp-r"
     var: Var
-    premise: "ScDerivation"
+    premise: ScDerivation
 
 
 @dataclass(frozen=True)
@@ -137,8 +131,8 @@ class ImpL(Node):
     rule = "imp-l"
     principal: Var
     target: Var
-    arg: "ScDerivation"
-    body: "ScDerivation"
+    arg: ScDerivation
+    body: ScDerivation
 
 
 @dataclass(frozen=True)
@@ -153,7 +147,7 @@ class Weaken(Node):
     rule = "weaken"
     var: Var
     formula: Formula
-    premise: "ScDerivation"
+    premise: ScDerivation
 
 
 @dataclass(frozen=True)
@@ -161,15 +155,15 @@ class Contract(Node):
     rule = "contract"
     kept: Var
     merged: Var
-    premise: "ScDerivation"
+    premise: ScDerivation
 
 
 @dataclass(frozen=True)
 class Cut(Node):
     rule = "cut"
     var: Var
-    left: "ScDerivation"
-    right: "ScDerivation"
+    left: ScDerivation
+    right: ScDerivation
 
 
 ScDerivation = Union[
@@ -178,42 +172,16 @@ ScDerivation = Union[
 
 
 @dataclass(frozen=True)
-class Sequent:
+class Sequent(Checked):
     antecedent: Context
     term: Term
     succedent: Formula
-    # check_sc keeps on the root sequent what its run recorded: every
-    # node with its sequent, premises first, and each variable's formula.
-    # They are not fields, so equality and repr ignore them, and the
-    # sequent of every other node is built at no extra cost.
-    nodes = ()
-    types = MappingProxyType({})
 
 
 # ---------- Checking ----------
 
 
-class _ScChecker:
-    def __init__(self) -> None:
-        self.types: dict[Var, Formula] = {}
-        self.nodes: list[tuple[ScDerivation, Sequent]] = []
-
-    def bind(self, v: Var, f: Formula) -> None:
-        prev = self.types.get(v)
-        if prev is None:
-            self.types[v] = f
-        elif prev != f:
-            raise VariableTypeClash(f"{v.name} occurs at both {prev!r} and {f!r}")
-
-    def union(self, *ctxs: Context) -> Context:
-        merged: dict[Var, Formula] = {}
-        for ctx in ctxs:
-            for v, f in ctx.items():
-                if v in merged and merged[v] != f:
-                    raise ContextClash(f"{v.name} occurs at both {merged[v]!r} and {f!r}")
-                merged[v] = f
-        return Context(merged)
-
+class _ScChecker(Checker):
     def fresh_or_same(self, ctx: Context, v: Var, f: Formula) -> None:
         existing = ctx.get(v)
         if existing is not None and existing != f:
@@ -353,12 +321,7 @@ class _ScChecker:
 def check_sc(d: ScDerivation) -> Sequent:
     """Validate the derivation and return its root sequent, carrying
     every node's sequent and the variable types of the same run."""
-    checker = _ScChecker()
-    s = checker.check(d)
-    root = Sequent(s.antecedent, s.term, s.succedent)
-    object.__setattr__(root, "nodes", tuple(checker.nodes))
-    object.__setattr__(root, "types", checker.types)
-    return root
+    return _ScChecker().run(d)
 
 
 def node_sequents(d: ScDerivation) -> tuple[tuple[ScDerivation, Sequent], ...]:

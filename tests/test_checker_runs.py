@@ -107,8 +107,7 @@ def test_classify_checks_each_derivation_once(checks, load_corpus, corpus_files)
     assert len(verdicts) == 4
 
 
-def test_corpus_checks_each_file_once_and_each_pair_twice(checks, corpus_dir, corpus_files):
-    pairs = len(corpus_files) * (len(corpus_files) - 1) // 2
+def test_corpus_checks_each_file_once(checks, corpus_dir, corpus_files):
     for mode in ("beta-eta", "beta-eta-gamma"):
         assert run(["corpus", str(corpus_dir), "--mode", mode])[0] == 0
-        assert checks() <= len(corpus_files) + 2 * pairs
+        assert checks() == len(corpus_files)

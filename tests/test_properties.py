@@ -50,7 +50,7 @@ from proofmean.rewrite import (
 )
 from proofmean.sc import check_sc, end_term_sc, node_sequents
 from proofmean.sc import variable_types as sc_variable_types
-from proofmean.syntax import parse_term
+from proofmean.syntax import parse, parse_term, render_derivation
 from gamma_examples import (
     CASE_OF_TUPLE_TERM,
     FST_CASE_TERM,
@@ -394,6 +394,19 @@ def test_sc_sequents_type_check(d):
     for _, s in recorded:
         assert type_of(s.antecedent, s.term) == s.succedent
         assert free_vars(s.term) <= s.antecedent.vars()
+
+
+# ---------- Parsing ----------
+
+
+@given(nd_derivations())
+def test_nd_derivations_parse_back_from_their_rendering(d):
+    assert parse(render_derivation(d)) == d
+
+
+@given(sc_derivations())
+def test_sc_derivations_parse_back_from_their_rendering(d):
+    assert parse(render_derivation(d)) == d
 
 
 # ---------- Renaming invariance of sense ----------

@@ -1,11 +1,16 @@
+from dataclasses import fields
+from typing import get_args, get_type_hints
+
 import pytest
 
+from proofmean import nd, sc
 from proofmean.core import (
     Absurd,
     And,
     App,
     Atom,
     Case,
+    Formula,
     Fst,
     Implies,
     Inl,
@@ -18,7 +23,9 @@ from proofmean.core import (
 from proofmean.nd import AndI, Hyp, ImpI
 from proofmean.sc import Contract, ImpR, Rf, Weaken
 from proofmean.syntax import (
+    _RULES,
     DanglingDischargeLabel,
+    _field_kind,
     ParseError,
     UnknownRule,
     parse,
@@ -175,6 +182,10 @@ def test_parse_nd_derivation():
     assert d == ImpI(x, None, Hyp(x, p))
     d = parse("(and-i (hyp x p) (hyp y q))")
     assert d == AndI(Hyp(x, p), Hyp(y, q))
+    # A label-less imp-i renders without a formula and parses back.
+    d = ImpI(x, None, AndI(Hyp(x, p), Hyp(y, q)))
+    assert render_derivation(d) == "(imp-i x (and-i (hyp x p) (hyp y q)))"
+    assert parse(render_derivation(d)) == d
 
 
 def test_imp_i_extended_form_takes_a_formula():
@@ -198,18 +209,55 @@ def test_parse_sc_derivation():
     assert d == Contract(x, y, Weaken(y, p, Rf(x, p)))
 
 
+def test_the_rule_table_reads_every_field_of_every_rule_class():
+    # The derivation parser reads each field by its declared type alone.
+    kind_of = {Var: "variable", Formula: "formula", Formula | None: "formula?"}
+    optional = []
+    for calculus, derivation in (("nd", nd.NdDerivation), ("sc", sc.ScDerivation)):
+        classes = get_args(derivation)
+        assert {rule: cls for rule, (cls, _) in _RULES[calculus].items()} == {
+            cls.rule: cls for cls in classes
+        }
+        for cls in classes:
+            hints = get_type_hints(cls)
+            expected = []
+            for f in fields(cls):
+                hint = hints[f.name]
+                assert hint in (Var, Formula, Formula | None, derivation), (cls, f.name)
+                expected.append("premise" if hint == derivation else kind_of[hint])
+                if hint == Formula | None:
+                    optional.append((cls, f.name))
+            assert list(_RULES[calculus][cls.rule][1]) == expected, cls
+    assert sum(len(table) for table in _RULES.values()) == 22
+    assert optional == [(ImpI, "hypothesis")]
+    with pytest.raises(TypeError):
+        _field_kind(sc.ScDerivation, nd.NdDerivation)
+    with pytest.raises(TypeError):
+        _field_kind(int, nd.NdDerivation)
+
+
 def test_unknown_rules_are_reported():
-    with pytest.raises(UnknownRule):
-        parse("(tonk-i (hyp x p))")
-    with pytest.raises(UnknownRule):
-        parse("(hyp' x p)")
+    for text, message in (
+        ("(tonk-i (hyp x p))", "1:2: unknown rule 'tonk-i'"),
+        ("(hyp' x p)", '1:2: unknown rule "hyp\'"'),
+        ("(nd a (tonk-i (hyp x p)))", "1:8: unknown natural deduction rule 'tonk-i'"),
+        ("(sc a (imp-r x (tonk-l x)))", "1:17: unknown sequent rule 'tonk-l'"),
+    ):
+        with pytest.raises(UnknownRule) as caught:
+            parse(text)
+        assert str(caught.value) == message
 
 
 def test_rule_namespaces_do_not_mix():
-    with pytest.raises(UnknownRule):
-        parse("(imp-r x (hyp x p))")
-    with pytest.raises(UnknownRule):
-        parse("(and-i (rf x p) (rf y q))")
+    for text, message in (
+        ("(imp-r x (hyp x p))", "1:11: unknown sequent rule 'hyp'"),
+        ("(and-i (rf x p) (rf y q))", "1:9: unknown natural deduction rule 'rf'"),
+        ("(nd a (rf x p))", "1:8: unknown natural deduction rule 'rf'"),
+        ("(sc a (hyp x p))", "1:8: unknown sequent rule 'hyp'"),
+    ):
+        with pytest.raises(UnknownRule) as caught:
+            parse(text)
+        assert str(caught.value) == message
     # After `imp-i x`, a parenthesized group that does not start with a
     # rule name is read as the discharged formula, so this fails as one.
     with pytest.raises(ParseError):
