@@ -54,8 +54,6 @@ from .syntax import (
 
 __all__ = ["main", "parse", "render_term"]
 
-DEFAULT_FUEL = 4
-
 _PARSE_ERRORS = (ParseError, UnknownRule, DanglingDischargeLabel)
 
 
@@ -107,7 +105,7 @@ def _effective_fuel(args) -> int:
     else:
         raw = os.environ.get("PROOFMEAN_FUEL")
         if raw is None:
-            fuel = DEFAULT_FUEL
+            fuel = BetaEtaGamma().fuel
         else:
             try:
                 fuel = int(raw)
@@ -336,7 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--fuel",
             type=int,
             default=None,
-            help="search depth for permutative conversions (default 4, or PROOFMEAN_FUEL)",
+            help=f"search depth for permutative conversions (default {BetaEtaGamma().fuel},"
+            " or PROOFMEAN_FUEL)",
         )
 
     sp = sub.add_parser("check", help="validate a derivation file")

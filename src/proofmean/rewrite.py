@@ -1,10 +1,12 @@
 """Beta, eta, and permutative (gamma) conversions over typed terms.
 
 Single steps use the leftmost-outermost redex so they are deterministic.
-Gamma steps commute a case with a surrounding frame in either direction;
-the frame list also carries the pair and lambda splitting laws, which
-are the composite of an expansion and a reduction and are needed to
-connect case-of-pair terms with pair-of-case terms.
+Gamma steps are one commuting law, F[case r {x. s | y. u}] =
+case r {x. F[s] | y. F[u]}, applied in either direction to every frame
+F in one table (_FRAMES) and walked over core.SUBTERMS like every other
+term walk. Two more laws stay named: the pair splits, each an expansion
+composed with reductions, which connect a case of pairs with a pair of
+cases.
 """
 
 from __future__ import annotations
@@ -164,9 +166,43 @@ def eta_steps(t: Term) -> list[Term]:
 
 # ---------- Gamma steps ----------
 
+# For each term class, the subterm fields a case commutes across. With
+# F the node and its hole at one of these fields,
+#   F[case r {x. s | y. u}]  =  case r {x. F[s] | y. F[u]}.
+# App.arg and the branches of a case are not frames.
+_FRAMES: dict[type, tuple[str, ...]] = {
+    App: ("fun",),
+    Fst: ("arg",),
+    Snd: ("arg",),
+    Inl: ("arg",),
+    Inr: ("arg",),
+    Abort: ("arg",),
+    Pair: ("first", "second"),
+    Case: ("scrutinee",),
+    Lam: ("body",),
+}
 
-def _freshen_case_binders(c: Case, avoid: frozenset[Var]) -> Case:
-    # Rename branch binders that would capture a variable from avoid.
+# The frames whose type leaves the hole's type open: pulling one into a
+# case needs both holes to have one type. Only these pay for the check,
+# which fails on open terms.
+_OPEN_HOLES = (Fst, Snd)
+
+
+def _frame_fvs(t: Term, hole: str) -> frozenset[Var]:
+    # The free variables of t's subterms other than the hole, each less
+    # its own binder.
+    out: frozenset[Var] = frozenset()
+    for name, binder in SUBTERMS[type(t)]:
+        if name != hole:
+            fvs = free_vars(getattr(t, name))
+            out |= fvs if binder is None else fvs - {getattr(t, binder)}
+    return out
+
+
+def _case_out(t: Term, hole: str, avoid: frozenset[Var]) -> Case:
+    # The case at t's hole commuted out of t, after renaming a branch
+    # binder that would capture a variable from avoid.
+    c = getattr(t, hole)
     x, s = c.left_var, c.left_branch
     y, u = c.right_var, c.right_branch
     if x in avoid:
@@ -177,157 +213,90 @@ def _freshen_case_binders(c: Case, avoid: frozenset[Var]) -> Case:
         y2 = fresh_var(y, avoid | free_vars(u) | {x})
         u = substitute(u, y, VarRef(y2))
         y = y2
+    s, u = rebuild(t, {hole: s}), rebuild(t, {hole: u})
     return Case(c.scrutinee, x, c.left_type, s, y, c.right_type, u)
 
 
-def _case_out(c: Case, wrap: Callable[[Term], Term], frame_fvs: frozenset[Var]) -> Term:
-    c = _freshen_case_binders(c, frame_fvs)
-    return Case(
-        c.scrutinee,
-        c.left_var,
-        c.left_type,
-        wrap(c.left_branch),
-        c.right_var,
-        c.right_type,
-        wrap(c.right_branch),
-    )
-
-
 def _gamma_out(t: Term) -> list[Term]:
+    # A case in a frame's hole commutes out of the frame.
     out: list[Term] = []
-    match t:
-        case App(Case() as c, a):
-            out.append(_case_out(c, lambda h: App(h, a), free_vars(a)))
-        case Fst(Case() as c):
-            out.append(_case_out(c, Fst, frozenset()))
-        case Snd(Case() as c):
-            out.append(_case_out(c, Snd, frozenset()))
-        case Inl(Case() as c, o):
-            out.append(_case_out(c, lambda h: Inl(h, o), frozenset()))
-        case Inr(Case() as c, o):
-            out.append(_case_out(c, lambda h: Inr(h, o), frozenset()))
-        case Abort(Case() as c, tgt):
-            out.append(_case_out(c, lambda h: Abort(h, tgt), frozenset()))
-    if isinstance(t, Pair):
-        if isinstance(t.first, Case):
-            b = t.second
-            out.append(_case_out(t.first, lambda h: Pair(h, b), free_vars(b)))
-        if isinstance(t.second, Case):
-            a = t.first
-            out.append(_case_out(t.second, lambda h: Pair(a, h), free_vars(a)))
-    if isinstance(t, Case) and isinstance(t.scrutinee, Case):
-        x, a, s = t.left_var, t.left_type, t.left_branch
-        y, b, u = t.right_var, t.right_type, t.right_branch
-        frame_fvs = (free_vars(s) - {x}) | (free_vars(u) - {y})
-        out.append(
-            _case_out(
-                t.scrutinee,
-                lambda h: Case(h, x, a, s, y, b, u),
-                frozenset(frame_fvs),
-            )
-        )
+    for hole, binder in SUBTERMS[type(t)]:
+        c = getattr(t, hole)
+        if type(c) is not Case or hole not in _FRAMES[type(t)]:
+            continue
+        avoid = _frame_fvs(t, hole)
+        if binder is not None:
+            z = getattr(t, binder)
+            if z in free_vars(c.scrutinee):
+                continue
+            avoid |= {z}
+        out.append(_case_out(t, hole, avoid))
     return out
 
 
 def _gamma_in(t: Term) -> list[Term]:
-    if not isinstance(t, Case):
+    # The inverse: one frame around both branches commutes into the case.
+    if type(t) is not Case or type(t.left_branch) is not type(t.right_branch):
         return []
     r, x, a, s = t.scrutinee, t.left_var, t.left_type, t.left_branch
     y, b, u = t.right_var, t.right_type, t.right_branch
-    bound = {x, y}
+    cls = type(s)
     out: list[Term] = []
-
-    def escapes(part: Term) -> bool:
-        return bool(free_vars(part) & bound)
-
-    def inner(sl: Term, ul: Term) -> Case:
-        return Case(r, x, a, sl, y, b, ul)
-
-    def same_type(sl: Term, ul: Term) -> bool:
-        # A projection pulled out of both branches needs one pair type
-        # under the case's own binders; free variables leave it unknown.
-        try:
-            return type_of(Context({x: a}), sl) == type_of(Context({y: b}), ul)
-        except ProofmeanError:
-            return False
-
-    match s, u:
-        case App(f1, a1), App(f2, a2) if a1 == a2 and not escapes(a1):
-            out.append(App(inner(f1, f2), a1))
-    match s, u:
-        case Fst(a1), Fst(a2) if same_type(a1, a2):
-            out.append(Fst(inner(a1, a2)))
-    match s, u:
-        case Snd(a1), Snd(a2) if same_type(a1, a2):
-            out.append(Snd(inner(a1, a2)))
-    match s, u:
-        case Inl(a1, o1), Inl(a2, o2) if o1 == o2:
-            out.append(Inl(inner(a1, a2), o1))
-    match s, u:
-        case Inr(a1, o1), Inr(a2, o2) if o1 == o2:
-            out.append(Inr(inner(a1, a2), o1))
-    match s, u:
-        case Abort(a1, c1), Abort(a2, c2) if c1 == c2:
-            out.append(Abort(inner(a1, a2), c1))
-    match s, u:
-        case Pair(a1, b1), Pair(a2, b2):
-            if b1 == b2 and not escapes(b1):
-                out.append(Pair(inner(a1, a2), b1))
-            if a1 == a2 and not escapes(a1):
-                out.append(Pair(a1, inner(b1, b2)))
-    match s, u:
-        case Case(r1, p1, c1, s1, q1, d1, u1), Case(r2, p2, c2, s2, q2, d2, u2) if (
-            p1 == p2 and c1 == c2 and s1 == s2 and q1 == q2 and d1 == d2 and u1 == u2
-        ):
-            frame_fvs = (free_vars(s1) - {p1}) | (free_vars(u1) - {q1})
-            if not frame_fvs & bound:
-                out.append(Case(inner(r1, r2), p1, c1, s1, q1, d1, u1))
+    for hole, binder in SUBTERMS[cls]:
+        if hole not in _FRAMES[cls]:
+            continue
+        frame = [f for f in cls.__match_args__ if f not in (hole, binder)]
+        if any(getattr(s, f) != getattr(u, f) for f in frame) or _frame_fvs(s, hole) & {x, y}:
+            continue
+        s1, u1 = getattr(s, hole), getattr(u, hole)
+        if cls in _OPEN_HOLES and not _one_type(Context({x: a}), s1, Context({y: b}), u1):
+            continue
+        changes: dict[str, object] = {}
+        if binder is not None:
+            # One binder for both branches: the left one's name, unless
+            # that would capture.
+            z1, z2 = getattr(s, binder), getattr(u, binder)
+            z = z1
+            if z1 in free_vars(r) or z1 in (x, y) or (z2 != z1 and z1 in free_vars(u1)):
+                z = fresh_var(z1, free_vars(r) | free_vars(s1) | free_vars(u1) | {x, y, z1, z2})
+            s1 = s1 if z1 == z else substitute(s1, z1, VarRef(z))
+            u1 = u1 if z2 == z else substitute(u1, z2, VarRef(z))
+            changes[binder] = z
+        changes[hole] = Case(r, x, a, s1, y, b, u1)
+        out.append(rebuild(s, changes))
     return out
 
 
-def _gamma_splits(t: Term) -> list[Term]:
-    out: list[Term] = []
+def _one_type(ctx1: Context, t1: Term, ctx2: Context, t2: Term) -> bool:
+    try:
+        return type_of(ctx1, t1) == type_of(ctx2, t2)
+    except ProofmeanError:
+        return False
+
+
+def _pair_splits(t: Term) -> list[Term]:
+    # Each is an expansion composed with reductions; together they
+    # connect a case of pairs with a pair of cases.
     match t:
-        # pair split, outward: duplicate the case into both components
+        # outward: duplicate the case into both components
         case Case(r, x, a, Pair(s1, s2), y, b, Pair(t1, t2)):
-            out.append(Pair(Case(r, x, a, s1, y, b, t1), Case(r, x, a, s2, y, b, t2)))
-    match t:
-        # pair split, inward: merge two cases over the same scrutinee
+            return [Pair(Case(r, x, a, s1, y, b, t1), Case(r, x, a, s2, y, b, t2))]
+        # inward: merge two cases over the same scrutinee
         case Pair(Case(r1, x1, a1, s1, y1, b1, t1), Case(r2, x2, a2, s2, y2, b2, t2)) if (
-            a1 == a2 and b1 == b2 and alpha_equal(r1, r2)
+            a1 == a2
+            and b1 == b2
+            and alpha_equal(r1, r2)
+            and (x2 == x1 or x1 not in free_vars(s2))
+            and (y2 == y1 or y1 not in free_vars(t2))
         ):
-            ok_left = x2 == x1 or x1 not in free_vars(s2)
-            ok_right = y2 == y1 or y1 not in free_vars(t2)
-            if ok_left and ok_right:
-                s2r = s2 if x2 == x1 else substitute(s2, x2, VarRef(x1))
-                t2r = t2 if y2 == y1 else substitute(t2, y2, VarRef(y1))
-                out.append(Case(r1, x1, a1, Pair(s1, s2r), y1, b1, Pair(t1, t2r)))
-    match t:
-        # lambda split, outward: pull a shared abstraction out of the branches
-        case Case(r, x, a, Lam(z1, c1, s1), y, b, Lam(z2, c2, t1)) if c1 == c2:
-            simple = (
-                z1 not in free_vars(r)
-                and z1 not in (x, y)
-                and (z2 == z1 or z1 not in free_vars(t1))
-            )
-            if simple:
-                t1r = t1 if z2 == z1 else substitute(t1, z2, VarRef(z1))
-                out.append(Lam(z1, c1, Case(r, x, a, s1, y, b, t1r)))
-            else:
-                avoid = free_vars(r) | free_vars(s1) | free_vars(t1) | {x, y, z1, z2}
-                z = fresh_var(z1, avoid)
-                s1r = substitute(s1, z1, VarRef(z))
-                t1r = substitute(t1, z2, VarRef(z))
-                out.append(Lam(z, c1, Case(r, x, a, s1r, y, b, t1r)))
-    match t:
-        # lambda split, inward: push an abstraction into both branches
-        case Lam(z, c, Case() as inner_case) if z not in free_vars(inner_case.scrutinee):
-            out.append(_case_out(inner_case, lambda h: Lam(z, c, h), frozenset((z,))))
-    return out
+            s2r = s2 if x2 == x1 else substitute(s2, x2, VarRef(x1))
+            t2r = t2 if y2 == y1 else substitute(t2, y2, VarRef(y1))
+            return [Case(r1, x1, a1, Pair(s1, s2r), y1, b1, Pair(t1, t2r))]
+    return []
 
 
 def _gamma_at_root(t: Term) -> list[Term]:
-    return _gamma_out(t) + _gamma_in(t) + _gamma_splits(t)
+    return _gamma_out(t) + _gamma_in(t) + _pair_splits(t)
 
 
 def gamma_steps(t: Term) -> list[Term]:

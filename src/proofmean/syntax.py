@@ -396,8 +396,16 @@ class _Parser:
         return cls(*args)
 
     def _starts_rule(self, rules: Mapping[str, object]) -> bool:
+        # A group headed by a rule of this calculus; or by a rule of any
+        # calculus when the next token cannot continue a formula, so that
+        # the misplaced rule is reported by name. A group that can still
+        # be a formula, such as `(cut)`, stays one.
         nxt = self.peek(1)
-        return self.at("(") and nxt.kind == "ident" and nxt.text in rules
+        if not self.at("(") or nxt.kind != "ident":
+            return False
+        if not any(nxt.text in calculus for calculus in _RULES.values()):
+            return False
+        return nxt.text in rules or self.peek(2).kind not in (")", "->", "\\/", "/\\")
 
 
 def _check_discharge_labels(d: "_nd.NdDerivation") -> None:

@@ -38,6 +38,7 @@ from proofmean.rewrite import (
     gamma_steps,
     normalize,
 )
+from proofmean.rewrite import _FRAMES
 from proofmean.sc import end_term_sc
 from proofmean.syntax import parse_term
 
@@ -112,12 +113,59 @@ def test_normalize_respects_budget():
     assert normalize(t, budget=2) == Pair(VarRef(y), VarRef(y))
 
 
+# One example per row of the frame table: a term whose hole at the named
+# field holds a case, and the same case with the frame pushed into both
+# branches. Each steps to the other.
+FRAME_EXAMPLES = [
+    ("fun", r"app(case z { x:(p->q). x | y:(p->q). y }, w)",
+     r"case z { x:(p->q). app(x, w) | y:(p->q). app(y, w) }"),
+    ("arg", r"fst(case z { x:(p/\p). x | y:(p/\p). y })",
+     r"case z { x:(p/\p). fst(x) | y:(p/\p). fst(y) }"),
+    ("arg", r"snd(case z { x:(p/\p). x | y:(p/\p). y })",
+     r"case z { x:(p/\p). snd(x) | y:(p/\p). snd(y) }"),
+    ("arg", r"inl[q] (case z { x:p. x | y:p. y })",
+     r"case z { x:p. inl[q] x | y:p. inl[q] y }"),
+    ("arg", r"inr[q] (case z { x:p. x | y:p. y })",
+     r"case z { x:p. inr[q] x | y:p. inr[q] y }"),
+    ("arg", r"abort[q] (case z { x:_|_. x | y:_|_. y })",
+     r"case z { x:_|_. abort[q] x | y:_|_. abort[q] y }"),
+    ("first", r"<case z { x:p. x | y:p. y }, w>",
+     r"case z { x:p. <x, w> | y:p. <y, w> }"),
+    ("second", r"<w, case z { x:p. x | y:p. y }>",
+     r"case z { x:p. <w, x> | y:p. <w, y> }"),
+    ("scrutinee", r"case (case z { x:p. inl[p] x | y:p. inr[p] y }) { a:p. a | b:p. b }",
+     r"case z { x:p. case inl[p] x { a:p. a | b:p. b } | y:p. case inr[p] y { a:p. a | b:p. b } }"),
+    ("body", r"\w:q. case z { x:p. x | y:p. y }",
+     r"case z { x:p. \w:q. x | y:p. \w:q. y }"),
+]
+
+
 def test_gamma_steps_commute_case_with_frames():
-    scrutinee = VarRef(z)
-    t = Fst(Case(scrutinee, x, p, Pair(VarRef(x), VarRef(x)), y, p, Pair(VarRef(y), VarRef(y))))
-    pushed = Case(scrutinee, x, p, Fst(Pair(VarRef(x), VarRef(x))), y, p, Fst(Pair(VarRef(y), VarRef(y))))
-    assert pushed in gamma_steps(t)
-    assert t in gamma_steps(pushed)
+    rows = set()
+    for hole, framed, pushed in FRAME_EXAMPLES:
+        t, u = parse_term(framed), parse_term(pushed)
+        assert isinstance(getattr(t, hole), Case)
+        rows.add((type(t), hole))
+        assert u in gamma_steps(t), framed
+        assert t in gamma_steps(u), pushed
+    assert rows == {(cls, hole) for cls, holes in _FRAMES.items() for hole in holes}
+    # Non-frames and failed side conditions give no step.
+    no_step = [
+        # a case in an application's argument
+        r"app(f, case z { x:p. x | y:p. y })",
+        # a case in a branch of another case
+        r"case w { a:p. case z { x:p. x | y:p. y } | b:p. b }",
+        # a lambda whose binder is free in the scrutinee
+        r"\z:(p\/p). case z { x:p. x | y:p. y }",
+        # projections out of two different pair types
+        r"case z { x:(p/\q). fst(x) | y:(p/\p). fst(y) }",
+        # frames that differ outside the hole
+        r"case z { x:(p->q). app(x, a) | y:(p->q). app(y, b) }",
+        # a frame that mentions a branch binder
+        r"case z { x:p. app(f, x) | y:p. app(f, x) }",
+    ]
+    for text in no_step:
+        assert gamma_steps(parse_term(text)) == [], text
 
 
 def test_gamma_steps_rename_branch_binders_to_avoid_capture():
@@ -136,6 +184,11 @@ def test_gamma_steps_rename_branch_binders_to_avoid_capture():
                 y, Implies(p, q), App(VarRef(y), VarRef(x)),
             ),
         )
+    # Renamed binders are primed in order, the right one past the left.
+    t = parse_term(r"app(case z { x:(p->q). x | x:(p->q). x }, x)")
+    assert gamma_steps(t) == [
+        parse_term(r"case z { x':(p->q). app(x', x) | x'':(p->q). app(x'', x) }")
+    ]
 
 
 def test_gamma_connects_case_of_pair_with_pair_of_cases():

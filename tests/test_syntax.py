@@ -254,14 +254,16 @@ def test_rule_namespaces_do_not_mix():
         ("(and-i (rf x p) (rf y q))", "1:9: unknown natural deduction rule 'rf'"),
         ("(nd a (rf x p))", "1:8: unknown natural deduction rule 'rf'"),
         ("(sc a (hyp x p))", "1:8: unknown sequent rule 'hyp'"),
+        # After `imp-i x`, a group that cannot be the discharged formula
+        # names the misplaced rule too.
+        ("(imp-i x (rf x p))", "1:11: unknown natural deduction rule 'rf'"),
     ):
         with pytest.raises(UnknownRule) as caught:
             parse(text)
         assert str(caught.value) == message
-    # After `imp-i x`, a parenthesized group that does not start with a
-    # rule name is read as the discharged formula, so this fails as one.
-    with pytest.raises(ParseError):
-        parse("(imp-i x (rf x p))")
+    # A group that can be a formula stays the discharged formula.
+    assert parse("(imp-i x (cut) (hyp x cut))") == ImpI(x, Atom("cut"), Hyp(x, Atom("cut")))
+    assert parse("(imp-i x (rf -> p) (hyp x rf))").hypothesis == Implies(Atom("rf"), p)
 
 
 def test_file_wrapper_carries_calculus_and_name():
