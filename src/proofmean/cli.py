@@ -54,18 +54,26 @@ from .syntax import (
 
 __all__ = ["main", "parse", "render_term"]
 
-_PARSE_ERRORS = (ParseError, UnknownRule, DanglingDischargeLabel)
-
 
 class _UsageError(Exception):
     pass
+
+
+class _NotText(ProofmeanError):
+    pass
+
+
+_PARSE_ERRORS = (ParseError, UnknownRule, DanglingDischargeLabel, _NotText)
 
 
 # ---------- Shared helpers ----------
 
 
 def _load(path: str) -> SourceFile:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _NotText(f"{path}: not UTF-8 text") from None
     return syntax.parse_file(text, default_name=Path(path).stem)
 
 

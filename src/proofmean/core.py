@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 
 class ProofmeanError(Exception):
@@ -207,21 +207,11 @@ class Context:
     def items(self) -> tuple[tuple[Var, Formula], ...]:
         return tuple(sorted(self._bindings.items(), key=lambda kv: kv[0].name))
 
-    @property
-    def bindings(self) -> dict[Var, Formula]:
-        return dict(self._bindings)
-
     def vars(self) -> frozenset[Var]:
         return frozenset(self._bindings)
 
     def __contains__(self, var: Var) -> bool:
         return var in self._bindings
-
-    def __iter__(self) -> Iterator[Var]:
-        return iter(self._bindings)
-
-    def __len__(self) -> int:
-        return len(self._bindings)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Context) and self._bindings == other._bindings

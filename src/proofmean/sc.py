@@ -382,8 +382,6 @@ def _right_principal(
                 return z in candidates
             case ImpL(x, _, _, _):
                 return x in candidates
-            case AbsurdL(x, _):
-                return x in candidates
             case _:
                 return False
 

@@ -7,7 +7,8 @@ Formulas
     A\/B     disjunction
     A -> B   implication, right associative, binds loosest
 
-Terms
+Terms, as the table _TERM_SYNTAX writes them; the term parser and
+renderer both read it
     x                         variable
     \x:T. body                abstraction (annotation parenthesized
                               when compound)
@@ -15,7 +16,9 @@ Terms
     <s, t>  fst(t)  snd(t)    pairing and projections
     inl[B] t   inr[A] t       injections carrying the missing disjunct
     case r { x:A. s | y:B. t }
-    abort[C] t                from absurdity
+    abort[C] t                from absurdity (the operand of inl, inr
+                              and abort parenthesized when a lambda
+                              or a case)
 
 Derivations are parenthesized rule applications, one per file, either
 bare or wrapped as (nd NAME D) / (sc NAME D). Comments run from ; to
@@ -30,6 +33,8 @@ from itertools import chain
 from typing import Mapping, get_args
 
 from .core import (
+    LABELS,
+    SUBTERMS,
     Abort,
     Absurd,
     And,
@@ -71,13 +76,64 @@ class DanglingDischargeLabel(ProofmeanError):
     pass
 
 
-RESERVED = frozenset({"case", "fst", "snd", "inl", "inr", "abort", "app"})
-
-# What the derivation parser reads for one field of a rule's class,
-# told apart by the field's declared type: a variable, a formula, a
-# formula left out when a rule of the same calculus starts next, or a
-# premise of the class's own calculus.
+# What a parser reads for one field. A derivation rule's field is told
+# apart by its declared type: a variable, a formula, a formula left out
+# when a rule of the same calculus starts next, or a premise of the
+# class's own calculus. A term class's field is told apart by
+# core.SUBTERMS and core.LABELS: a subterm; a bound variable; the
+# formula annotating it, parenthesized when compound; a formula between
+# brackets; or a subterm that ends its row unbound (the operand of inl,
+# inr and abort), parenthesized when a Lam or Case.
 _VARIABLE, _FORMULA, _OPTIONAL_FORMULA, _PREMISE = "variable", "formula", "formula?", "premise"
+_LITERAL, _SUBTERM, _ANNOTATION, _OPERAND = "literal", "subterm", "annotation", "operand"
+
+# The concrete syntax of each term class but VarRef: literal text, one
+# token each with the spaces the renderer writes around it, and field
+# names. The parser looks a row up by its leading token and reads the
+# rest in order; the renderer writes the parts in order.
+_TERM_SYNTAX: dict[type, tuple[str, ...]] = {
+    Lam: ("\\", "bound", ":", "bound_type", ". ", "body"),
+    App: ("app", "(", "fun", ", ", "arg", ")"),
+    Pair: ("<", "first", ", ", "second", ">"),
+    Fst: ("fst", "(", "arg", ")"),
+    Snd: ("snd", "(", "arg", ")"),
+    Inl: ("inl", "[", "other", "] ", "arg"),
+    Inr: ("inr", "[", "other", "] ", "arg"),
+    Case: (
+        "case ", "scrutinee",
+        " { ", "left_var", ":", "left_type", ". ", "left_branch",
+        " | ", "right_var", ":", "right_type", ". ", "right_branch", " }",
+    ),
+    Abort: ("abort", "[", "target", "] ", "arg"),
+}
+
+
+def _part_kinds(cls: type, row: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
+    binder_of = dict(SUBTERMS[cls])
+    binds = any(binder_of.values())
+    kinds = []
+    for i, part in enumerate(row):
+        if part in binder_of:
+            operand = i == len(row) - 1 and binder_of[part] is None
+            kinds.append((_OPERAND if operand else _SUBTERM, part))
+        elif part in binder_of.values():
+            kinds.append((_VARIABLE, part))
+        elif part in LABELS[cls]:
+            kinds.append((_ANNOTATION if binds else _FORMULA, part))
+        else:
+            kinds.append((_LITERAL, part))
+    return tuple(kinds)
+
+
+# For the renderer, each term class's parts with their kinds; for the
+# parser, by leading token, the class and the rest of its parts, each
+# literal cut down to the token it stands for.
+_TERM_PARTS = {cls: _part_kinds(cls, row) for cls, row in _TERM_SYNTAX.items()}
+_TERM_ROWS = {
+    parts[0][1].strip(): (cls, tuple((kind, part.strip()) for kind, part in parts[1:]))
+    for cls, parts in _TERM_PARTS.items()
+}
+RESERVED = frozenset(word for word in _TERM_ROWS if word.isalpha())
 
 
 def _field_kind(hint: object, derivation: object) -> str:
@@ -247,24 +303,9 @@ class _Parser:
             f = And(f, self._formula_atom())
         return f
 
-    def _formula_atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.advance()
-            f = self.formula()
-            self.expect(")")
-            return f
-        if tok.kind == "_|_":
-            self.advance()
-            return Absurd()
-        if tok.kind == "ident":
-            if tok.text in RESERVED:
-                raise self.fail(f"{tok.text!r} is reserved and cannot name an atom")
-            self.advance()
-            return Atom(tok.text)
-        raise self.fail("expected a formula", expected=("ident", "(", "_|_"))
-
-    def _annotation(self) -> Formula:
+    def _formula_atom(self, annotation: bool = False) -> Formula:
+        """An atom, _|_ or a parenthesized formula: an operand of /\\ or
+        \\/, or, with annotation set, the type of a bound variable."""
         tok = self.peek()
         if tok.kind == "(":
             self.advance()
@@ -277,10 +318,14 @@ class _Parser:
         if tok.kind == "ident" and tok.text not in RESERVED:
             self.advance()
             return Atom(tok.text)
-        raise self.fail(
-            "expected a type annotation (compound ones need parentheses)",
-            expected=("ident", "(", "_|_"),
-        )
+        if annotation:
+            raise self.fail(
+                "expected a type annotation (compound ones need parentheses)",
+                expected=("ident", "(", "_|_"),
+            )
+        if tok.kind == "ident":
+            raise self.fail(f"{tok.text!r} is reserved and cannot name an atom")
+        raise self.fail("expected a formula", expected=("ident", "(", "_|_"))
 
     # --- terms ---
 
@@ -293,78 +338,36 @@ class _Parser:
         return Var(tok.text)
 
     def term(self) -> Term:
+        """A bare variable, a parenthesized term, or the row of
+        _TERM_SYNTAX its leading token names, read part by part. Each
+        level takes one frame, as in `derivation`."""
         tok = self.peek()
-        if tok.kind == "\\":
-            self.advance()
-            x = self.variable()
-            self.expect(":")
-            a = self._annotation()
-            self.expect(".")
-            return Lam(x, a, self.term())
-        if tok.kind == "ident" and tok.text == "case":
-            self.advance()
-            scrutinee = self.term()
-            self.expect("{")
-            x = self.variable()
-            self.expect(":")
-            a = self._annotation()
-            self.expect(".")
-            s = self.term()
-            self.expect("|")
-            y = self.variable()
-            self.expect(":")
-            b = self._annotation()
-            self.expect(".")
-            t = self.term()
-            self.expect("}")
-            return Case(scrutinee, x, a, s, y, b, t)
-        if tok.kind == "ident" and tok.text in ("inl", "inr", "abort"):
-            self.advance()
-            self.expect("[")
-            f = self.formula()
-            self.expect("]")
-            arg = self.term()
-            if tok.text == "inl":
-                return Inl(arg, f)
-            if tok.text == "inr":
-                return Inr(arg, f)
-            return Abort(arg, f)
-        return self._simple_term()
-
-    def _simple_term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "<":
-            self.advance()
-            s = self.term()
-            self.expect(",")
-            t = self.term()
-            self.expect(">")
-            return Pair(s, t)
-        if tok.kind == "(":
-            self.advance()
-            t = self.term()
-            self.expect(")")
-            return t
-        if tok.kind == "ident":
-            if tok.text == "app":
+        row = _TERM_ROWS.get(tok.text)
+        if row is None:
+            if tok.kind == "(":
                 self.advance()
-                self.expect("(")
-                s = self.term()
-                self.expect(",")
                 t = self.term()
                 self.expect(")")
-                return App(s, t)
-            if tok.text in ("fst", "snd"):
+                return t
+            if tok.kind == "ident":
                 self.advance()
-                self.expect("(")
-                t = self.term()
-                self.expect(")")
-                return Fst(t) if tok.text == "fst" else Snd(t)
-            if tok.text in RESERVED:
-                raise self.fail(f"{tok.text!r} cannot start a term here")
-            self.advance()
-            return VarRef(Var(tok.text))
-        raise self.fail("expected a term", expected=("ident", "(", "<", "\\"))
+                return VarRef(Var(tok.text))
+            raise self.fail("expected a term", expected=("ident", "(", "<", "\\"))
+        self.advance()
+        cls, parts = row
+        args = {}
+        for kind, part in parts:
+            if kind is _LITERAL:
+                self.expect(part)
+            elif kind is _SUBTERM or kind is _OPERAND:
+                args[part] = self.term()
+            elif kind is _VARIABLE:
+                args[part] = self.variable()
+            elif kind is _ANNOTATION:
+                args[part] = self._formula_atom(annotation=True)
+            else:
+                args[part] = self.formula()
+        return cls(**args)
 
     # --- derivations ---
 
@@ -495,64 +498,53 @@ def parse_term(text: str) -> Term:
 
 
 def render_formula(f: Formula) -> str:
-    def operand(g: Formula) -> str:
-        s = render_formula(g)
-        return s if isinstance(g, (Atom, Absurd)) else f"({s})"
-
     match f:
         case Atom(name):
             return name
         case Absurd():
             return "_|_"
         case And(a, b):
-            return f"{operand(a)}/\\{operand(b)}"
+            return f"{_render_operand(a)}/\\{_render_operand(b)}"
         case Or(a, b):
-            return f"{operand(a)}\\/{operand(b)}"
+            return f"{_render_operand(a)}\\/{_render_operand(b)}"
         case Implies(a, b):
-            return f"{operand(a)} -> {operand(b)}"
+            return f"{_render_operand(a)} -> {_render_operand(b)}"
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _render_annotation(f: Formula) -> str:
+def _render_operand(f: Formula) -> str:
+    """f, parenthesized unless it is an atom or _|_."""
     s = render_formula(f)
     return s if isinstance(f, (Atom, Absurd)) else f"({s})"
 
 
 def render_term(t: Term, canonical: bool = False) -> str:
-    """Deterministic, re-parseable rendering of t."""
+    """Deterministic, re-parseable rendering of t, its parts written in
+    the order _TERM_SYNTAX gives them. Each level takes one frame."""
     if canonical:
         t = canonicalize(t)
 
-    def arg(u: Term) -> str:
-        s = render(u)
-        return f"({s})" if isinstance(u, (Lam, Case)) else s
-
     def render(u: Term) -> str:
-        match u:
-            case VarRef(v):
-                return v.name
-            case Lam(x, a, body):
-                return f"\\{x.name}:{_render_annotation(a)}. {render(body)}"
-            case App(s, v):
-                return f"app({render(s)}, {render(v)})"
-            case Pair(s, v):
-                return f"<{render(s)}, {render(v)}>"
-            case Fst(p):
-                return f"fst({render(p)})"
-            case Snd(p):
-                return f"snd({render(p)})"
-            case Inl(s, b):
-                return f"inl[{render_formula(b)}] {arg(s)}"
-            case Inr(s, a):
-                return f"inr[{render_formula(a)}] {arg(s)}"
-            case Case(r, x, a, s, y, b, v):
-                return (
-                    f"case {render(r)} {{ {x.name}:{_render_annotation(a)}. {render(s)}"
-                    f" | {y.name}:{_render_annotation(b)}. {render(v)} }}"
-                )
-            case Abort(s, c):
-                return f"abort[{render_formula(c)}] {arg(s)}"
-        raise TypeError(f"not a term: {u!r}")
+        if type(u) is VarRef:
+            return u.var.name
+        out = []
+        for kind, part in _TERM_PARTS[type(u)]:
+            if kind is _LITERAL:
+                out.append(part)
+                continue
+            value = getattr(u, part)
+            if kind is _SUBTERM:
+                out.append(render(value))
+            elif kind is _OPERAND:
+                s = render(value)
+                out.append(f"({s})" if type(value) in (Lam, Case) else s)
+            elif kind is _VARIABLE:
+                out.append(value.name)
+            elif kind is _ANNOTATION:
+                out.append(_render_operand(value))
+            else:
+                out.append(render_formula(value))
+        return "".join(out)
 
     return render(t)
 

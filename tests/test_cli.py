@@ -76,12 +76,18 @@ def test_check_failure_exits_1(write, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_parse_failures_exit_2(write, capsys):
+def test_parse_failures_exit_2(write, tmp_path, capsys):
     assert main(["check", write("broken.nd", "(imp-i")]) == 2
     assert main(["check", write("tonk.nd", "(tonk-i (hyp x p))")]) == 2
     assert main(["check", write("dangling.nd", "(imp-i z (hyp x p))")]) == 2
     assert main(["check", "/nonexistent/no.nd"]) == 2
     capsys.readouterr()
+    binary = tmp_path / "binary.nd"
+    binary.write_bytes(b"\xff\xfe")
+    good = write("good.nd", ID_ND)
+    for argv in (["check"], ["term"], ["normalize"], ["sense"], ["compare", good]):
+        assert main([*argv, str(binary)]) == 2, argv
+        assert capsys.readouterr().err == f"error: {binary}: not UTF-8 text\n"
 
 
 def test_usage_errors_exit_2(capsys):
@@ -319,11 +325,14 @@ def test_corpus_classifies_every_pair(capsys, schema, corpus_dir):
 def test_corpus_reports_bad_files(write, tmp_path, capsys, schema):
     write("good.nd", ID_ND)
     write("broken.nd", "(imp-i")
+    (tmp_path / "binary.nd").write_bytes(b"\xff\xfe")
     code, payload = run_json(capsys, schema, ["corpus", str(tmp_path), "--json"])
     assert code == 2
-    stages = {f["name"]: f.get("stage") for f in payload["details"]["files"]}
-    assert stages["broken"] == "parse"
-    assert payload["details"]["files"][1]["ok"] is True
+    files = {f["name"]: f for f in payload["details"]["files"]}
+    assert files["broken"]["stage"] == "parse"
+    assert files["binary"]["stage"] == "parse"
+    assert files["binary"]["error"].endswith("binary.nd: not UTF-8 text")
+    assert files["good"]["ok"] is True
 
 
 def test_corpus_exit_distinguishes_check_failures(write, tmp_path, capsys):

@@ -50,7 +50,14 @@ from proofmean.rewrite import (
 )
 from proofmean.sc import check_sc, end_term_sc, node_sequents
 from proofmean.sc import variable_types as sc_variable_types
-from proofmean.syntax import parse, parse_term, render_derivation
+from proofmean.syntax import (
+    parse,
+    parse_formula,
+    parse_term,
+    render_derivation,
+    render_formula,
+    render_term,
+)
 from gamma_examples import (
     CASE_OF_TUPLE_TERM,
     FST_CASE_TERM,
@@ -61,6 +68,7 @@ from strategies import (
     MAX_DERIVATION_NODES,
     MAX_TERM_CONSTRUCTORS,
     eta_planted_terms,
+    formulas,
     fresh_renaming,
     nd_derivations,
     rename_nd,
@@ -407,6 +415,17 @@ def test_nd_derivations_parse_back_from_their_rendering(d):
 @given(sc_derivations())
 def test_sc_derivations_parse_back_from_their_rendering(d):
     assert parse(render_derivation(d)) == d
+
+
+@given(typed_terms())
+def test_terms_parse_back_from_their_rendering(case):
+    _, t, _ = case
+    assert parse_term(render_term(t)) == t
+
+
+@given(formulas(max_depth=6))
+def test_formulas_parse_back_from_their_rendering(f):
+    assert parse_formula(render_formula(f)) == f
 
 
 # ---------- Renaming invariance of sense ----------

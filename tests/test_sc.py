@@ -237,6 +237,37 @@ def test_principality_looks_through_weakening_and_contraction():
     assert info[0].principal
 
 
+def test_left_principality_looks_through_weakening_and_contraction():
+    right = AndL(z, u, v, AndR(Rf(u, p), Rf(v, p)))
+    weakened = Weaken(w, r, AndR(Rf(x, p), Rf(y, p)))
+    contracted = Contract(x, y, AndR(Rf(x, p), Rf(y, p)))
+    for left in (weakened, contracted):
+        assert cut_nodes(Cut(z, left, right))[0].principal, left
+
+
+def test_right_principality_follows_a_contracted_copy_past_a_vacuous_weakening():
+    # z is weakened in over nothing, but its contracted copy y is the
+    # principal variable below.
+    left = AndR(Rf(x, p), Rf(w, q))
+    right = Contract(z, y, Weaken(z, And(p, q), AndL(y, u, v, AndR(Rf(u, p), Rf(v, q)))))
+    assert cut_nodes(Cut(z, left, right))[0].principal
+
+
+def test_right_principality_on_each_left_rule_and_on_a_right_rule():
+    f, a = Var("f"), Var("a")
+    or_l = OrL(z, u, v, OrR1(q, Rf(u, p)), OrR2(p, Rf(v, q)))
+    assert cut_nodes(Cut(z, OrR1(q, Rf(x, p)), or_l))[0].principal
+    imp_l = ImpL(f, y, Rf(a, p), Rf(y, p))
+    assert cut_nodes(Cut(f, ImpR(x, Rf(x, p)), imp_l))[0].principal
+    # The cut variable is not the one the left rule introduces.
+    g, t = Var("g"), Var("t")
+    uses_w = ImpL(g, t, Rf(w, And(p, q)), Rf(t, p))
+    assert not cut_nodes(Cut(w, AndR(Rf(x, p), Rf(y, q)), uses_w))[0].principal
+    # The right premise ends in a right rule.
+    d = Cut(z, AndR(Rf(x, p), Rf(y, q)), OrR1(r, Rf(z, And(p, q))))
+    assert not cut_nodes(d)[0].principal
+
+
 def test_cut_paths_locate_nested_cuts():
     inner = Cut(z, Rf(x, p), OrR1(q, Rf(z, p)))
     d = ImpR(w, Weaken(w, q, inner))

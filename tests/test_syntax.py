@@ -5,6 +5,8 @@ import pytest
 
 from proofmean import nd, sc
 from proofmean.core import (
+    SUBTERMS,
+    Abort,
     Absurd,
     And,
     App,
@@ -14,6 +16,7 @@ from proofmean.core import (
     Fst,
     Implies,
     Inl,
+    Inr,
     Lam,
     Or,
     Pair,
@@ -24,6 +27,9 @@ from proofmean.nd import AndI, Hyp, ImpI
 from proofmean.sc import Contract, ImpR, Rf, Weaken
 from proofmean.syntax import (
     _RULES,
+    _TERM_PARTS,
+    _TERM_SYNTAX,
+    RESERVED,
     DanglingDischargeLabel,
     _field_kind,
     ParseError,
@@ -120,6 +126,11 @@ def test_term_rendering_is_stable():
     assert render_term(parse_term(r"\x:p. x")) == r"\x:p. x"
     assert render_term(parse_term("app(f, x)")) == "app(f, x)"
     assert render_term(Inl(Lam(x, p, VarRef(x)), q)) == r"inl[q] (\x:p. x)"
+    # Only a lambda or a case is parenthesized as the operand of an
+    # injection or abort.
+    case = parse_term(r"case z { x:p. x | y:q. y }")
+    assert render_term(Abort(case, q)) == r"abort[q] (case z { x:p. x | y:q. y })"
+    assert render_term(Inr(Fst(VarRef(z)), p)) == "inr[p] fst(z)"
 
 
 def test_lambda_annotation_parenthesized_only_when_compound():
@@ -234,6 +245,40 @@ def test_the_rule_table_reads_every_field_of_every_rule_class():
         _field_kind(sc.ScDerivation, nd.NdDerivation)
     with pytest.raises(TypeError):
         _field_kind(int, nd.NdDerivation)
+
+
+def test_the_term_table_names_every_field_of_every_term_class():
+    # Every term constructor but a bare variable has one row, naming each
+    # field once in declaration order, except that the operand of inl,
+    # inr and abort comes after its bracketed formula.
+    assert set(_TERM_SYNTAX) == set(SUBTERMS) - {VarRef}
+    for cls, row in _TERM_SYNTAX.items():
+        declared = [f.name for f in fields(cls)]
+        named = [part for part in row if part in declared]
+        operand = [part for kind, part in _TERM_PARTS[cls] if kind == "operand"]
+        assert named == [f for f in declared if f not in operand] + operand, cls
+        for kind, part in _TERM_PARTS[cls]:
+            if kind == "literal":
+                assert len(tokenize(part)) == 2, (cls, part)
+    kinds = {
+        cls: {part: kind for kind, part in parts if kind != "literal"}
+        for cls, parts in _TERM_PARTS.items()
+    }
+    assert kinds[Lam] == {"bound": "variable", "bound_type": "annotation", "body": "subterm"}
+    assert kinds[Case] == {
+        "scrutinee": "subterm",
+        "left_var": "variable",
+        "left_type": "annotation",
+        "left_branch": "subterm",
+        "right_var": "variable",
+        "right_type": "annotation",
+        "right_branch": "subterm",
+    }
+    assert kinds[Inl] == kinds[Inr] == {"other": "formula", "arg": "operand"}
+    assert kinds[Abort] == {"target": "formula", "arg": "operand"}
+    for cls in (App, Pair, Fst):
+        assert set(kinds[cls].values()) == {"subterm"}
+    assert RESERVED == {"app", "fst", "snd", "inl", "inr", "case", "abort"}
 
 
 def test_unknown_rules_are_reported():
