@@ -260,7 +260,7 @@ def _cmd_corpus(args) -> int:
     mode = _mode_of(args)
     files: list[dict] = []
     checked: list[tuple[str, Checked]] = []
-    parse_failed = False
+    load_failed = False
     check_failed = False
     for p in paths:
         label = p.stem
@@ -268,8 +268,12 @@ def _cmd_corpus(args) -> int:
             sf = _load(str(p))
             root = check(sf.derivation)
             _, _, formula = conclusion(root)
+        except OSError as e:
+            load_failed = True
+            files.append({"name": label, "ok": False, "stage": "read", "error": str(e)})
+            continue
         except _PARSE_ERRORS as e:
-            parse_failed = True
+            load_failed = True
             files.append({"name": label, "ok": False, "stage": "parse", "error": str(e)})
             continue
         except ProofmeanError as e:
@@ -312,7 +316,7 @@ def _cmd_corpus(args) -> int:
         "details": {"files": files, "pairs": pairs},
     }
     _emit(args, payload, lines)
-    if parse_failed:
+    if load_failed:
         return 2
     if check_failed:
         return 1

@@ -5,9 +5,9 @@ Everything here is an immutable value. Terms carry enough type
 annotations (binder types, the undetermined component of injections and
 abort) that every well-formed term has a unique type in a context.
 
-Term and formula nodes keep their hash once computed, and `rewrite`
-keeps on each term node whether it is beta-eta normal. Both live
-outside the dataclass fields, so equality, repr and
+Term and formula nodes keep their hash once computed, and
+`rewrite.normalize` marks each term node it returns as beta-eta
+normal. Both live outside the dataclass fields, so equality, repr and
 `dataclasses.fields` never see them, and neither can go stale because
 a node never changes.
 """

@@ -126,15 +126,71 @@ def sense_renaming(
     return _renaming(check(d1), check(d2), multiset)
 
 
+class _Bijection:
+    """A partial renaming between the variables of two checked
+    derivations that stays bijective and keeps each variable's formula.
+    `trail` lists the variables bound, oldest first."""
+
+    def __init__(self, tau1: Mapping[Var, Formula], tau2: Mapping[Var, Formula]) -> None:
+        self.tau1, self.tau2 = tau1, tau2
+        self.forward, self.backward, self.trail = {}, {}, []
+
+    def bind(self, a: Var, b: Var) -> bool:
+        """Map a to b; False if that changes a formula or either is mapped elsewhere."""
+        if self.tau1.get(a) != self.tau2.get(b):
+            return False
+        pa, pb = self.forward.get(a), self.backward.get(b)
+        if pa is None and pb is None:
+            self.forward[a] = b
+            self.backward[b] = a
+            self.trail.append(a)
+            return True
+        return pa == b and pb == a
+
+    def undo(self, mark: int) -> None:
+        """Take back the bindings made since the trail had length mark."""
+        while len(self.trail) > mark:
+            del self.backward[self.forward.pop(self.trail.pop())]
+
+
 def _renaming(c1: Checked, c2: Checked, multiset: bool) -> dict[Var, Var] | None:
-    """The renaming search of `sense_renaming` between two checked
-    derivations. It takes the sense elements in the order the checker
-    recorded them, so which renaming it finds does not depend on
-    hashing."""
-    counts1, counts2 = Counter(_occurrences(c1)), Counter(_occurrences(c2))
+    """The renaming of `sense_renaming` between two checked derivations.
+    Each natural deduction node's term is one subterm position of the
+    end term, so two judgments are matched on their end terms (see
+    README, "What counts as equal"); other pairs are searched."""
+    rho = _Bijection(c1.types, c2.types)
+    if isinstance(c1, _nd.Judgment) and isinstance(c2, _nd.Judgment):
+        return _match(c1.term, c2.term, rho)
+    return _search(_occurrences(c1), _occurrences(c2), rho, multiset)
+
+
+def _match(t1: Term, t2: Term, rho: _Bijection) -> dict[Var, Var] | None:
+    # Both terms in lockstep on an explicit stack, each binder bound as
+    # its subterm is entered.
+    stack: list[tuple[Term, Term, Var | None, Var | None]] = [(t1, t2, None, None)]
+    while stack:
+        u1, u2, x1, x2 = stack.pop()
+        cls = type(u1)
+        if (x1 is not None and not rho.bind(x1, x2)) or type(u2) is not cls:
+            return None
+        if cls is VarRef:
+            if not rho.bind(u1.var, u2.var):
+                return None
+        elif any(getattr(u1, f) != getattr(u2, f) for f in LABELS[cls]):
+            return None
+        for name, binder in reversed(SUBTERMS[cls]):
+            b1, b2 = (getattr(u1, binder), getattr(u2, binder)) if binder else (None, None)
+            stack.append((getattr(u1, name), getattr(u2, name), b1, b2))
+    return rho.forward
+
+
+def _search(occ1: list[Term], occ2: list[Term], rho: _Bijection, multiset: bool) -> dict | None:
+    """Extend rho by search until it carries the terms of occ1 onto
+    those of occ2. The distinct terms are taken in the order given, so
+    the renaming found does not depend on hashing."""
+    counts1, counts2 = Counter(occ1), Counter(occ2)
     if len(counts1) != len(counts2):
         return None
-    tau1, tau2 = c1.types, c2.types
 
     def prepared(counts: Counter) -> list[tuple[object, tuple[Var, ...]]]:
         items = []
@@ -155,33 +211,12 @@ def _renaming(c1: Checked, c2: Checked, multiset: bool) -> dict[Var, Var] | None
     # Scarce shapes first keeps the search shallow.
     order = sorted(range(len(items1)), key=lambda i: len(buckets[items1[i][0]]))
 
-    rho: dict[Var, Var] = {}
-    inv: dict[Var, Var] = {}
     used = [False] * len(items2)
-
-    def extend(vs1: tuple[Var, ...], vs2: tuple[Var, ...]):
-        added: list[tuple[Var, Var]] = []
-        for a, b in zip(vs1, vs2):
-            if tau1.get(a) != tau2.get(b):
-                break
-            pa, pb = rho.get(a), inv.get(b)
-            if pa is None and pb is None:
-                rho[a] = b
-                inv[b] = a
-                added.append((a, b))
-            elif pa != b or pb != a:
-                break
-        else:
-            return added
-        for a, b in added:
-            del rho[a]
-            del inv[b]
-        return None
 
     # Depth-first over `order` on an explicit stack, so a long sense
     # costs no recursion: chosen[i] holds the bucket position matched to
-    # order[i] and the bindings that match added.
-    chosen: list[tuple[int, list[tuple[Var, Var]]]] = []
+    # order[i] and the length of rho's trail before that match.
+    chosen: list[tuple[int, int]] = []
     start = 0
     while len(chosen) < len(order):
         key, vs1 = items1[order[len(chosen)]]
@@ -190,22 +225,21 @@ def _renaming(c1: Checked, c2: Checked, multiset: bool) -> dict[Var, Var] | None
             j = bucket[pos]
             if used[j]:
                 continue
-            added = extend(vs1, items2[j][1])
-            if added is not None:
+            mark = len(rho.trail)
+            if all(rho.bind(a, b) for a, b in zip(vs1, items2[j][1])):
                 used[j] = True
-                chosen.append((pos, added))
+                chosen.append((pos, mark))
                 start = 0
                 break
+            rho.undo(mark)
         else:
             if not chosen:
                 return None
-            pos, added = chosen.pop()
+            pos, mark = chosen.pop()
             used[buckets[items1[order[len(chosen)]][0]][pos]] = False
-            for a, b in added:
-                del rho[a]
-                del inv[b]
+            rho.undo(mark)
             start = pos + 1
-    return dict(rho)
+    return dict(rho.forward)
 
 
 def same_sense(d1: Derivation, d2: Derivation, multiset: bool = False) -> bool:

@@ -1,6 +1,8 @@
 """Beta, eta, and permutative (gamma) conversions over typed terms.
 
-Single steps use the leftmost-outermost redex so they are deterministic.
+The single-step functions contract the leftmost-outermost redex, so
+they are deterministic; `normalize` instead contracts bottom-up in one
+pass.
 Gamma steps are one commuting law, F[case r {x. s | y. u}] =
 case r {x. F[s] | y. F[u]}, applied in either direction to every frame
 F in one table (_FRAMES) and walked over core.SUBTERMS like every other
@@ -39,7 +41,6 @@ from .core import (
     VarRef,
     alpha_equal,
     alpha_key,
-    children,
     free_vars,
     fresh_var,
     rebuild,
@@ -313,54 +314,41 @@ def gamma_steps(t: Term) -> list[Term]:
 # ---------- Normalization and equivalence ----------
 
 
-def _is_normal(t: Term) -> bool:
-    # True iff beta_step(t) and eta_step(t) are both None. Each node
-    # visited keeps its answer (see core), so a term built around
-    # already-checked parts, such as a gamma successor, costs only its
-    # new nodes. The walk stops at the first redex.
-    stack = [(t, False)]
-    while stack:
-        u, ready = stack.pop()
-        known = getattr(u, "_normal", None)
-        if known is not None:
-            if not known:
-                return False
-        elif not ready:
-            stack.append((u, True))
-            stack.extend((s, False) for s in children(u))
-        elif _beta_contract(u) is None and _eta_contract(u) is None:
-            object.__setattr__(u, "_normal", True)
-        else:
-            object.__setattr__(u, "_normal", False)
-            return False
-    return True
-
-
 def normalize(t: Term, budget: int = DEFAULT_STEP_BUDGET) -> Term:
     """The beta-eta normal form of t; t itself when it is already normal.
 
-    Runs beta to exhaustion, then eta, looping while eta uncovers new
-    beta redexes. Raises FuelExhausted past the step budget, which for
-    well-typed input signals a bug rather than divergence.
+    One bottom-up pass: a node's subterms are normalized first, the node
+    is rebuilt only if one changed, and then a beta redex, or else an
+    eta redex, at the node is contracted and the result normalized.
+    Every node returned is marked normal (see core). Raises
+    FuelExhausted past `budget` contractions, which for well-typed input
+    signals a bug rather than divergence.
     """
-    if _is_normal(t):
-        return t
     steps = 0
-    while True:
-        while (r := beta_step(t)) is not None:
-            t = r
-            steps += 1
-            if steps > budget:
-                raise FuelExhausted(f"no normal form within {budget} steps")
-        took_eta = False
-        while (r := eta_step(t)) is not None:
-            t = r
-            took_eta = True
-            steps += 1
-            if steps > budget:
-                raise FuelExhausted(f"no normal form within {budget} steps")
-        if not took_eta:
-            return t
+
+    def go(u: Term) -> Term:
+        # One frame per level, as for the single steps and substitution.
+        nonlocal steps
+        if getattr(u, "_normal", False):
+            return u
+        changes = {}
+        for name, _ in SUBTERMS[type(u)]:
+            s = getattr(u, name)
+            n = go(s)
+            if n is not s:
+                changes[name] = n
+        if changes:
+            u = rebuild(u, changes)
+        r = _beta_contract(u) or _eta_contract(u)
+        if r is None:
+            object.__setattr__(u, "_normal", True)
+            return u
+        steps += 1
+        if steps > budget:
+            raise FuelExhausted(f"no normal form within {budget} steps")
+        return go(r)
+
+    return go(t)
 
 
 def _gamma_search(n1: Term, n2: Term, fuel: int) -> "Literal[True] | Inconclusive":

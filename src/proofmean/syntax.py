@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from inspect import get_annotations
 from itertools import chain
-from typing import Mapping, get_args
+from typing import Mapping, NamedTuple, get_args
 
 from .core import (
     LABELS,
@@ -61,11 +61,10 @@ from . import sc as _sc
 
 
 class ParseError(ProofmeanError):
-    def __init__(self, message: str, line: int, col: int, expected: tuple[str, ...] = ()):
+    def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
         self.line = line
         self.col = col
-        self.expected = expected
 
 
 class UnknownRule(ProofmeanError):
@@ -162,8 +161,7 @@ _CALCULI = {"nd": "natural deduction", "sc": "sequent"}
 # ---------- Tokenizer ----------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -271,14 +269,12 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind:
             found = tok.text if tok.kind != "eof" else "end of input"
-            raise ParseError(
-                f"expected {kind!r}, found {found!r}", tok.line, tok.col, expected=(kind,)
-            )
+            raise ParseError(f"expected {kind!r}, found {found!r}", tok.line, tok.col)
         return self.advance()
 
-    def fail(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+    def fail(self, message: str) -> ParseError:
         tok = self.peek()
-        return ParseError(message, tok.line, tok.col, expected=expected)
+        return ParseError(message, tok.line, tok.col)
 
     # --- formulas ---
 
@@ -319,13 +315,10 @@ class _Parser:
             self.advance()
             return Atom(tok.text)
         if annotation:
-            raise self.fail(
-                "expected a type annotation (compound ones need parentheses)",
-                expected=("ident", "(", "_|_"),
-            )
+            raise self.fail("expected a type annotation (compound ones need parentheses)")
         if tok.kind == "ident":
             raise self.fail(f"{tok.text!r} is reserved and cannot name an atom")
-        raise self.fail("expected a formula", expected=("ident", "(", "_|_"))
+        raise self.fail("expected a formula")
 
     # --- terms ---
 
@@ -352,7 +345,7 @@ class _Parser:
             if tok.kind == "ident":
                 self.advance()
                 return VarRef(Var(tok.text))
-            raise self.fail("expected a term", expected=("ident", "(", "<", "\\"))
+            raise self.fail("expected a term")
         self.advance()
         cls, parts = row
         args = {}
@@ -463,7 +456,7 @@ def _parse_source(p: _Parser, default_name: str | None) -> SourceFile:
             raise UnknownRule(f"{nxt.line}:{nxt.col}: unknown rule {nxt.text!r}")
         name, d = default_name, p.derivation(calculus)
     else:
-        raise p.fail("expected a derivation", expected=("(",))
+        raise p.fail("expected a derivation")
     p.expect("eof")
     if calculus == "nd":
         _check_discharge_labels(d)

@@ -335,6 +335,21 @@ def test_corpus_reports_bad_files(write, tmp_path, capsys, schema):
     assert files["good"]["ok"] is True
 
 
+def test_corpus_lists_an_unreadable_entry_and_reports_the_rest(write, tmp_path, capsys, schema):
+    write("good.nd", ID_ND)
+    (tmp_path / "sub.nd").mkdir()
+    code, payload = run_json(capsys, schema, ["corpus", str(tmp_path), "--json"])
+    assert code == 2
+    files = {f["name"]: f for f in payload["details"]["files"]}
+    assert files["sub"]["ok"] is False
+    assert files["sub"]["stage"] == "read"
+    assert files["good"]["ok"] is True
+    assert main(["corpus", str(tmp_path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("sub: read error: ") for line in lines)
+    assert any(line.startswith("good: ok ") for line in lines)
+
+
 def test_corpus_exit_distinguishes_check_failures(write, tmp_path, capsys):
     write("good.nd", ID_ND)
     write("bad.nd", "(and-e1 (hyp x p))")

@@ -1,4 +1,7 @@
+import sys
+
 from gamma_examples import CASE_OF_TUPLE, TUPLE_OF_CASES
+from proofmean import meaning, rewrite
 from proofmean.core import And, Atom, Lam, Or, Pair, Var, VarRef, alpha_equal
 from proofmean.meaning import (
     DifferentDenotation,
@@ -12,7 +15,7 @@ from proofmean.meaning import (
     sense_of,
     sense_renaming,
 )
-from proofmean.nd import AndE1, AndE2, AndI, Hyp, ImpI, OrE
+from proofmean.nd import AndE1, AndE2, AndI, Hyp, ImpE, ImpI, OrE, check_nd
 from proofmean.rewrite import BetaEta, BetaEtaGamma
 from proofmean.sc import AndR, Rf
 from proofmean.syntax import parse, parse_term
@@ -73,6 +76,18 @@ def test_sense_renaming_needs_consistency_across_elements():
     assert sense_renaming(d1, d2) is None
     d3 = AndI(Hyp(y, p), AndI(Hyp(y, p), Hyp(z, p)))
     assert sense_renaming(d1, d3) == {x: y, y: z}
+
+
+def test_sense_search_takes_back_a_partial_match():
+    # Pairing <a, b> with <c2, d2> binds a to c2 before b fails on its
+    # formula; that binding must go, or <a, b> cannot meet <c, d>.
+    a, b, a2, b2, c, d, c2, d2 = (Var(n) for n in ("a", "b", "a2", "b2", "c", "d", "c2", "d2"))
+    tau1 = {a: p, b: q, a2: p, b2: p}
+    tau2 = {c: p, d: q, c2: p, d2: p}
+    occ1 = [Pair(VarRef(a), VarRef(b)), Pair(VarRef(a2), VarRef(b2))]
+    occ2 = [Pair(VarRef(c2), VarRef(d2)), Pair(VarRef(c), VarRef(d))]
+    found = meaning._search(occ1, occ2, meaning._Bijection(tau1, tau2), multiset=False)
+    assert found == {a: c, b: d, a2: c2, b2: d2}
 
 
 def test_denotation_is_the_normal_form():
@@ -146,3 +161,76 @@ def test_cut_and_cut_free_presentations_share_a_denotation(load_corpus):
     assert classify(with_cut, cut_free) == DifferentSenseSameDenotation()
     expected = parse_term(r"\y:(p/\p). inl[p] fst(y)")
     assert alpha_equal(denotation_of(with_cut), expected)
+
+
+# ---------- Work on long derivations ----------
+
+
+def detour_chain(n, tag):
+    # The pair <x, w> wrapped in n detours that cycle through a first
+    # projection, a second projection and an identity application.
+    x, w = Var(f"x{tag}"), Var(f"w{tag}")
+    d = AndI(Hyp(x, p), Hyp(w, p))
+    for i in range(n):
+        if i % 3 == 0:
+            d = AndE1(AndI(d, Hyp(x, p)))
+        elif i % 3 == 1:
+            d = AndE2(AndI(Hyp(w, p), d))
+        else:
+            z = Var(f"z{i}{tag}")
+            d = ImpE(ImpI(z, And(p, p), Hyp(z, And(p, p))), d)
+    return ImpI(x, p, ImpI(w, p, d))
+
+
+def pair_family(width, tag):
+    # A closed left-nested pair of width hypotheses, each reached
+    # through an identity application.
+    atoms = [Atom("abc"[i % 3]) for i in range(width)]
+    leaves = [Var(f"a{i}{tag}") for i in range(width)]
+
+    def leaf(i):
+        b = Var(f"b{i}{tag}")
+        return ImpE(ImpI(b, atoms[i], Hyp(b, atoms[i])), Hyp(leaves[i], atoms[i]))
+
+    d = leaf(0)
+    for i in range(1, width):
+        d = AndI(d, leaf(i))
+    for v, a in reversed(list(zip(leaves, atoms))):
+        d = ImpI(v, a, d)
+    return d
+
+
+def test_classify_does_linear_work_on_long_same_sense_pairs(monkeypatch):
+    # Counted, not timed: normalizing contracts each detour once and
+    # looks at each node a bounded number of times, and two natural
+    # deduction derivations are matched on their end terms without the
+    # sense search.
+    calls = {"beta": 0, "skeleton": 0}
+    beta, skeleton = rewrite._beta_contract, meaning._skeleton
+
+    def counting_beta(t):
+        calls["beta"] += 1
+        return beta(t)
+
+    def counting_skeleton(t, out):
+        calls["skeleton"] += 1
+        return skeleton(t, out)
+
+    monkeypatch.setattr(rewrite, "_beta_contract", counting_beta)
+    monkeypatch.setattr(meaning, "_skeleton", counting_skeleton)
+    # The width-200 family proves a formula 400 connectives deep, and
+    # comparing two such formulas takes about two recursion levels per
+    # connective; depth is not what this test counts.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4000))
+    try:
+        for build, size in ((pair_family, 200), (detour_chain, 400)):
+            c1, c2 = check_nd(build(size, "")), check_nd(build(size, "_r"))
+            calls.update(beta=0, skeleton=0)
+            verdict = meaning.classify_checked(c1, c2)
+            assert isinstance(verdict, SameSenseSameDenotation)
+            assert len(verdict.renaming) == len(c1.types)
+            assert calls["beta"] <= 3 * (len(c1.nodes) + len(c2.nodes))
+            assert calls["skeleton"] == 0
+    finally:
+        sys.setrecursionlimit(limit)

@@ -13,7 +13,9 @@ from itertools import product
 from hypothesis import given, reject
 from hypothesis import strategies as st
 
+from proofmean import meaning
 from proofmean.core import (
+    SUBTERMS,
     Abort,
     App,
     Atom,
@@ -24,6 +26,7 @@ from proofmean.core import (
     Inr,
     Lam,
     Pair,
+    ProofmeanError,
     Snd,
     Var,
     VarRef,
@@ -31,6 +34,7 @@ from proofmean.core import (
     alpha_key,
     canonicalize,
     free_vars,
+    rebuild,
     substitute,
     term_size,
     type_of,
@@ -167,6 +171,76 @@ def test_normalize_is_invariant_under_single_beta_eta_steps(case, planted):
         n = normalize(term)
         for u in beta_steps(term) + eta_steps(term):
             assert alpha_equal(normalize(u), n)
+
+
+def reference_normal_form(t):
+    # The order normalize used before its one-pass form: leftmost-
+    # outermost beta to exhaustion, then eta, while eta made progress.
+    while True:
+        while (r := beta_step(t)) is not None:
+            t = r
+        took_eta = False
+        while (r := eta_step(t)) is not None:
+            t = r
+            took_eta = True
+        if not took_eta:
+            return t
+
+
+def renamed_everywhere(t, names):
+    # Every occurrence and binder of each variable renamed by `names`,
+    # with no regard for capture.
+    if type(t) is VarRef:
+        return VarRef(names[t.var])
+    changes = {}
+    for name, binder in SUBTERMS[type(t)]:
+        if binder is not None:
+            changes[binder] = names[getattr(t, binder)]
+        changes[name] = renamed_everywhere(getattr(t, name), names)
+    return rebuild(t, changes)
+
+
+def variables_of(t):
+    out = set(free_vars(t))
+    for u in term_nodes(t):
+        for name, binder in SUBTERMS[type(u)]:
+            if binder is not None:
+                out.add(getattr(u, binder))
+    return out
+
+
+@st.composite
+def name_collapsed_terms(draw):
+    # A typed term whose variables, bound and free, are renamed onto two
+    # or three names, which makes capture frequent; kept when it still
+    # types with its free variables at their old formulas.
+    ctx, t, a = draw(typed_terms())
+    pool = [Var(n) for n in ("u", "v", "w")[: draw(st.integers(2, 3))]]
+    names = {v: draw(st.sampled_from(pool)) for v in sorted(variables_of(t), key=lambda v: v.name)}
+    collapsed = renamed_everywhere(t, names)
+    new_ctx = {}
+    for v, f in ctx.items():
+        if new_ctx.setdefault(names[v], f) != f:
+            return None
+    try:
+        if type_of(Context(new_ctx), collapsed) != a:
+            return None
+    except ProofmeanError:
+        return None
+    return collapsed
+
+
+@given(typed_terms(), eta_planted_terms(), name_collapsed_terms())
+def test_one_pass_normalize_agrees_with_the_reduction_loop(case, planted, collapsed):
+    # The same term, bound names included, unless the loop primed a
+    # binder to dodge a variable that a later step removed (see
+    # test_rewrite.py::test_normalize_keeps_a_binder_whose_capture_was_reduced_away).
+    terms = [case[1], planted[1]] + ([collapsed] if collapsed is not None else [])
+    for t in terms:
+        n, expected = normalize(t), reference_normal_form(t)
+        assert alpha_equal(n, expected)
+        if not any("'" in v.name for v in variables_of(expected)):
+            assert n == expected
 
 
 # ---------- The finite model ----------
@@ -440,6 +514,28 @@ def test_nd_sense_is_stable_under_renaming(d):
     assert same_sense(d, renamed)
     assert same_sense(d, renamed, multiset=True)
     assert len(sense_of(d)) == len(sense_of(renamed))
+
+
+@given(nd_derivations(), nd_derivations(), st.randoms(use_true_random=False))
+def test_nd_end_term_match_agrees_with_the_sense_search(d, other, rnd):
+    # The match on end terms and the search over the sense elements must
+    # give the same renaming or both None: against a renamed copy, an
+    # unrelated derivation, and a copy with same-formula variables merged.
+    c = check_nd(d)
+    by_formula = {}
+    for v, f in sorted(c.types.items(), key=lambda vf: vf[0].name):
+        by_formula.setdefault(f, []).append(v)
+    merged = {v: rnd.choice(by_formula[f]) for v, f in c.types.items()}
+    for d2 in (rename_nd(d, fresh_renaming(c.types)), other, rename_nd(d, merged)):
+        try:
+            c2 = check_nd(d2)
+        except ProofmeanError:
+            continue
+        occurrences = meaning._occurrences(c), meaning._occurrences(c2)
+        for multiset in (False, True):
+            rho = meaning._Bijection(c.types, c2.types)
+            searched = meaning._search(*occurrences, rho, multiset)
+            assert meaning._renaming(c, c2, multiset) == searched
 
 
 @given(sc_derivations())

@@ -98,11 +98,24 @@ def test_normalize_reaches_beta_eta_normal_form():
     assert normalize(t) == Lam(x, p, VarRef(x))
     assert normalize(normalize(t)) == normalize(t)
     assert normalize(Lam(x, p, App(VarRef(f), VarRef(x)))) == VarRef(f)
+    # Contracting the outer redex makes a new one where f stood.
+    t = App(Lam(f, Implies(p, p), App(VarRef(f), VarRef(y))), Lam(x, p, VarRef(x)))
+    assert normalize(t) == VarRef(y)
 
 
 def test_normalize_runs_eta_after_beta():
     t = Lam(x, p, App(Fst(Pair(VarRef(f), VarRef(y))), VarRef(x)))
     assert normalize(t) == VarRef(f)
+
+
+def test_normalize_keeps_a_binder_whose_capture_was_reduced_away():
+    # (\x. \y. x) ((\z. w) y): the argument's free y is gone once the
+    # argument is normal, so the one pass needs no fresh name for the
+    # inner y. Reducing the outer redex first would give \y'. w.
+    w = Var("w")
+    arg = App(Lam(z, p, VarRef(w)), VarRef(y))
+    t = Lam(y, p, Lam(w, p, App(Lam(x, p, Lam(y, p, VarRef(x))), arg)))
+    assert normalize(t) == Lam(y, p, Lam(w, p, Lam(y, p, VarRef(w))))
 
 
 def test_normalize_respects_budget():
