@@ -1,4 +1,4 @@
-"""Cut elimination preserves what a proof proves, not how it says it.
+r"""Cut elimination preserves what a proof proves, not how it says it.
 
 Three sequent derivations of (p /\ p) -> (p \/ q): one with a cut on a
 rebuilt pair, one with a cut on an axiom, and one cut-free.  All three

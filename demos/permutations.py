@@ -1,4 +1,4 @@
-"""Where plain beta/eta equality stops and permutative equality starts.
+r"""Where plain beta/eta equality stops and permutative equality starts.
 
 Two derivations of ((q /\ r) \/ p) -> ((q \/ p) /\ (r \/ p)) end in a
 case-of-pair and a pair-of-cases.  Both terms are beta/eta normal and

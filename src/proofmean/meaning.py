@@ -21,7 +21,7 @@ from typing import Mapping, Union
 
 from . import nd as _nd
 from . import sc as _sc
-from .core import LABELS, SUBTERMS, Context, Formula, Term, Var, VarRef, alpha_equal
+from .core import LABELS, SUBTERMS, Absurd, Atom, Context, Formula, Term, Var, VarRef, alpha_equal
 from .nd import Checked
 from .rewrite import (
     INCONCLUSIVE,
@@ -265,9 +265,23 @@ def same_denotation(
     """
     _, t1, f1 = conclusion(check(d1))
     _, t2, f2 = conclusion(check(d2))
-    if f1 != f2:
+    if not _same_formula(f1, f2):
         return False
     return equivalent(t1, t2, mode)
+
+
+def _same_formula(f1: Formula, f2: Formula) -> bool:
+    """f1 == f2, on an explicit stack: the dataclass __eq__ nests two
+    frames per connective, too many for the conclusion of a wide
+    derivation."""
+    stack = [(f1, f2)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b) or (type(a) is Atom and a.name != b.name):
+            return False
+        if type(a) not in (Atom, Absurd):
+            stack += ((a.right, b.right), (a.left, b.left))
+    return True
 
 
 # ---------- Classification ----------
@@ -336,7 +350,7 @@ def classify_checked(
     holds them need not check the derivations again."""
     (_, t1, f1), (_, t2, f2) = conclusion(c1), conclusion(c2)
     n1, n2 = normalize(t1), normalize(t2)
-    if f1 != f2:
+    if not _same_formula(f1, f2):
         return DifferentDenotation((n1, n2))
     if alpha_equal(n1, n2):
         renaming = _renaming(c1, c2, multiset)

@@ -1,10 +1,14 @@
 r"""Concrete syntax: tokenizer, parsers, and renderers.
 
-Formulas
+Tokens are read by one regular expression, _SCANNER; a token keeps its
+offset, and line:col is worked out only for an error message.
+
+Formulas, as the table _CONNECTIVES writes the connectives; the formula
+parser and renderer both read it
     p        atoms
     _|_      absurdity
-    A/\B     conjunction, binds tightest
-    A\/B     disjunction
+    A/\B     conjunction, binds tightest, left associative
+    A\/B     disjunction, left associative
     A -> B   implication, right associative, binds loosest
 
 Terms, as the table _TERM_SYNTAX writes them; the term parser and
@@ -27,9 +31,11 @@ the end of the line.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from inspect import get_annotations
 from itertools import chain
+from operator import itemgetter
 from typing import Mapping, NamedTuple, get_args
 
 from .core import (
@@ -134,6 +140,16 @@ _TERM_ROWS = {
 }
 RESERVED = frozenset(word for word in _TERM_ROWS if word.isalpha())
 
+# Each binary connective's text, with the spaces the renderer writes
+# around it, its binding strength, and whether it groups to the right.
+# The formula parser reads it by token, and the renderer by class.
+_CONNECTIVES: dict[type, tuple[str, int, bool]] = {
+    And: ("/\\", 3, False),
+    Or: ("\\/", 2, False),
+    Implies: (" -> ", 1, True),
+}
+_INFIX = {text.strip(): (cls, *rest) for cls, (text, *rest) in _CONNECTIVES.items()}
+
 
 def _field_kind(hint: object, derivation: object) -> str:
     if hint == derivation:
@@ -162,86 +178,58 @@ _CALCULI = {"nd": "natural deduction", "sc": "sequent"}
 
 
 class Token(NamedTuple):
-    kind: str
+    kind: str  # "ident", the operator itself, or "eof"
     text: str
-    line: int
-    col: int
+    pos: int  # offset in the source; _line_col turns it into line:col
 
 
-_SINGLE = frozenset("(){}<>[],.:|")
+# The whole lexical syntax. Blanks and comments make no token. An
+# identifier is a letter followed by letters, digits, _ and ', with a
+# hyphen allowed before a letter or digit. [^\W\d_] also takes a few
+# numeric characters such as '²', so tokenize rejects an identifier whose
+# first character is not str.isalpha(). Any other single character is
+# an error, reported as _STRAY says.
+_SCANNER = re.compile(
+    r"[ \t\r\n]+|;[^\n]*"
+    r"|(?P<ident>[^\W\d_](?:[\w']|-[^\W_])*)"
+    r"|(?P<op>_\|_|->|/\\|\\/|[\\(){}<>\[\],.:|])"
+    r"|(?P<other>.)",
+    re.DOTALL,
+)
+_STRAY = {
+    "_": "stray '_'",
+    "-": "stray '-', did you mean '->'?",
+    "/": "stray '/', did you mean '/\\'?",
+}
+# NamedTuple.__new__ is Python code; tuple.__new__ builds the same Token
+# without a Python frame per token.
+_new_token = tuple.__new__
+
+
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """The line and column of offset pos, both counted from 1."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha():
-            j = i + 1
-            while j < n:
-                cj = text[j]
-                if cj.isalnum() or cj in "_'":
-                    j += 1
-                elif cj == "-" and j + 1 < n and text[j + 1].isalnum():
-                    j += 2
-                else:
-                    break
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c == "_":
-            if text.startswith("_|_", i):
-                tokens.append(Token("_|_", "_|_", line, col))
-                i += 3
-                col += 3
-                continue
-            raise ParseError("stray '_'", line, col)
-        if c == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                tokens.append(Token("->", "->", line, col))
-                i += 2
-                col += 2
-                continue
-            raise ParseError("stray '-', did you mean '->'?", line, col)
-        if c == "/":
-            if i + 1 < n and text[i + 1] == "\\":
-                tokens.append(Token("/\\", "/\\", line, col))
-                i += 2
-                col += 2
-                continue
-            raise ParseError("stray '/', did you mean '/\\'?", line, col)
-        if c == "\\":
-            if i + 1 < n and text[i + 1] == "/":
-                tokens.append(Token("\\/", "\\/", line, col))
-                i += 2
-                col += 2
-                continue
-            tokens.append(Token("\\", "\\", line, col))
-            i += 1
-            col += 1
-            continue
-        if c in _SINGLE:
-            tokens.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    """The tokens of text, the last of kind "eof". Raises ParseError
+    at the first character that starts no token."""
+    tokens = [
+        _new_token(Token, (m["op"] or m.lastgroup, m[0], m.start()))
+        for m in _SCANNER.finditer(text)
+        if m.lastgroup
+    ]
+    # Only a text with a non-ASCII character can hold an identifier
+    # that starts with a numeric one.
+    if not text.isascii() or "other" in map(itemgetter(0), tokens):
+        for kind, word, pos in tokens:
+            if kind == "other" or (kind == "ident" and not word[0].isalpha()):
+                message = _STRAY.get(word[0], f"unexpected character {word[0]!r}")
+                raise ParseError(message, *_line_col(text, pos))
+    # End of input sits where a comment on the last line starts, if one
+    # does, as the column is not advanced over a comment.
+    comment = text.find(";", text.rfind("\n") + 1)
+    tokens.append(Token("eof", "", comment if comment >= 0 else len(text)))
     return tokens
 
 
@@ -249,12 +237,15 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        tokens = tokenize(text)
+        # Two more eof tokens let peek look two tokens past the end.
+        self.tokens = tokens + tokens[-1:] * 2
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -263,45 +254,39 @@ class _Parser:
         return tok
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def expect(self, kind: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
             found = tok.text if tok.kind != "eof" else "end of input"
-            raise ParseError(f"expected {kind!r}, found {found!r}", tok.line, tok.col)
+            raise self.fail(f"expected {kind!r}, found {found!r}")
         return self.advance()
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def where(self, tok: Token) -> str:
+        return "{}:{}".format(*_line_col(self.text, tok.pos))
+
+    def fail(self, message: str, tok: Token | None = None) -> ParseError:
+        return ParseError(message, *_line_col(self.text, (tok or self.peek()).pos))
 
     # --- formulas ---
 
-    def formula(self) -> Formula:
-        left = self._disjunction()
-        if self.at("->"):
-            self.advance()
-            return Implies(left, self.formula())
-        return left
-
-    def _disjunction(self) -> Formula:
-        f = self._conjunction()
-        while self.at("\\/"):
-            self.advance()
-            f = Or(f, self._conjunction())
-        return f
-
-    def _conjunction(self) -> Formula:
+    def formula(self, floor: int = 0) -> Formula:
+        """A formula whose connectives outside parentheses all bind at
+        least as tightly as floor, read by precedence climbing over
+        _CONNECTIVES."""
         f = self._formula_atom()
-        while self.at("/\\"):
+        while True:
+            entry = _INFIX.get(self.tokens[self.pos].kind)
+            if entry is None or entry[1] < floor:
+                return f
             self.advance()
-            f = And(f, self._formula_atom())
-        return f
+            cls, strength, right = entry
+            f = cls(f, self.formula(strength if right else strength + 1))
 
     def _formula_atom(self, annotation: bool = False) -> Formula:
-        """An atom, _|_ or a parenthesized formula: an operand of /\\ or
-        \\/, or, with annotation set, the type of a bound variable."""
+        """An atom, _|_ or a parenthesized formula: an operand of a
+        connective or, with annotation set, the type of a bound variable."""
         tok = self.peek()
         if tok.kind == "(":
             self.advance()
@@ -325,9 +310,7 @@ class _Parser:
     def variable(self) -> Var:
         tok = self.expect("ident")
         if tok.text in RESERVED:
-            raise ParseError(
-                f"{tok.text!r} is reserved and cannot name a variable", tok.line, tok.col
-            )
+            raise self.fail(f"{tok.text!r} is reserved and cannot name a variable", tok)
         return Var(tok.text)
 
     def term(self) -> Term:
@@ -374,9 +357,7 @@ class _Parser:
         tok = self.expect("ident")
         entry = rules.get(tok.text)
         if entry is None:
-            raise UnknownRule(
-                f"{tok.line}:{tok.col}: unknown {_CALCULI[calculus]} rule {tok.text!r}"
-            )
+            raise UnknownRule(f"{self.where(tok)}: unknown {_CALCULI[calculus]} rule {tok.text!r}")
         cls, kinds = entry
         args: list = []
         for kind in kinds:
@@ -401,7 +382,8 @@ class _Parser:
             return False
         if not any(nxt.text in calculus for calculus in _RULES.values()):
             return False
-        return nxt.text in rules or self.peek(2).kind not in (")", "->", "\\/", "/\\")
+        after = self.peek(2).kind
+        return nxt.text in rules or (after != ")" and after not in _INFIX)
 
 
 def _check_discharge_labels(d: "_nd.NdDerivation") -> None:
@@ -453,7 +435,7 @@ def _parse_source(p: _Parser, default_name: str | None) -> SourceFile:
     elif p.at("(") and nxt.kind == "ident":
         calculus = next((c for c, rules in _RULES.items() if nxt.text in rules), None)
         if calculus is None:
-            raise UnknownRule(f"{nxt.line}:{nxt.col}: unknown rule {nxt.text!r}")
+            raise UnknownRule(f"{p.where(nxt)}: unknown rule {nxt.text!r}")
         name, d = default_name, p.derivation(calculus)
     else:
         raise p.fail("expected a derivation")
@@ -465,7 +447,7 @@ def _parse_source(p: _Parser, default_name: str | None) -> SourceFile:
 
 def parse_file(text: str, default_name: str | None = None) -> SourceFile:
     """One derivation per file, bare or (nd NAME D) / (sc NAME D)."""
-    return _parse_source(_Parser(tokenize(text)), default_name)
+    return _parse_source(_Parser(text), default_name)
 
 
 def parse(text: str) -> "_nd.NdDerivation | _sc.ScDerivation":
@@ -474,14 +456,14 @@ def parse(text: str) -> "_nd.NdDerivation | _sc.ScDerivation":
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     f = p.formula()
     p.expect("eof")
     return f
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     t = p.term()
     p.expect("eof")
     return t
@@ -491,18 +473,14 @@ def parse_term(text: str) -> Term:
 
 
 def render_formula(f: Formula) -> str:
-    match f:
-        case Atom(name):
-            return name
-        case Absurd():
-            return "_|_"
-        case And(a, b):
-            return f"{_render_operand(a)}/\\{_render_operand(b)}"
-        case Or(a, b):
-            return f"{_render_operand(a)}\\/{_render_operand(b)}"
-        case Implies(a, b):
-            return f"{_render_operand(a)} -> {_render_operand(b)}"
-    raise TypeError(f"not a formula: {f!r}")
+    cls = type(f)
+    if cls is Atom:
+        return f.name
+    if cls is Absurd:
+        return "_|_"
+    if cls not in _CONNECTIVES:
+        raise TypeError(f"not a formula: {f!r}")
+    return _render_operand(f.left) + _CONNECTIVES[cls][0] + _render_operand(f.right)
 
 
 def _render_operand(f: Formula) -> str:

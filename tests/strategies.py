@@ -56,6 +56,10 @@ def formulas(max_depth: int = 2) -> st.SearchStrategy[Formula]:
     return st.recursive(base, extend, max_leaves=max_depth + 1)
 
 
+# Argument types of an application. With a function type among them,
+# contracting the application can substitute a lambda into the body.
+_ARGUMENT_TYPES = ATOMS + (Implies(Atom("p"), Atom("q")),)
+
 _SMALL_FORMULAS = ATOMS + (
     And(Atom("p"), Atom("q")),
     Or(Atom("p"), Atom("q")),
@@ -124,7 +128,7 @@ def typed_terms(
                 return Inl(go(target.left, budget - 1, bound), target.right)
             return Inr(go(target.right, budget - 1, bound), target.left)
         if kind == "app":
-            arg_type = draw(st.sampled_from(ATOMS))
+            arg_type = draw(st.sampled_from(_ARGUMENT_TYPES))
             fun_budget = max(1, (budget - 1) // 2)
             fun = go(Implies(arg_type, target), fun_budget, bound)
             arg = go(arg_type, budget - 1 - fun_budget, bound)
@@ -179,14 +183,21 @@ def eta_planted_terms(draw) -> tuple[dict[Var, Formula], Term, Formula]:
     Plain `typed_terms()` draws almost never hold an eta redex. Here an
     eta-expanded term replaces one free variable, which puts the redex
     under binders, inside pairs and in beta redexes; a closed term is
-    expanded as a whole. Nothing is planted at an atom or _|_.
+    expanded as a whole. Nothing is planted at an atom or _|_. Half the
+    time the replacement is left to a beta redex that binds the
+    variable, so contracting it makes a new redex wherever the variable
+    is applied or projected.
     """
     ctx, t, a = draw(typed_terms())
     if not ctx:
         return ctx, eta_expand(t, a), a
     v = draw(st.sampled_from(sorted(ctx, key=lambda u: u.name)))
     ctx2, s, _ = draw(typed_terms(max_size=6, target=ctx[v], prefix="s"))
-    return {**ctx, **ctx2}, substitute(t, v, eta_expand(s, ctx[v])), a
+    planted = eta_expand(s, ctx[v])
+    if draw(st.booleans()):
+        rest = {u: f for u, f in ctx.items() if u != v}
+        return {**rest, **ctx2}, App(Lam(v, ctx[v], t), planted), a
+    return {**ctx, **ctx2}, substitute(t, v, planted), a
 
 
 def _term_to_nd(t: Term, types: dict[Var, Formula]) -> _nd.NdDerivation:

@@ -11,6 +11,8 @@ import pytest
 import proofmean
 from gamma_examples import CASE_OF_TUPLE, FST_CASE, SND_CASE, TUPLE_OF_CASES
 from proofmean.cli import main
+from proofmean.syntax import render_derivation
+from test_meaning import pair_family
 
 ID_ND = "(nd ident (imp-i x (hyp x p)))"
 DETOUR_ND = "(nd detour (and-e1 (and-i (imp-i x (hyp x p)) (imp-i y (hyp y q)))))"
@@ -121,6 +123,14 @@ def test_too_deep_input_exits_4_without_a_traceback(write, capsys):
     for argv in (["check"], ["normalize"], ["sense"], ["compare", near_ceiling]):
         assert main([*argv, near_ceiling]) == 0, argv
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_compare_answers_on_a_wide_pair_family(write, capsys):
+    # The conclusion nests about 400 connectives, more than a recursive
+    # formula comparison takes within the default recursion limit.
+    a, b = (write(f"{tag}.nd", render_derivation(pair_family(200, tag))) for tag in "ab")
+    assert main(["compare", a, b]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "SameSenseSameDenotation"
 
 
 def test_module_entry_point_writes_nothing_to_stderr(corpus_dir):

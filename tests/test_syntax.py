@@ -1,3 +1,5 @@
+import re
+import sys
 from dataclasses import fields
 from typing import get_args, get_type_hints
 
@@ -64,6 +66,34 @@ def test_hyphen_inside_an_identifier():
 
 def test_comments_run_to_end_of_line():
     assert parse_formula("; a remark\np ; trailing\n") == p
+
+
+def _first_identifier(text):
+    try:
+        tok = tokenize(text)[0]
+    except ParseError:
+        return None
+    return tok.text if tok.kind == "ident" else None
+
+
+def test_identifier_characters_follow_the_str_predicates():
+    # An identifier starts with a character that passes isalpha() and
+    # goes on with ones that pass isalnum(), _ and ', a hyphen only
+    # before one that passes isalnum(). Checked on ASCII and on every
+    # code point where isalpha(), isalnum() and the regular expression
+    # class \w do not all agree.
+    word = re.compile(r"\w")
+    chars = [chr(i) for i in range(128)] + [
+        c
+        for c in map(chr, range(128, sys.maxunicode + 1))
+        if not c.isalpha() == c.isalnum() == bool(word.match(c))
+    ]
+    assert "²" in chars and "_" in chars
+    for c in chars:
+        assert (_first_identifier(c) == c) == c.isalpha(), repr(c)
+        continues = c.isalnum() or c in "_'"
+        assert (_first_identifier("x" + c) == "x" + c) == continues, repr(c)
+        assert (_first_identifier("x-" + c) == "x-" + c) == c.isalnum(), repr(c)
 
 
 # ---------- Formulas ----------
@@ -176,6 +206,29 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err2:
         parse_formula("p\n->")
     assert err2.value.line == 2
+    for parse_one, text, message in (
+        (parse_file, "(hyp x p) _", "1:11: stray '_'"),
+        (parse_file, "(hyp x p) -", "1:11: stray '-', did you mean '->'?"),
+        (parse_file, "(hyp x p) /", "1:11: stray '/', did you mean '/\\'?"),
+        (parse_file, "(hyp x p) @", "1:11: unexpected character '@'"),
+        (parse_file, "(hyp x p)\n\t ; @\n  @", "3:3: unexpected character '@'"),
+        (parse_file, "(hyp ²x p)", "1:6: unexpected character '²'"),
+        (parse_file, "(hyp case p)", "1:6: 'case' is reserved and cannot name a variable"),
+        (
+            parse_term,
+            r"\x:case. x",
+            "1:4: expected a type annotation (compound ones need parentheses)",
+        ),
+        (parse_file, "x", "1:1: expected a derivation"),
+        # The column is not advanced over a comment, so the end of input
+        # sits where a trailing comment starts.
+        (parse_file, "(hyp x p ; no close", "1:10: expected ')', found 'end of input'"),
+        (parse_file, "(hyp x p ; no close\n ", "2:2: expected ')', found 'end of input'"),
+    ):
+        with pytest.raises(ParseError) as caught:
+            parse_one(text)
+        assert str(caught.value) == message, text
+    assert parse("(hyp x²'-y p)") == Hyp(Var("x²'-y"), p)
 
 
 def test_trailing_input_is_rejected():
