@@ -11,6 +11,13 @@ sense) and the variable types (for the renaming search), and its end
 term gives the denotation. `classify` checks each derivation once, and
 its verdict carries the evidence it found: the renaming, the two senses
 or the two normal forms.
+
+The denotation is normalized at most once per derivation: the first
+reader stores the normal form on the derivation as `_denotation`, and
+`classify`, `same_denotation`, `denotation_of` and the CLI's `corpus`
+all read it from there. Only the normal form is kept, never the checked
+root, whose node list refers back to the derivation and would make a
+reference cycle (see README, "What counts as equal").
 """
 
 from __future__ import annotations
@@ -252,8 +259,23 @@ def same_sense(d1: Derivation, d2: Derivation, multiset: bool = False) -> bool:
 
 
 def denotation_of(d: Derivation) -> Term:
-    """The normal form of the end term of d."""
-    return normalize(check(d).term)
+    """The normal form of the end term of d. It is computed once, by
+    this or by any other reader of d's denotation, and kept on d."""
+    n = getattr(d, "_denotation", None)
+    return n if n is not None else _denotation(check(d))
+
+
+def _denotation(c: Checked) -> Term:
+    """The normal form of c's end term, kept on the derivation c was
+    checked from: the checker records premises first, so that is the
+    last node. A root with no recorded nodes keeps nothing."""
+    d = c.nodes[-1][0] if c.nodes else None
+    n = getattr(d, "_denotation", None)
+    if n is None:
+        n = normalize(c.term)
+        if d is not None:
+            object.__setattr__(d, "_denotation", n)
+    return n
 
 
 def same_denotation(
@@ -263,11 +285,12 @@ def same_denotation(
 
     Derivations of different formulas never share a denotation.
     """
-    _, t1, f1 = conclusion(check(d1))
-    _, t2, f2 = conclusion(check(d2))
-    if not _same_formula(f1, f2):
+    c1, c2 = check(d1), check(d2)
+    if not _same_formula(conclusion(c1)[2], conclusion(c2)[2]):
         return False
-    return equivalent(t1, t2, mode)
+    # normalize returns a normal form unchanged, so handing `equivalent`
+    # the two denotations decides the same question.
+    return equivalent(_denotation(c1), _denotation(c2), mode)
 
 
 def _same_formula(f1: Formula, f2: Formula) -> bool:
@@ -347,10 +370,11 @@ def classify_checked(
     multiset: bool = False,
 ) -> Verdict:
     """`classify` on the roots of two checker runs, so a caller that
-    holds them need not check the derivations again."""
-    (_, t1, f1), (_, t2, f2) = conclusion(c1), conclusion(c2)
-    n1, n2 = normalize(t1), normalize(t2)
-    if not _same_formula(f1, f2):
+    holds them need not check the derivations again. Each side's
+    normal form is read through `_denotation`, so it is computed once
+    however many pairs the derivation takes part in."""
+    n1, n2 = _denotation(c1), _denotation(c2)
+    if not _same_formula(conclusion(c1)[2], conclusion(c2)[2]):
         return DifferentDenotation((n1, n2))
     if alpha_equal(n1, n2):
         renaming = _renaming(c1, c2, multiset)

@@ -480,7 +480,14 @@ def render_formula(f: Formula) -> str:
         return "_|_"
     if cls not in _CONNECTIVES:
         raise TypeError(f"not a formula: {f!r}")
-    return _render_operand(f.left) + _CONNECTIVES[cls][0] + _render_operand(f.right)
+    # Each operand is parenthesized unless it is an atom or _|_, inline
+    # so that each connective costs one frame.
+    left, right = render_formula(f.left), render_formula(f.right)
+    if type(f.left) in _CONNECTIVES:
+        left = f"({left})"
+    if type(f.right) in _CONNECTIVES:
+        right = f"({right})"
+    return left + _CONNECTIVES[cls][0] + right
 
 
 def _render_operand(f: Formula) -> str:

@@ -2,7 +2,8 @@
 
 The two checker classes are wrapped so that every checker run is
 counted; the sense, the denotation, the variable types and a verdict's
-details are all read off those runs.
+details are all read off those runs. A derivation's denotation is kept
+on it, so reading it again takes no checker run and no normalization.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import pytest
 from gamma_examples import CASE_OF_TUPLE, TUPLE_OF_CASES
 from proofmean import meaning, nd, sc
 from proofmean.cli import main
+from proofmean.core import Atom, Var
 from proofmean.meaning import classify
 from proofmean.rewrite import BetaEta, BetaEtaGamma
 
@@ -111,3 +113,37 @@ def test_corpus_checks_each_file_once(checks, corpus_dir, corpus_files):
     for mode in ("beta-eta", "beta-eta-gamma"):
         assert run(["corpus", str(corpus_dir), "--mode", mode])[0] == 0
         assert checks() == len(corpus_files)
+
+
+def test_denotation_after_classify_needs_no_checker_run(checks, load_corpus, corpus_files):
+    derivations = [load_corpus(p.rsplit("/", 1)[-1]).derivation for p in corpus_files]
+    for d1, d2 in itertools.combinations(derivations, 2):
+        classify(d1, d2)
+        assert checks() == 2
+        for d in (d1, d2):
+            assert meaning.denotation_of(d) is meaning.denotation_of(d)
+        assert checks() == 0
+
+
+def test_corpus_normalizes_each_file_once(checks, corpus_dir, corpus_files, monkeypatch):
+    calls = [0]
+    normalize = meaning.normalize
+
+    def counted(t):
+        calls[0] += 1
+        return normalize(t)
+
+    monkeypatch.setattr(meaning, "normalize", counted)
+    for mode in ("beta-eta", "beta-eta-gamma"):
+        assert run(["corpus", str(corpus_dir), "--mode", mode])[0] == 0
+        assert calls[0] == len(corpus_files), mode
+        calls[0] = 0
+
+
+def test_failed_check_keeps_no_denotation(checks):
+    bad = nd.AndE1(nd.Hyp(Var("a"), Atom("p")))
+    for _ in range(2):
+        with pytest.raises(nd.RuleMismatch):
+            meaning.denotation_of(bad)
+        assert checks() == 1
+        assert not hasattr(bad, "_denotation")

@@ -133,6 +133,15 @@ def test_compare_answers_on_a_wide_pair_family(write, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "SameSenseSameDenotation"
 
 
+def test_check_and_normalize_answer_on_a_wide_pair_family(write, capsys):
+    # The formula nests about 300 connectives; rendering it must take
+    # one frame per connective to stay within the default recursion limit.
+    path = write("a.nd", render_derivation(pair_family(300, "a")))
+    for command in ("check", "normalize"):
+        assert main([command, path]) == 0, command
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_module_entry_point_writes_nothing_to_stderr(corpus_dir):
     # The package must not import `cli` itself: runpy would then find the
     # module already loaded and warn on every `python -m proofmean.cli`.

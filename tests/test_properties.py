@@ -386,6 +386,25 @@ def test_hash_is_kept_and_agrees_with_a_separately_built_equal_term(case, plante
             assert hash(u) == hash(rebuilt(u))
 
 
+any_derivation = st.one_of(nd_derivations(), sc_derivations())
+
+
+@given(any_derivation, any_derivation)
+def test_a_kept_denotation_is_the_one_a_fresh_copy_computes(d, other):
+    # classify and same_denotation keep each side's normal form on the
+    # derivation. A copy parsed back from the rendering keeps nothing,
+    # so it computes the denotation afresh; the kept one must agree, and
+    # the derivation must still compare, hash and print as before.
+    copies = [parse(render_derivation(e)) for e in (d, other)]
+    meaning.classify(d, other)
+    meaning.same_denotation(other, d)
+    meaning.classify(d, d)
+    meaning.same_denotation(d, d)
+    for e, copy in zip((d, other), copies):
+        assert meaning.denotation_of(e) == normalize(meaning.check(copy).term)
+        assert e == copy and hash(e) == hash(copy) and repr(e) == repr(copy)
+
+
 # ---------- Substitution ----------
 
 
