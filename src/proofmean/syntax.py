@@ -1,7 +1,9 @@
 r"""Concrete syntax: tokenizer, parsers, and renderers.
 
-Tokens are read by one regular expression, _SCANNER; a token keeps its
-offset, and line:col is worked out only for an error message.
+A text is read in one findall scan of one regular expression,
+_SCANNER, and one recursive descent over the token texts, which also
+checks the discharge labels. A token keeps no offset: an error message
+finds its line:col again with the same _SCANNER.
 
 Formulas, as the table _CONNECTIVES writes the connectives; the formula
 parser and renderer both read it
@@ -32,10 +34,10 @@ the end of the line.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from inspect import get_annotations
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, islice
 from typing import Mapping, NamedTuple, get_args
 
 from .core import (
@@ -180,94 +182,117 @@ _CALCULI = {"nd": "natural deduction", "sc": "sequent"}
 class Token(NamedTuple):
     kind: str  # "ident", the operator itself, or "eof"
     text: str
-    pos: int  # offset in the source; _line_col turns it into line:col
 
 
-# The whole lexical syntax. Blanks and comments make no token. An
-# identifier is a letter followed by letters, digits, _ and ', with a
-# hyphen allowed before a letter or digit. [^\W\d_] also takes a few
-# numeric characters such as '²', so tokenize rejects an identifier whose
-# first character is not str.isalpha(). Any other single character is
-# an error, reported as _STRAY says.
+# The whole lexical syntax, one alternative per token: an identifier, an
+# operator, a comment, or any other character but a blank. Blanks make
+# no match. An identifier is a letter followed by letters, digits, _
+# and ', with a hyphen allowed before a letter or digit. [^\W\d_] also
+# takes a few numeric characters such as '²', so tokenize rejects an
+# identifier whose first character is not str.isalpha(); any other
+# single character is an error, reported as _STRAY says.
 _SCANNER = re.compile(
-    r"[ \t\r\n]+|;[^\n]*"
-    r"|(?P<ident>[^\W\d_](?:[\w']|-[^\W_])*)"
-    r"|(?P<op>_\|_|->|/\\|\\/|[\\(){}<>\[\],.:|])"
-    r"|(?P<other>.)",
-    re.DOTALL,
+    r"[^\W\d_](?:[\w']|-[^\W_])*"
+    r"|_\|_|->|/\\|\\/|[\\(){}<>\[\],.:|]"
+    r"|;[^\n]*"
+    r"|[^ \t\r\n]"
 )
+_OPERATORS = frozenset(["_|_", "->", "/\\", "\\/", *"\\(){}<>[],.:|"])
 _STRAY = {
     "_": "stray '_'",
     "-": "stray '-', did you mean '->'?",
     "/": "stray '/', did you mean '/\\'?",
 }
-# NamedTuple.__new__ is Python code; tuple.__new__ builds the same Token
-# without a Python frame per token.
-_new_token = tuple.__new__
 
 
-def _line_col(text: str, pos: int) -> tuple[int, int]:
-    """The line and column of offset pos, both counted from 1."""
+def _position(text: str, i: int) -> tuple[int, int]:
+    """The line and column, both counted from 1, of token i of text,
+    found again by _SCANNER. The end of input sits where a comment on
+    the last line starts, if one does, as the column is not advanced
+    over a comment."""
+    m = next(islice((m for m in _SCANNER.finditer(text) if m[0][0] != ";"), i, None), None)
+    comment = text.find(";", text.rfind("\n") + 1)
+    pos = m.start() if m else comment if comment >= 0 else len(text)
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def tokenize(text: str) -> list[Token]:
+class Tokens(Sequence[Token]):
+    """The tokens of a text, kept as their texts with "" for the end of
+    input. A Token is built only when one is read."""
+
+    def __init__(self, words: list[str]):
+        self.words = words
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, i: int) -> Token:
+        word = self.words[i]
+        return Token(word if word in _OPERATORS else "ident" if word else "eof", word)
+
+
+def tokenize(text: str) -> Tokens:
     """The tokens of text, the last of kind "eof". Raises ParseError
     at the first character that starts no token."""
-    tokens = [
-        _new_token(Token, (m["op"] or m.lastgroup, m[0], m.start()))
-        for m in _SCANNER.finditer(text)
-        if m.lastgroup
-    ]
-    # Only a text with a non-ASCII character can hold an identifier
-    # that starts with a numeric one.
-    if not text.isascii() or "other" in map(itemgetter(0), tokens):
-        for kind, word, pos in tokens:
-            if kind == "other" or (kind == "ident" and not word[0].isalpha()):
-                message = _STRAY.get(word[0], f"unexpected character {word[0]!r}")
-                raise ParseError(message, *_line_col(text, pos))
-    # End of input sits where a comment on the last line starts, if one
-    # does, as the column is not advanced over a comment.
-    comment = text.find(";", text.rfind("\n") + 1)
-    tokens.append(Token("eof", "", comment if comment >= 0 else len(text)))
-    return tokens
+    words = _SCANNER.findall(text)
+    if ";" in text:
+        words = [w for w in words if w[0] != ";"]
+    bad = [w for w in set(words).difference(_OPERATORS) if not w[0].isalpha()]
+    if bad:
+        i = min(map(words.index, bad))
+        message = _STRAY.get(words[i][0], f"unexpected character {words[i][0]!r}")
+        raise ParseError(message, *_position(text, i))
+    words.append("")
+    return Tokens(words)
 
 
 # ---------- Parser ----------
 
+# What no identifier is: an operator or the end of input; and what
+# names no variable or atom.
+_NOT_IDENT = _OPERATORS | {""}
+_NOT_NAME = _NOT_IDENT | RESERVED
+_RULE_NAMES = frozenset(chain.from_iterable(_RULES.values()))
+_AFTER_ATOM = {")", *_INFIX}
+
 
 class _Parser:
+    """A descent over the token texts, self.i the next one to read."""
+
     def __init__(self, text: str):
         self.text = text
-        tokens = tokenize(text)
-        # Two more eof tokens let peek look two tokens past the end.
-        self.tokens = tokens + tokens[-1:] * 2
-        self.pos = 0
+        # Two more ends of input let _starts_rule look past the end.
+        self.words = tokenize(text).words + ["", ""]
+        self.i = 0
+        # For the discharge labels: the hyp nodes read so far per
+        # variable name, and the (index of the opening token, name) of
+        # each label-less imp-i whose premise has no hyp of its variable.
+        self.hyps: dict[str, int] = {}
+        self.dangling: list[tuple[int, str]] = []
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.pos + ahead]
+    def fail(self, message: str) -> ParseError:
+        """A ParseError at the next token."""
+        return ParseError(message, *_position(self.text, self.i))
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def where(self, i: int) -> str:
+        return "{}:{}".format(*_position(self.text, i))
 
-    def at(self, kind: str) -> bool:
-        return self.tokens[self.pos].kind == kind
+    def unexpected(self, kind: str) -> ParseError:
+        return self.fail(f"expected {kind!r}, found {self.words[self.i] or 'end of input'!r}")
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            found = tok.text if tok.kind != "eof" else "end of input"
-            raise self.fail(f"expected {kind!r}, found {found!r}")
-        return self.advance()
+    def expect(self, word: str) -> None:
+        """Step over the next token, which must be word: an operator, or
+        "" for the end of input."""
+        if self.words[self.i] != word:
+            raise self.unexpected(word or "eof")
+        self.i += 1
 
-    def where(self, tok: Token) -> str:
-        return "{}:{}".format(*_line_col(self.text, tok.pos))
-
-    def fail(self, message: str, tok: Token | None = None) -> ParseError:
-        return ParseError(message, *_line_col(self.text, (tok or self.peek()).pos))
+    def ident(self) -> str:
+        word = self.words[self.i]
+        if word in _NOT_IDENT:
+            raise self.unexpected("ident")
+        self.i += 1
+        return word
 
     # --- formulas ---
 
@@ -276,60 +301,64 @@ class _Parser:
         least as tightly as floor, read by precedence climbing over
         _CONNECTIVES."""
         f = self._formula_atom()
+        words = self.words
         while True:
-            entry = _INFIX.get(self.tokens[self.pos].kind)
+            entry = _INFIX.get(words[self.i])
             if entry is None or entry[1] < floor:
                 return f
-            self.advance()
+            self.i += 1
             cls, strength, right = entry
             f = cls(f, self.formula(strength if right else strength + 1))
 
     def _formula_atom(self, annotation: bool = False) -> Formula:
         """An atom, _|_ or a parenthesized formula: an operand of a
         connective or, with annotation set, the type of a bound variable."""
-        tok = self.peek()
-        if tok.kind == "(":
-            self.advance()
+        word = self.words[self.i]
+        if word == "(":
+            self.i += 1
             f = self.formula()
             self.expect(")")
             return f
-        if tok.kind == "_|_":
-            self.advance()
+        if word == "_|_":
+            self.i += 1
             return Absurd()
-        if tok.kind == "ident" and tok.text not in RESERVED:
-            self.advance()
-            return Atom(tok.text)
+        if word not in _NOT_NAME:
+            self.i += 1
+            return Atom(word)
         if annotation:
             raise self.fail("expected a type annotation (compound ones need parentheses)")
-        if tok.kind == "ident":
-            raise self.fail(f"{tok.text!r} is reserved and cannot name an atom")
+        if word not in _NOT_IDENT:
+            raise self.fail(f"{word!r} is reserved and cannot name an atom")
         raise self.fail("expected a formula")
 
     # --- terms ---
 
     def variable(self) -> Var:
-        tok = self.expect("ident")
-        if tok.text in RESERVED:
-            raise self.fail(f"{tok.text!r} is reserved and cannot name a variable", tok)
-        return Var(tok.text)
+        word = self.words[self.i]
+        if word in _NOT_NAME:
+            if word in RESERVED:
+                raise self.fail(f"{word!r} is reserved and cannot name a variable")
+            raise self.unexpected("ident")
+        self.i += 1
+        return Var(word)
 
     def term(self) -> Term:
         """A bare variable, a parenthesized term, or the row of
         _TERM_SYNTAX its leading token names, read part by part. Each
         level takes one frame, as in `derivation`."""
-        tok = self.peek()
-        row = _TERM_ROWS.get(tok.text)
+        word = self.words[self.i]
+        row = _TERM_ROWS.get(word)
         if row is None:
-            if tok.kind == "(":
-                self.advance()
+            if word == "(":
+                self.i += 1
                 t = self.term()
                 self.expect(")")
                 return t
-            if tok.kind == "ident":
-                self.advance()
-                return VarRef(Var(tok.text))
+            if word not in _NOT_IDENT:
+                self.i += 1
+                return VarRef(Var(word))
             raise self.fail("expected a term")
-        self.advance()
+        self.i += 1
         cls, parts = row
         args = {}
         for kind, part in parts:
@@ -351,14 +380,17 @@ class _Parser:
         """One rule application of the calculus ("nd" or "sc"), its
         fields read in declaration order by their kinds. Each level
         takes one frame: a comprehension in place of the loop would add
-        one on Python 3.10 and 3.11."""
+        one on Python 3.10 and 3.11. A label-less imp-i whose premise
+        adds no hyp of its variable to self.hyps goes on self.dangling."""
         rules = _RULES[calculus]
+        start = self.i
         self.expect("(")
-        tok = self.expect("ident")
-        entry = rules.get(tok.text)
+        rule = self.ident()
+        entry = rules.get(rule)
         if entry is None:
-            raise UnknownRule(f"{self.where(tok)}: unknown {_CALCULI[calculus]} rule {tok.text!r}")
+            raise UnknownRule(f"{self.where(self.i - 1)}: unknown {_CALCULI[calculus]} rule {rule!r}")
         cls, kinds = entry
+        label = None
         args: list = []
         for kind in kinds:
             if kind is _PREMISE:
@@ -366,54 +398,26 @@ class _Parser:
             elif kind is _VARIABLE:
                 args.append(self.variable())
             elif kind is _OPTIONAL_FORMULA and self._starts_rule(rules):
+                # The formula left out follows the variable it would declare.
+                label = args[-1].name
+                before = self.hyps.get(label, 0)
                 args.append(None)
             else:
                 args.append(self.formula())
         self.expect(")")
+        if cls is _nd.Hyp:
+            self.hyps[args[0].name] = self.hyps.get(args[0].name, 0) + 1
+        elif label is not None and self.hyps.get(label, 0) == before:
+            self.dangling.append((start, label))
         return cls(*args)
 
     def _starts_rule(self, rules: Mapping[str, object]) -> bool:
         # A group headed by a rule of this calculus; or by a rule of any
-        # calculus when the next token cannot continue a formula, so that
-        # the misplaced rule is reported by name. A group that can still
-        # be a formula, such as `(cut)`, stays one.
-        nxt = self.peek(1)
-        if not self.at("(") or nxt.kind != "ident":
-            return False
-        if not any(nxt.text in calculus for calculus in _RULES.values()):
-            return False
-        after = self.peek(2).kind
-        return nxt.text in rules or (after != ")" and after not in _INFIX)
-
-
-def _check_discharge_labels(d: "_nd.NdDerivation") -> None:
-    # One preorder pass. `waiting` maps a variable to the preorder
-    # positions of the label-less imp-i nodes above the current node
-    # that no hypothesis of it has met yet, outermost first; a Hyp meets
-    # them all. `path` holds every open label-less imp-i with its depth,
-    # and one still waiting when the pass leaves its premise dangles;
-    # a last node at depth 0 closes them all.
-    waiting: dict[Var, list[int]] = {}
-    path: list[tuple[int, int, Var]] = []
-    dangling: list[tuple[int, Var]] = []
-    for i, (depth, node) in enumerate(chain(_nd.preorder(d), [(0, None)])):
-        while path and path[-1][0] >= depth:
-            _, j, v = path.pop()
-            unmet = waiting.get(v)
-            if unmet and unmet[-1] == j:
-                unmet.pop()
-                dangling.append((j, v))
-        if isinstance(node, _nd.ImpI) and node.hypothesis is None:
-            path.append((depth, i, node.var))
-            waiting.setdefault(node.var, []).append(i)
-        elif isinstance(node, _nd.Hyp):
-            waiting.pop(node.var, None)
-    if dangling:
-        _, v = min(dangling)
-        raise DanglingDischargeLabel(
-            f"imp-i label {v.name!r} matches no hypothesis; "
-            f"a vacuous discharge must declare its formula"
-        )
+        # calculus when the token after it cannot continue a formula, so
+        # that the misplaced rule is reported by name. A group that can
+        # still be a formula, such as `(cut)`, stays one.
+        opening, head, after = self.words[self.i : self.i + 3]
+        return opening == "(" and head in _RULE_NAMES and (head in rules or after not in _AFTER_ATOM)
 
 
 @dataclass(frozen=True)
@@ -423,31 +427,32 @@ class SourceFile:
     derivation: "_nd.NdDerivation | _sc.ScDerivation"
 
 
-def _parse_source(p: _Parser, default_name: str | None) -> SourceFile:
-    nxt = p.peek(1)
-    if p.at("(") and nxt.kind == "ident" and nxt.text in _RULES:
-        p.advance()
-        calculus = p.advance().text
-        name_tok = p.expect("ident")
+def parse_file(text: str, default_name: str | None = None) -> SourceFile:
+    """One derivation per file, bare or (nd NAME D) / (sc NAME D)."""
+    p = _Parser(text)
+    head, nxt = p.words[:2]
+    if head == "(" and nxt in _RULES:
+        p.i = 2
+        calculus = nxt
+        name: str | None = p.ident()
         d = p.derivation(calculus)
         p.expect(")")
-        name: str | None = name_tok.text
-    elif p.at("(") and nxt.kind == "ident":
-        calculus = next((c for c, rules in _RULES.items() if nxt.text in rules), None)
+    elif head == "(" and nxt not in _NOT_IDENT:
+        calculus = next((c for c, rules in _RULES.items() if nxt in rules), None)
         if calculus is None:
-            raise UnknownRule(f"{p.where(nxt)}: unknown rule {nxt.text!r}")
+            raise UnknownRule(f"{p.where(1)}: unknown rule {nxt!r}")
         name, d = default_name, p.derivation(calculus)
     else:
         raise p.fail("expected a derivation")
-    p.expect("eof")
-    if calculus == "nd":
-        _check_discharge_labels(d)
+    p.expect("")
+    if p.dangling:
+        # Opening tokens come in preorder, so this is the preorder-first.
+        _, label = min(p.dangling)
+        raise DanglingDischargeLabel(
+            f"imp-i label {label!r} matches no hypothesis; "
+            f"a vacuous discharge must declare its formula"
+        )
     return SourceFile(calculus, name, d)
-
-
-def parse_file(text: str, default_name: str | None = None) -> SourceFile:
-    """One derivation per file, bare or (nd NAME D) / (sc NAME D)."""
-    return _parse_source(_Parser(text), default_name)
 
 
 def parse(text: str) -> "_nd.NdDerivation | _sc.ScDerivation":
@@ -458,14 +463,14 @@ def parse(text: str) -> "_nd.NdDerivation | _sc.ScDerivation":
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
     f = p.formula()
-    p.expect("eof")
+    p.expect("")
     return f
 
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
     t = p.term()
-    p.expect("eof")
+    p.expect("")
     return t
 
 
@@ -488,12 +493,6 @@ def render_formula(f: Formula) -> str:
     if type(f.right) in _CONNECTIVES:
         right = f"({right})"
     return left + _CONNECTIVES[cls][0] + right
-
-
-def _render_operand(f: Formula) -> str:
-    """f, parenthesized unless it is an atom or _|_."""
-    s = render_formula(f)
-    return s if isinstance(f, (Atom, Absurd)) else f"({s})"
 
 
 def render_term(t: Term, canonical: bool = False) -> str:
@@ -519,7 +518,8 @@ def render_term(t: Term, canonical: bool = False) -> str:
             elif kind is _VARIABLE:
                 out.append(value.name)
             elif kind is _ANNOTATION:
-                out.append(_render_operand(value))
+                s = render_formula(value)
+                out.append(f"({s})" if type(value) in _CONNECTIVES else s)
             else:
                 out.append(render_formula(value))
         return "".join(out)
@@ -549,6 +549,4 @@ def render_derivation(d: "_nd.NdDerivation | _sc.ScDerivation") -> str:
 
 def render_file(sf: SourceFile) -> str:
     body = render_derivation(sf.derivation)
-    if sf.name is None:
-        return body
-    return f"({sf.calculus} {sf.name} {body})"
+    return body if sf.name is None else f"({sf.calculus} {sf.name} {body})"

@@ -4,17 +4,20 @@ The two checker classes are wrapped so that every checker run is
 counted; the sense, the denotation, the variable types and a verdict's
 details are all read off those runs. A derivation's denotation is kept
 on it, so reading it again takes no checker run and no normalization.
+Each file is tokenized once, and the benchmark's trace counts its
+tokens from that call.
 """
 
 import contextlib
 import io
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
 from gamma_examples import CASE_OF_TUPLE, TUPLE_OF_CASES
-from proofmean import meaning, nd, sc
+from proofmean import meaning, nd, sc, syntax
 from proofmean.cli import main
 from proofmean.core import Atom, Var
 from proofmean.meaning import classify
@@ -147,3 +150,35 @@ def test_failed_check_keeps_no_denotation(checks):
             meaning.denotation_of(bad)
         assert checks() == 1
         assert not hasattr(bad, "_denotation")
+
+
+# The token count of each corpus file, end of input included.
+CORPUS_TOKENS = {
+    "nd_case_pair.nd": 56, "nd_identity.nd": 14, "nd_identity_detour.nd": 29,
+    "nd_pair_pp_1.nd": 26, "nd_pair_pp_2.nd": 26, "nd_weak_pq_1.nd": 19,
+    "nd_weak_pq_2.nd": 19, "sc_case_pair.sc": 49, "sc_dist_1.sc": 89,
+    "sc_dist_2.sc": 89, "sc_dist_3.sc": 87, "sc_inl_cut.sc": 73,
+    "sc_inl_cut_plain.sc": 38, "sc_inl_cutfree.sc": 29, "sc_pair_pp.sc": 26,
+    "sc_ts_1.sc": 48, "sc_ts_2.sc": 48,
+}
+
+
+def test_each_file_is_tokenized_once(monkeypatch, corpus_dir, corpus_files):
+    # The trace hooks the module-level syntax.tokenize and sums the
+    # lengths of its results as syntax.tokens.
+    lengths = []
+    tokenize = syntax.tokenize
+
+    def counted(text):
+        tokens = tokenize(text)
+        lengths.append(len(tokens))
+        return tokens
+
+    monkeypatch.setattr(syntax, "tokenize", counted)
+    assert sorted(Path(p).name for p in corpus_files) == sorted(CORPUS_TOKENS)
+    for path in corpus_files:
+        syntax.parse_file(Path(path).read_text(encoding="utf-8"))
+        assert lengths == [CORPUS_TOKENS[Path(path).name]], path
+        lengths.clear()
+    assert run(["corpus", str(corpus_dir)])[0] == 0
+    assert sorted(lengths) == sorted(CORPUS_TOKENS.values())

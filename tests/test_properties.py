@@ -10,6 +10,7 @@ import random
 from dataclasses import fields, is_dataclass
 from itertools import product
 
+import pytest
 from hypothesis import given, reject
 from hypothesis import strategies as st
 
@@ -55,12 +56,14 @@ from proofmean.rewrite import (
 from proofmean.sc import check_sc, end_term_sc, node_sequents
 from proofmean.sc import variable_types as sc_variable_types
 from proofmean.syntax import (
+    ParseError,
     parse,
     parse_formula,
     parse_term,
     render_derivation,
     render_formula,
     render_term,
+    tokenize,
 )
 from gamma_examples import (
     CASE_OF_TUPLE_TERM,
@@ -519,6 +522,37 @@ def test_terms_parse_back_from_their_rendering(case):
 @given(formulas(max_depth=6))
 def test_formulas_parse_back_from_their_rendering(f):
     assert parse_formula(render_formula(f)) == f
+
+
+# Blanks and comments, each ending its line, to put between tokens.
+noise = st.sampled_from([" ", "\n", "\t", "\r\n", "  \n\t", ";\n", "; (hyp x p) ²\n", " ;; ) :\n "])
+
+
+def noisy(data, words):
+    """words with noise before, between and after them."""
+    gaps = data.draw(st.lists(noise, min_size=len(words) + 1, max_size=len(words) + 1))
+    return "".join(gap + word for gap, word in zip(gaps, [*words, ""]))
+
+
+def token_texts(d):
+    return [tok.text for tok in tokenize(render_derivation(d))][:-1]
+
+
+@given(any_derivation, st.data())
+def test_blanks_and_comments_between_tokens_change_nothing(d, data):
+    assert parse(noisy(data, token_texts(d))) == d
+
+
+@given(any_derivation, st.data())
+def test_a_stray_character_is_reported_where_it_stands(d, data):
+    words = token_texts(d)
+    k = data.draw(st.integers(0, len(words) - 1))
+    text = noisy(data, [*words[:k], "@", *words[k + 1 :]])
+    pos = text.index("@")
+    line, col = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+    with pytest.raises(ParseError) as caught:
+        parse(text)
+    assert str(caught.value) == f"{line}:{col}: unexpected character '@'"
 
 
 # ---------- Renaming invariance of sense ----------

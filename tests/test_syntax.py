@@ -266,6 +266,20 @@ def test_imp_i_short_form_label_must_occur():
         parse("(imp-i x (imp-i z (hyp x p)))")
 
 
+def test_the_preorder_first_dangling_label_is_reported():
+    # Of two dangling labels, the outer one is named.
+    with pytest.raises(DanglingDischargeLabel, match="label 'a'"):
+        parse("(imp-i a (imp-i b (hyp x p)))")
+    # A hyp in a sibling premise, after or before, does not discharge
+    # the label.
+    for text in ("(and-i (imp-i z (hyp x p)) (hyp z p))", "(and-i (hyp z p) (imp-i z (hyp x p)))"):
+        with pytest.raises(DanglingDischargeLabel, match="label 'z'"):
+            parse(text)
+    # Trailing input fails the parse before any label is checked.
+    with pytest.raises(ParseError, match="^1:21: expected 'eof', found 'junk'$"):
+        parse_file("(imp-i z (hyp x p)) junk")
+
+
 def test_parse_sc_derivation():
     d = parse("(imp-r x (rf x p))")
     assert d == ImpR(x, Rf(x, p))
