@@ -8,7 +8,8 @@ by the shipped schema.json.
 
 Each command checks each derivation once and formats facts kept
 elsewhere: judgments from the one `meaning.check` run (its root carries
-every node's), the tree's shape from `nd.preorder`, node labels from
+the judgment of every node below it, and stays on the derivation for
+every later reader), the tree's shape from `nd.preorder`, node labels from
 `syntax.render_node`, and a comparison's details from the evidence its
 verdict carries.
 """
@@ -26,6 +27,7 @@ from . import syntax
 from .core import ProofmeanError, term_size
 from .meaning import (
     Checked,
+    Derivation,
     DifferentDenotation,
     DifferentSenseSameDenotation,
     SameDenotationUpToGamma,
@@ -33,7 +35,6 @@ from .meaning import (
     Verdict,
     check,
     classify,
-    classify_checked,
     conclusion,
     sense_of,
     # Not called here; kept because bench/spans.py traces cli.sense_renaming.
@@ -86,6 +87,7 @@ def _judgment_str(j: Checked) -> str:
 
 def _tree_lines(d, root: Checked) -> list[str]:
     shown = {id(node): _judgment_str(j) for node, j in root.nodes}
+    shown[id(d)] = _judgment_str(root)
     return [
         f"{'  ' * depth}{render_node(node)}  [{shown[id(node)]}]"
         for depth, node in _nd.preorder(d)
@@ -259,7 +261,7 @@ def _cmd_corpus(args) -> int:
     )
     mode = _mode_of(args)
     files: list[dict] = []
-    checked: list[tuple[str, Checked]] = []
+    checked: list[tuple[str, Derivation]] = []
     load_failed = False
     check_failed = False
     for p in paths:
@@ -288,14 +290,14 @@ def _cmd_corpus(args) -> int:
                 "formula": render_formula(formula),
             }
         )
-        checked.append((label, root))
+        checked.append((label, sf.derivation))
     pairs: list[dict] = []
     inconclusive = False
     for i in range(len(checked)):
         for j in range(i + 1, len(checked)):
-            a, root_a = checked[i]
-            b, root_b = checked[j]
-            verdict = classify_checked(root_a, root_b, mode)
+            a, d_a = checked[i]
+            b, d_b = checked[j]
+            verdict = classify(d_a, d_b, mode)
             entry = {"first": a, "second": b, "verdict": type(verdict).__name__}
             if isinstance(verdict, SameDenotationUpToGamma):
                 entry["inconclusive"] = verdict.inconclusive

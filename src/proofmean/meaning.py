@@ -8,16 +8,12 @@ and `classify` names the ways that can play out.
 Every fact of a derivation is read off one checker run: `check` returns
 the root judgment or sequent, which carries each node's judgment (the
 sense) and the variable types (for the renaming search), and its end
-term gives the denotation. `classify` checks each derivation once, and
-its verdict carries the evidence it found: the renaming, the two senses
-or the two normal forms.
-
-The denotation is normalized at most once per derivation: the first
-reader stores the normal form on the derivation as `_denotation`, and
-`classify`, `same_denotation`, `denotation_of` and the CLI's `corpus`
-all read it from there. Only the normal form is kept, never the checked
-root, whose node list refers back to the derivation and would make a
-reference cycle (see README, "What counts as equal").
+term gives the denotation. The first run on a derivation object is kept
+on it (`Node.checked`), and every reader here takes it from there, so a
+derivation is checked once however many questions are asked of it. Its
+denotation is likewise normalized once and kept on that root. A verdict
+of `classify` carries the evidence it found: the renaming, the two
+senses or the two normal forms.
 """
 
 from __future__ import annotations
@@ -44,9 +40,10 @@ Derivation = Union["_nd.NdDerivation", "_sc.ScDerivation"]
 
 
 def check(d: Derivation) -> Checked:
-    """Check d with the checker of its own calculus. The root judgment
-    or sequent also carries each node's and the variable types."""
-    return _nd.check_nd(d) if isinstance(d, _nd.NdDerivation) else _sc.check_sc(d)
+    """The root judgment or sequent of d's kept checker run, checking d
+    with the checker of its own calculus if it has none. The root also
+    carries the conclusion of every node below it and the variable types."""
+    return _nd.kept(d, _nd.check_nd if isinstance(d, _nd.NdDerivation) else _sc.check_sc)
 
 
 def conclusion(j: Checked) -> tuple[Context, Term, Formula]:
@@ -84,24 +81,20 @@ def sense_of(d: Derivation, multiset: bool = False) -> Sense:
     hypothesis leaves included. For sequents it is each node's
     succedent term together with each antecedent variable.
     """
-    return _sense(check(d), multiset)
+    occurrences = _occurrences(check(d))
+    counts = dict(Counter(occurrences)) if multiset else None
+    return Sense(frozenset(occurrences), counts)
 
 
 def _occurrences(root: Checked) -> list[Term]:
     # The sense's terms, each as often as it occurs, in the order the
-    # checker recorded the nodes; antecedent variables by name.
+    # checker recorded the nodes, root last; antecedent variables by name.
     out: list[Term] = []
-    for _, j in root.nodes:
+    for j in (*(j for _, j in root.nodes), root):
         out.append(j.term)
         if isinstance(j, _sc.Sequent):
             out.extend(VarRef(v) for v, _ in j.antecedent.items())
     return out
-
-
-def _sense(root: Checked, multiset: bool) -> Sense:
-    occurrences = _occurrences(root)
-    counts = dict(Counter(occurrences)) if multiset else None
-    return Sense(frozenset(occurrences), counts)
 
 
 def _skeleton(t: Term, out: list[Var]):
@@ -129,8 +122,15 @@ def sense_renaming(
     d1: Derivation, d2: Derivation, multiset: bool = False
 ) -> dict[Var, Var] | None:
     """A formula-preserving bijective renaming of variables carrying
-    the sense of d1 onto the sense of d2, or None when there is none."""
-    return _renaming(check(d1), check(d2), multiset)
+    the sense of d1 onto the sense of d2, or None when there is none.
+    Each natural deduction node's term is one subterm position of the
+    end term, so two judgments are matched on their end terms (see
+    README, "What counts as equal"); other pairs are searched."""
+    c1, c2 = check(d1), check(d2)
+    rho = _Bijection(c1.types, c2.types)
+    if isinstance(c1, _nd.Judgment) and isinstance(c2, _nd.Judgment):
+        return _match(c1.term, c2.term, rho)
+    return _search(_occurrences(c1), _occurrences(c2), rho, multiset)
 
 
 class _Bijection:
@@ -158,17 +158,6 @@ class _Bijection:
         """Take back the bindings made since the trail had length mark."""
         while len(self.trail) > mark:
             del self.backward[self.forward.pop(self.trail.pop())]
-
-
-def _renaming(c1: Checked, c2: Checked, multiset: bool) -> dict[Var, Var] | None:
-    """The renaming of `sense_renaming` between two checked derivations.
-    Each natural deduction node's term is one subterm position of the
-    end term, so two judgments are matched on their end terms (see
-    README, "What counts as equal"); other pairs are searched."""
-    rho = _Bijection(c1.types, c2.types)
-    if isinstance(c1, _nd.Judgment) and isinstance(c2, _nd.Judgment):
-        return _match(c1.term, c2.term, rho)
-    return _search(_occurrences(c1), _occurrences(c2), rho, multiset)
 
 
 def _match(t1: Term, t2: Term, rho: _Bijection) -> dict[Var, Var] | None:
@@ -259,23 +248,12 @@ def same_sense(d1: Derivation, d2: Derivation, multiset: bool = False) -> bool:
 
 
 def denotation_of(d: Derivation) -> Term:
-    """The normal form of the end term of d. It is computed once, by
-    this or by any other reader of d's denotation, and kept on d."""
-    n = getattr(d, "_denotation", None)
-    return n if n is not None else _denotation(check(d))
-
-
-def _denotation(c: Checked) -> Term:
-    """The normal form of c's end term, kept on the derivation c was
-    checked from: the checker records premises first, so that is the
-    last node. A root with no recorded nodes keeps nothing."""
-    d = c.nodes[-1][0] if c.nodes else None
-    n = getattr(d, "_denotation", None)
-    if n is None:
-        n = normalize(c.term)
-        if d is not None:
-            object.__setattr__(d, "_denotation", n)
-    return n
+    """The normal form of the end term of d. It is computed once and
+    kept on the root of d's checker run, where every reader finds it."""
+    root = check(d)
+    if root.normal is None:
+        object.__setattr__(root, "normal", normalize(root.term))
+    return root.normal
 
 
 def same_denotation(
@@ -285,12 +263,11 @@ def same_denotation(
 
     Derivations of different formulas never share a denotation.
     """
-    c1, c2 = check(d1), check(d2)
-    if not _same_formula(conclusion(c1)[2], conclusion(c2)[2]):
+    if not _same_formula(conclusion(check(d1))[2], conclusion(check(d2))[2]):
         return False
     # normalize returns a normal form unchanged, so handing `equivalent`
     # the two denotations decides the same question.
-    return equivalent(_denotation(c1), _denotation(c2), mode)
+    return equivalent(denotation_of(d1), denotation_of(d2), mode)
 
 
 def _same_formula(f1: Formula, f2: Formula) -> bool:
@@ -357,30 +334,19 @@ def classify(
     allows it, are permutative conversions tried: closed normal forms
     with different values in the finite model are refuted at once, and
     otherwise a search from them may come back without a definite
-    answer. Each derivation is checked once, and both its sense and its
-    denotation are read off that check.
+    answer. Each derivation object is checked once, and both its sense
+    and its denotation are read off that check, however many pairs it
+    takes part in.
     """
-    return classify_checked(check(d1), check(d2), mode, multiset)
-
-
-def classify_checked(
-    c1: Checked,
-    c2: Checked,
-    mode: EqualityMode = BetaEta(),
-    multiset: bool = False,
-) -> Verdict:
-    """`classify` on the roots of two checker runs, so a caller that
-    holds them need not check the derivations again. Each side's
-    normal form is read through `_denotation`, so it is computed once
-    however many pairs the derivation takes part in."""
-    n1, n2 = _denotation(c1), _denotation(c2)
+    c1, c2 = check(d1), check(d2)
+    n1, n2 = denotation_of(d1), denotation_of(d2)
     if not _same_formula(conclusion(c1)[2], conclusion(c2)[2]):
         return DifferentDenotation((n1, n2))
     if alpha_equal(n1, n2):
-        renaming = _renaming(c1, c2, multiset)
+        renaming = sense_renaming(d1, d2, multiset)
         if renaming is not None:
             return SameSenseSameDenotation(renaming)
-        return DifferentSenseSameDenotation((_sense(c1, multiset), _sense(c2, multiset)))
+        return DifferentSenseSameDenotation((sense_of(d1, multiset), sense_of(d2, multiset)))
     if isinstance(mode, BetaEtaGamma):
         # normalize returns a normal form unchanged, so the search starts
         # from n1 and n2 without rewriting them again.

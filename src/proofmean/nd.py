@@ -64,6 +64,8 @@ class Node:
     order the concrete syntax writes them after the rule name."""
 
     rule: ClassVar[str]
+    # The root of this node's checker run, kept by `Checker.run`.
+    checked: Checked | None = None
 
 
 # A node dataclass's __match_args__ names all its fields in order, and
@@ -169,12 +171,15 @@ NdDerivation = Union[Hyp, ImpI, ImpE, AndI, AndE1, AndE2, OrI1, OrI2, OrE, Absur
 class Checked:
     """A node's checked conclusion in either calculus: a judgment or a
     sequent. A checker run keeps on its root what it recorded: every
-    node with its conclusion, premises first, and each variable's
-    formula. They are not fields, so equality and repr ignore them, and
-    the conclusion of every other node is built at no extra cost."""
+    node below the root with its conclusion, premises first, each
+    variable's formula and, once read, the normal form of the end term.
+    They are not fields, so equality and repr ignore them. Nothing the
+    root holds refers back to its derivation, so keeping it there makes
+    no reference cycle."""
 
     nodes: tuple[tuple[Node, Checked], ...] = ()
     types: Mapping[Var, Formula] = MappingProxyType({})
+    normal: Term | None = None
 
 
 @dataclass(frozen=True)
@@ -190,8 +195,11 @@ class Judgment(Checked):
 class Checker:
     """What the checkers of both calculi share: one formula per variable
     across the run, the conclusion recorded at every node, and the root
-    that carries both. A subclass's `check` takes one frame per
-    derivation level and appends each node it concludes to `nodes`."""
+    that carries both and is kept on the derivation. A subclass's
+    `check` takes one frame per derivation level and appends each node
+    it concludes to `nodes`. It never reads a kept root: an `imp-i`
+    without a declared formula may take it from the whole run's
+    `types`, so a subtree's conclusion can depend on where it sits."""
 
     def __init__(self) -> None:
         self.types: dict[Var, Formula] = {}
@@ -213,12 +221,22 @@ class Checker:
         return Context(merged)
 
     def run(self, d: Node) -> Checked:
-        """Check d and return its root conclusion, carrying every node's
-        conclusion and the variable types of this run."""
+        """Check d and return its root conclusion, carrying the
+        conclusion of every node below d and the variable types of this
+        run, and keep it on d as `d.checked`."""
         root = replace(self.check(d))
+        self.nodes.pop()
         object.__setattr__(root, "nodes", tuple(self.nodes))
         object.__setattr__(root, "types", self.types)
+        object.__setattr__(d, "checked", root)
         return root
+
+
+def kept(d: Node, check) -> Checked:
+    """The root kept by d's checker run, or the root of a new run of
+    `check`, which keeps it."""
+    root = getattr(d, "checked", None)
+    return root if root is not None else check(d)
 
 
 class _NdChecker(Checker):
@@ -312,20 +330,22 @@ class _NdChecker(Checker):
 
 def check_nd(d: NdDerivation) -> Judgment:
     """Validate the derivation and return its root judgment, carrying
-    every node's judgment and the variable types of the same run."""
+    the judgment of every node below it and the variable types of the
+    same run. The root is kept on d for the readers below."""
     return _NdChecker().run(d)
 
 
 def node_judgments(d: NdDerivation) -> tuple[tuple[NdDerivation, Judgment], ...]:
-    """Every node of d paired with its computed judgment."""
-    return check_nd(d).nodes
+    """Every node of d paired with its computed judgment, d last."""
+    root = kept(d, check_nd)
+    return (*root.nodes, (d, root))
 
 
 def variable_types(d: NdDerivation) -> dict[Var, Formula]:
     """The one formula each variable of d stands for."""
-    return dict(check_nd(d).types)
+    return dict(kept(d, check_nd).types)
 
 
 def end_term_nd(d: NdDerivation) -> Term:
     """The term annotating the conclusion of d."""
-    return check_nd(d).term
+    return kept(d, check_nd).term

@@ -36,7 +36,7 @@ from .core import (
     VarRef,
 )
 from .core import substitute, substitute_many
-from .nd import Checked, Checker, Node, RuleMismatch, VariableTypeClash, premises
+from .nd import Checked, Checker, Node, RuleMismatch, VariableTypeClash, kept, premises
 
 __all__ = [
     "Rf",
@@ -320,23 +320,25 @@ class _ScChecker(Checker):
 
 def check_sc(d: ScDerivation) -> Sequent:
     """Validate the derivation and return its root sequent, carrying
-    every node's sequent and the variable types of the same run."""
+    the sequent of every node below it and the variable types of the
+    same run. The root is kept on d for the readers below."""
     return _ScChecker().run(d)
 
 
 def node_sequents(d: ScDerivation) -> tuple[tuple[ScDerivation, Sequent], ...]:
-    """Every node of d paired with its computed sequent."""
-    return check_sc(d).nodes
+    """Every node of d paired with its computed sequent, d last."""
+    root = kept(d, check_sc)
+    return (*root.nodes, (d, root))
 
 
 def variable_types(d: ScDerivation) -> dict[Var, Formula]:
     """The one formula each variable of d stands for."""
-    return dict(check_sc(d).types)
+    return dict(kept(d, check_sc).types)
 
 
 def end_term_sc(d: ScDerivation) -> Term:
     """The term annotating the end sequent of d."""
-    return check_sc(d).term
+    return kept(d, check_sc).term
 
 
 # ---------- Cut inspection ----------
@@ -393,7 +395,8 @@ def cut_nodes(d: ScDerivation) -> tuple[CutInfo, ...]:
     contraction, with the rule introducing the cut formula: a right
     rule on the left, and a left rule on the cut variable on the right.
     """
-    antecedent_of = {id(node): seq.antecedent for node, seq in check_sc(d).nodes}
+    # Only premises of weakenings are looked up, and d is none of them.
+    antecedent_of = {id(node): seq.antecedent for node, seq in kept(d, check_sc).nodes}
     found: list[CutInfo] = []
     stack: list[tuple[ScDerivation, tuple[int, ...]]] = [(d, ())]
     while stack:

@@ -8,6 +8,8 @@ is ever reused at two formulas.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from hypothesis import strategies as st
 
 from proofmean import nd as _nd
@@ -42,6 +44,25 @@ MAX_TERM_CONSTRUCTORS = 12
 MAX_DERIVATION_NODES = 10
 
 
+# Hypothesis validates each new strategy object on its first draw, which
+# cost more than the tests themselves when the generators below built a
+# fresh one at every choice. So each strategy is built once and reused.
+
+
+@lru_cache(maxsize=None)
+def _sampled(options: tuple) -> st.SearchStrategy:
+    return st.sampled_from(options)
+
+
+@lru_cache(maxsize=None)
+def _integers(low: int, high: int) -> st.SearchStrategy[int]:
+    return st.integers(low, high)
+
+
+_BOOLEANS = st.booleans()
+
+
+@lru_cache(maxsize=None)
 def formulas(max_depth: int = 2) -> st.SearchStrategy[Formula]:
     base = st.sampled_from(ATOMS + (Absurd(),))
 
@@ -89,15 +110,19 @@ def typed_terms(
     def var_of(target: Formula, bound: tuple[tuple[Var, Formula], ...]) -> Term:
         candidates = [v for v, f in bound if f == target]
         candidates += [v for v, f in free.items() if f == target]
-        if candidates and draw(st.integers(0, 3)) > 0:
-            return VarRef(draw(st.sampled_from(candidates)))
+        if candidates and draw(_integers(0, 3)) > 0:
+            return VarRef(draw(_sampled(tuple(candidates))))
         v = fresh("w")
         free[v] = target
         return VarRef(v)
 
-    def go(target: Formula, budget: int, bound: tuple[tuple[Var, Formula], ...]) -> Term:
-        # Uses at most `budget` constructors, and at least one.
-        options = ["var", "var"]
+    def go(
+        target: Formula, budget: int, bound: tuple[tuple[Var, Formula], ...], root: bool = False
+    ) -> Term:
+        # Uses at most `budget` constructors, and at least one. A root
+        # with room for more is never a bare variable. Hypothesis favours
+        # the first option, so a variable comes last.
+        options = []
         if budget >= 2:
             if isinstance(target, Implies):
                 options += ["lam"] * 4
@@ -110,7 +135,9 @@ def typed_terms(
             options += ["app"]
         if budget >= 4:
             options += ["case", "case"]
-        kind = draw(st.sampled_from(options))
+        if not (root and budget >= 2):
+            options += ["var", "var"]
+        kind = draw(_sampled(tuple(options)))
         if kind == "lam":
             assert isinstance(target, Implies)
             x = fresh("b")
@@ -124,26 +151,26 @@ def typed_terms(
             return Pair(left, right)
         if kind == "inj":
             assert isinstance(target, Or)
-            if draw(st.booleans()):
+            if draw(_BOOLEANS):
                 return Inl(go(target.left, budget - 1, bound), target.right)
             return Inr(go(target.right, budget - 1, bound), target.left)
         if kind == "app":
-            arg_type = draw(st.sampled_from(_ARGUMENT_TYPES))
+            arg_type = draw(_sampled(_ARGUMENT_TYPES))
             fun_budget = max(1, (budget - 1) // 2)
             fun = go(Implies(arg_type, target), fun_budget, bound)
             arg = go(arg_type, budget - 1 - fun_budget, bound)
             return App(fun, arg)
         if kind == "fst":
-            other = draw(st.sampled_from(ATOMS))
+            other = draw(_sampled(ATOMS))
             return Fst(go(And(target, other), budget - 1, bound))
         if kind == "snd":
-            other = draw(st.sampled_from(ATOMS))
+            other = draw(_sampled(ATOMS))
             return Snd(go(And(other, target), budget - 1, bound))
         if kind == "abort":
             return Abort(go(Absurd(), budget - 1, bound), target)
         if kind == "case":
-            a = draw(st.sampled_from(ATOMS))
-            b = draw(st.sampled_from(ATOMS))
+            a = draw(_sampled(ATOMS))
+            b = draw(_sampled(ATOMS))
             scrutinee_budget = max(1, (budget - 1) // 3)
             scrutinee = go(Or(a, b), scrutinee_budget, bound)
             rest = budget - 1 - scrutinee_budget
@@ -157,8 +184,10 @@ def typed_terms(
 
     if target is None:
         target = draw(formulas())
-    budget = draw(st.integers(1, max_size))
-    term = go(target, budget, ())
+    # Hypothesis favours the least value it may draw, so the budget is
+    # counted down from the largest to keep bare variables rare.
+    budget = max_size - draw(_integers(0, max_size - 1))
+    term = go(target, budget, (), root=True)
     return dict(free), term, target
 
 
@@ -191,10 +220,10 @@ def eta_planted_terms(draw) -> tuple[dict[Var, Formula], Term, Formula]:
     ctx, t, a = draw(typed_terms())
     if not ctx:
         return ctx, eta_expand(t, a), a
-    v = draw(st.sampled_from(sorted(ctx, key=lambda u: u.name)))
+    v = draw(_sampled(tuple(sorted(ctx, key=lambda u: u.name))))
     ctx2, s, _ = draw(typed_terms(max_size=6, target=ctx[v], prefix="s"))
     planted = eta_expand(s, ctx[v])
-    if draw(st.booleans()):
+    if draw(_BOOLEANS):
         rest = {u: f for u, f in ctx.items() if u != v}
         return {**rest, **ctx2}, App(Lam(v, ctx[v], t), planted), a
     return {**ctx, **ctx2}, substitute(t, v, planted), a
@@ -258,14 +287,14 @@ def sc_derivations(draw, max_nodes: int = MAX_DERIVATION_NODES) -> _sc.ScDerivat
         return Var(f"v{counter[0]}")
 
     def formula() -> Formula:
-        return draw(st.sampled_from(_SMALL_FORMULAS))
+        return draw(_sampled(_SMALL_FORMULAS))
 
     def pick(antecedent: dict[Var, Formula]) -> Var:
         ordered = sorted(antecedent, key=lambda v: v.name)
-        return draw(st.sampled_from(ordered))
+        return draw(_sampled(tuple(ordered)))
 
     def axiom() -> tuple[_sc.ScDerivation, dict[Var, Formula], Formula]:
-        if draw(st.integers(0, 5)) == 0:
+        if draw(_integers(0, 5)) == 0:
             v = fresh(Absurd())
             target = formula()
             return _sc.AbsurdL(v, target), {v: Absurd()}, target
@@ -276,7 +305,7 @@ def sc_derivations(draw, max_nodes: int = MAX_DERIVATION_NODES) -> _sc.ScDerivat
     def gen(budget: int) -> tuple[_sc.ScDerivation, dict[Var, Formula], Formula]:
         # Every arm stays within `budget` nodes, counting the padding
         # weakenings some rules need to be applicable.
-        if budget <= 1 or draw(st.integers(0, 4)) == 0:
+        if budget <= 1 or draw(_integers(0, 4)) == 0:
             return axiom()
         moves = ["or_r1", "or_r2", "weaken"]
         if budget >= 3:
@@ -285,7 +314,7 @@ def sc_derivations(draw, max_nodes: int = MAX_DERIVATION_NODES) -> _sc.ScDerivat
             moves += ["and_l", "contract", "or_l", "cut"]
         if budget >= 5:
             moves += ["imp_l"]
-        move = draw(st.sampled_from(moves))
+        move = draw(_sampled(tuple(moves)))
         if move in ("or_r1", "or_r2"):
             d, ante, succ = gen(budget - 1)
             other = formula()
@@ -366,7 +395,7 @@ def sc_derivations(draw, max_nodes: int = MAX_DERIVATION_NODES) -> _sc.ScDerivat
         d2 = _sc.Weaken(x, s1, d2)
         return _sc.Cut(x, d1, d2), {**a1, **a2}, s2
 
-    budget = draw(st.integers(1, max_nodes))
+    budget = draw(_integers(1, max_nodes))
     derivation, _, _ = gen(budget)
     return derivation
 

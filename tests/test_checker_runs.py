@@ -2,16 +2,20 @@
 
 The two checker classes are wrapped so that every checker run is
 counted; the sense, the denotation, the variable types and a verdict's
-details are all read off those runs. A derivation's denotation is kept
-on it, so reading it again takes no checker run and no normalization.
-Each file is tokenized once, and the benchmark's trace counts its
-tokens from that call.
+details are all read off those runs. A derivation keeps its run, and
+the run keeps the denotation, so asking again takes no checker run and
+no normalization, and the kept run makes no reference cycle. Each file
+is tokenized once, and the benchmark's trace counts its tokens from
+that call.
 """
 
 import contextlib
+import gc
 import io
 import itertools
 import json
+import runpy
+import weakref
 from pathlib import Path
 
 import pytest
@@ -68,13 +72,13 @@ def test_single_file_commands_check_once(checks, corpus_files):
 
 def test_compare_checks_each_derivation_once(checks, corpus_files, tmp_path, monkeypatch):
     searches = [0]
-    search = meaning._renaming
+    search = meaning.sense_renaming
 
     def counted(*args):
         searches[0] += 1
         return search(*args)
 
-    monkeypatch.setattr(meaning, "_renaming", counted)
+    monkeypatch.setattr(meaning, "sense_renaming", counted)
     gamma_pair = []
     for name, text in (("a.nd", CASE_OF_TUPLE), ("b.nd", TUPLE_OF_CASES)):
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -103,13 +107,15 @@ def test_compare_checks_each_derivation_once(checks, corpus_files, tmp_path, mon
 
 
 def test_classify_checks_each_derivation_once(checks, load_corpus, corpus_files):
+    # Every pair in both modes, over one list of derivation objects:
+    # each object is checked the first time it is classified, never again.
     derivations = [load_corpus(p.rsplit("/", 1)[-1]).derivation for p in corpus_files]
     verdicts = set()
     for d1, d2 in itertools.combinations(derivations, 2):
         for mode in (BetaEta(), BetaEtaGamma(fuel=4)):
             verdicts.add(type(classify(d1, d2, mode)))
-            assert checks() == 2
     assert len(verdicts) == 4
+    assert checks() == len(derivations)
 
 
 def test_corpus_checks_each_file_once(checks, corpus_dir, corpus_files):
@@ -118,14 +124,25 @@ def test_corpus_checks_each_file_once(checks, corpus_dir, corpus_files):
         assert checks() == len(corpus_files)
 
 
-def test_denotation_after_classify_needs_no_checker_run(checks, load_corpus, corpus_files):
+def test_denotation_after_classify_needs_no_checker_run(
+    checks, load_corpus, corpus_files, monkeypatch
+):
+    calls = [0]
+    normalize = meaning.normalize
+
+    def counted(t):
+        calls[0] += 1
+        return normalize(t)
+
+    monkeypatch.setattr(meaning, "normalize", counted)
     derivations = [load_corpus(p.rsplit("/", 1)[-1]).derivation for p in corpus_files]
     for d1, d2 in itertools.combinations(derivations, 2):
-        classify(d1, d2)
-        assert checks() == 2
-        for d in (d1, d2):
-            assert meaning.denotation_of(d) is meaning.denotation_of(d)
-        assert checks() == 0
+        for mode in (BetaEta(), BetaEtaGamma(fuel=4)):
+            classify(d1, d2, mode)
+            for d in (d1, d2):
+                assert meaning.denotation_of(d) is meaning.denotation_of(d)
+    assert checks() == len(derivations)
+    assert calls[0] == len(derivations)
 
 
 def test_corpus_normalizes_each_file_once(checks, corpus_dir, corpus_files, monkeypatch):
@@ -149,7 +166,71 @@ def test_failed_check_keeps_no_denotation(checks):
         with pytest.raises(nd.RuleMismatch):
             meaning.denotation_of(bad)
         assert checks() == 1
-        assert not hasattr(bad, "_denotation")
+        assert "checked" not in vars(bad) and bad.checked is None
+
+
+def test_every_reader_shares_one_run(checks, load_corpus, corpus_files):
+    for path in corpus_files:
+        d = load_corpus(Path(path).name).derivation
+        other = load_corpus(Path(path).name).derivation
+        meaning.check(d)
+        meaning.check(other)
+        assert checks() == 2
+        calculus = nd if isinstance(d, nd.NdDerivation) else sc
+        readers = [
+            lambda: meaning.check(d),
+            lambda: meaning.sense_of(d),
+            lambda: meaning.sense_of(d, multiset=True),
+            lambda: meaning.sense_renaming(d, other),
+            lambda: meaning.same_sense(d, other),
+            lambda: meaning.denotation_of(d),
+            lambda: meaning.same_denotation(d, other),
+            lambda: meaning.classify(d, other),
+            lambda: calculus.variable_types(d),
+        ]
+        if calculus is nd:
+            readers += [lambda: nd.node_judgments(d), lambda: nd.end_term_nd(d)]
+        else:
+            readers += [
+                lambda: sc.node_sequents(d),
+                lambda: sc.end_term_sc(d),
+                lambda: sc.cut_nodes(d),
+            ]
+        for read in readers:
+            read()
+            assert checks() == 0, path
+
+
+# Checker runs each demo makes: one per derivation it reads.
+DEMO_RUNS = {"tour": 1, "cut_senses": 3, "permutations": 6}
+
+
+def test_demos_check_each_derivation_once(checks, corpus_dir):
+    for demo, runs in DEMO_RUNS.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_path(str(corpus_dir.parent / "demos" / f"{demo}.py"), run_name="__main__")
+        assert checks() == runs, demo
+
+
+def test_kept_runs_make_no_reference_cycle(load_corpus):
+    # With the cyclic collector off, a derivation is freed by reference
+    # counting alone once the last outside reference to it goes.
+    gc.disable()
+    try:
+        for name in ("nd_case_pair.nd", "sc_dist_1.sc"):
+            d1, d2 = load_corpus(name).derivation, load_corpus(name).derivation
+            classify(d1, d2)
+            meaning.denotation_of(d1)
+            meaning.sense_of(d1, multiset=True)
+            if isinstance(d1, nd.NdDerivation):
+                nd.node_judgments(d1)
+            else:
+                sc.node_sequents(d1)
+            refs = [weakref.ref(d1), weakref.ref(d2)]
+            del d1, d2
+            assert [r() for r in refs] == [None, None], name
+    finally:
+        gc.enable()
 
 
 # The token count of each corpus file, end of input included.

@@ -15,7 +15,7 @@ from proofmean.meaning import (
     sense_of,
     sense_renaming,
 )
-from proofmean.nd import AndE1, AndE2, AndI, Hyp, ImpE, ImpI, OrE, check_nd
+from proofmean.nd import AndE1, AndE2, AndI, Hyp, ImpE, ImpI, OrE, check_nd, node_judgments
 from proofmean.rewrite import BetaEta, BetaEtaGamma
 from proofmean.sc import AndR, Rf
 from proofmean.syntax import parse, parse_term
@@ -225,12 +225,13 @@ def test_classify_does_linear_work_on_long_same_sense_pairs(monkeypatch):
     sys.setrecursionlimit(max(limit, 4000))
     try:
         for build, size in ((pair_family, 200), (detour_chain, 400)):
-            c1, c2 = check_nd(build(size, "")), check_nd(build(size, "_r"))
+            d1, d2 = build(size, ""), build(size, "_r")
+            c1, c2 = check_nd(d1), check_nd(d2)
             calls.update(beta=0, skeleton=0)
-            verdict = meaning.classify_checked(c1, c2)
+            verdict = classify(d1, d2)
             assert isinstance(verdict, SameSenseSameDenotation)
             assert len(verdict.renaming) == len(c1.types)
-            assert calls["beta"] <= 3 * (len(c1.nodes) + len(c2.nodes))
+            assert calls["beta"] <= 3 * (len(node_judgments(d1)) + len(node_judgments(d2)))
             assert calls["skeleton"] == 0
     finally:
         sys.setrecursionlimit(limit)

@@ -263,9 +263,10 @@ def environments(ctx, limit=64):
 def assert_one_step_keeps_the_value(ctx, t):
     # Refuting in the model is sound only if no conversion changes a
     # value, so every single step and the normal form must keep it.
+    converted = [normalize(t), *beta_steps(t), *eta_steps(t), *gamma_steps(t)]
     for env in environments(ctx):
         value = FiniteModel().value(t, env)
-        for u in [normalize(t), *beta_steps(t), *eta_steps(t), *gamma_steps(t)]:
+        for u in converted:
             assert FiniteModel().value(u, env) == value
 
 
@@ -395,9 +396,10 @@ any_derivation = st.one_of(nd_derivations(), sc_derivations())
 @given(any_derivation, any_derivation)
 def test_a_kept_denotation_is_the_one_a_fresh_copy_computes(d, other):
     # classify and same_denotation keep each side's normal form on the
-    # derivation. A copy parsed back from the rendering keeps nothing,
-    # so it computes the denotation afresh; the kept one must agree, and
-    # the derivation must still compare, hash and print as before.
+    # checker run kept on the derivation. A copy parsed back from the
+    # rendering keeps nothing, so it computes the denotation afresh; the
+    # kept one must agree, and the derivation must still compare, hash
+    # and print as before.
     copies = [parse(render_derivation(e)) for e in (d, other)]
     meaning.classify(d, other)
     meaning.same_denotation(other, d)
@@ -588,7 +590,7 @@ def test_nd_end_term_match_agrees_with_the_sense_search(d, other, rnd):
         for multiset in (False, True):
             rho = meaning._Bijection(c.types, c2.types)
             searched = meaning._search(*occurrences, rho, multiset)
-            assert meaning._renaming(c, c2, multiset) == searched
+            assert meaning.sense_renaming(d, d2, multiset) == searched
 
 
 @given(sc_derivations())
