@@ -349,8 +349,36 @@ def alpha_key(t: Term) -> object:
 
 
 def alpha_equal(t1: Term, t2: Term) -> bool:
-    """True iff t1 and t2 differ only in bound-variable names."""
-    return _alpha_key(t1, {}, 0) == _alpha_key(t2, {}, 0)
+    """True iff t1 and t2 differ only in bound-variable names.
+
+    Equal to comparing the two alpha keys, but the terms are walked in
+    lockstep, each pair of binders keyed by their common depth, and the
+    walk stops at the first difference."""
+    return _alpha_equal(t1, t2, {}, {}, 0)
+
+
+def _alpha_equal(
+    t1: Term, t2: Term, env1: dict[Var, int], env2: dict[Var, int], depth: int
+) -> bool:
+    cls = type(t1)
+    if cls is not type(t2):
+        return False
+    if cls is VarRef:
+        return env1.get(t1.var, t1.var) == env2.get(t2.var, t2.var)
+    for f in LABELS[cls]:
+        if getattr(t1, f) != getattr(t2, f):
+            return False
+    for name, binder in SUBTERMS[cls]:
+        s1, s2 = getattr(t1, name), getattr(t2, name)
+        if binder is None:
+            same = _alpha_equal(s1, s2, env1, env2, depth)
+        else:
+            inner1 = {**env1, getattr(t1, binder): depth}
+            inner2 = {**env2, getattr(t2, binder): depth}
+            same = _alpha_equal(s1, s2, inner1, inner2, depth + 1)
+        if not same:
+            return False
+    return True
 
 
 def canonicalize(t: Term) -> Term:

@@ -412,9 +412,11 @@ class FiniteModel:
     A /\\ B is the set of pairs, A \\/ B the tagged values (0, a) and
     (1, b), A -> B every function as a table, and _|_ the empty set. The
     model is bicartesian closed, so every beta, eta and gamma law holds
-    in it: terms with different values are not equal in any mode. One
-    instance spends one MODEL_STEP_BUDGET across all its calls and
-    raises OutsideModelBounds past it or past MODEL_SIZE_BOUND.
+    in it: terms with different values are not equal in any mode.
+    `value` compiles a term once and runs the result, one step per node
+    visited. One instance spends one MODEL_STEP_BUDGET across all its
+    calls, element enumerations included, and raises OutsideModelBounds
+    past it or past MODEL_SIZE_BOUND.
     """
 
     def __init__(self) -> None:
@@ -459,35 +461,96 @@ class FiniteModel:
             raise OutsideModelBounds(f"{a!r} has over {MODEL_SIZE_BOUND} elements")
 
     def value(self, t: Term, env: Mapping[Var, object]) -> object:
-        """The value of t with each free variable's value taken from env."""
-        self._spend(1)
-        match t:
-            case VarRef(v):
-                return env[v]
-            case Lam(x, a, body):
+        """The value of t with each free variable's value taken from env.
+
+        One walk compiles t into nested closures, one per node, and the
+        value is what the root's closure returns (Feeley & Lapalme,
+        "Using closures for code generation", 1987). Every variable is
+        read from one frame list: env's values fill the first slots, and
+        each binder writes the slot at its depth, so no binder copies an
+        environment. Compiling spends no step and cannot fail on a node
+        that is never reached. Each closure call spends one step, so a
+        step is spent per visit of a node, a binder's elements are
+        enumerated only when its lambda runs, and an abort raises
+        TypeError only when reached. Every free variable of t must have
+        a value in env.
+        """
+        frame = list(env.values())
+        return self._compile(t, {v: i for i, v in enumerate(env)}, len(frame), frame)()
+
+    def _compile(
+        self, t: Term, scope: Mapping[Var, int], depth: int, frame: list
+    ) -> Callable[[], object]:
+        # The closure for t calls its subterms' closures, and a binder at
+        # this depth writes frame[depth]. Each closure takes what it reads
+        # as default arguments: closing over this method's variables would
+        # make a cell for each of them, about twenty, at every node, and
+        # the cycle collector would run correspondingly more often.
+        cls, spend = type(t), self._spend
+        kids = []
+        for name, binder in SUBTERMS[cls]:
+            inner = scope
+            if binder is not None:
+                if depth == len(frame):
+                    frame.append(None)
+                inner = {**scope, getattr(t, binder): depth}
+            kids.append(self._compile(getattr(t, name), inner, depth + (binder is not None), frame))
+        if cls is VarRef:
+
+            def run(spend=spend, frame=frame, slot=scope[t.var]):
+                spend(1)
+                return frame[slot]
+
+        elif cls is Lam:
+
+            def run(spend=spend, elements=self.elements, a=t.bound_type, body=kids[0],
+                    frame=frame, depth=depth):
+                spend(1)
                 table = _Table()
-                for e in self.elements(a):
-                    table[e] = self.value(body, {**env, x: e})
+                for e in elements(a):
+                    frame[depth] = e
+                    table[e] = body()
                 return table
-            case App(f, a):
-                return self.value(f, env)[self.value(a, env)]
-            case Pair(a, b):
-                return (self.value(a, env), self.value(b, env))
-            case Fst(a):
-                return self.value(a, env)[0]
-            case Snd(a):
-                return self.value(a, env)[1]
-            case Inl(a, _):
-                return (0, self.value(a, env))
-            case Inr(a, _):
-                return (1, self.value(a, env))
-            case Case(r, x, _, s, y, _, u):
-                tag, v = self.value(r, env)
-                if tag == 0:
-                    return self.value(s, {**env, x: v})
-                return self.value(u, {**env, y: v})
-        # Abort is never reached: its argument would need a value of _|_.
-        raise TypeError(f"no value for {t!r}")
+
+        elif cls is App:
+
+            def run(spend=spend, fun=kids[0], arg=kids[1]):
+                spend(1)
+                return fun()[arg()]
+
+        elif cls is Pair:
+
+            def run(spend=spend, first=kids[0], second=kids[1]):
+                spend(1)
+                return (first(), second())
+
+        elif cls is Fst or cls is Snd:
+
+            def run(spend=spend, arg=kids[0], i=int(cls is Snd)):
+                spend(1)
+                return arg()[i]
+
+        elif cls is Inl or cls is Inr:
+
+            def run(spend=spend, arg=kids[0], tag=int(cls is Inr)):
+                spend(1)
+                return (tag, arg())
+
+        elif cls is Case:
+
+            def run(spend=spend, scrutinee=kids[0], left=kids[1], right=kids[2],
+                    frame=frame, depth=depth):
+                spend(1)
+                tag, frame[depth] = scrutinee()
+                return left() if tag == 0 else right()
+
+        else:
+            # Abort is never reached: its argument would need a value of _|_.
+            def run(spend=spend, t=t):
+                spend(1)
+                raise TypeError(f"no value for {t!r}")
+
+        return run
 
 
 def _refuted_in_model(n1: Term, n2: Term) -> bool:

@@ -481,6 +481,24 @@ def test_alpha_key_agrees_with_canonical_forms_and_bound_renaming(case1, case2, 
     assert canonicalize(c) == c
 
 
+@given(typed_terms(), typed_terms(), st.randoms(use_true_random=False))
+def test_alpha_equal_answers_as_the_alpha_keys_do(case1, case2, rnd):
+    # Neighbouring subterms share variables, some bound above them and
+    # so free in them; a bound renaming of each supplies equal pairs.
+    _, t1, a1 = case1
+    _, t2, a2 = case2
+    nodes = [*term_nodes(t1), *term_nodes(t2)]
+    renamed = [rename_bound(u, lambda: rnd.random() < 0.5) for u in nodes]
+    neighbours = list(zip(nodes, nodes[1:]))
+    pairs = [*neighbours, *zip(nodes, renamed)]
+    # Alpha-equal first fields, so only a later subterm or a formula
+    # tells the two apart.
+    pairs += [(Pair(u, a), Pair(r, b)) for u, r, (a, b) in zip(nodes, renamed, neighbours)]
+    pairs.append((Inl(t1, a1), Inl(renamed[0], a2)))
+    for a, b in pairs:
+        assert alpha_equal(a, b) == (alpha_key(a) == alpha_key(b))
+
+
 # ---------- Checker soundness ----------
 
 

@@ -5,6 +5,7 @@ from proofmean.core import (
     App,
     Atom,
     Case,
+    Context,
     Fst,
     Implies,
     Inl,
@@ -16,6 +17,7 @@ from proofmean.core import (
     Var,
     VarRef,
     alpha_equal,
+    type_of,
 )
 from gamma_examples import (
     CASE_OF_TUPLE_TERM,
@@ -25,6 +27,7 @@ from gamma_examples import (
 )
 from proofmean.rewrite import (
     INCONCLUSIVE,
+    MODEL_STEP_BUDGET,
     BetaEta,
     BetaEtaGamma,
     FiniteModel,
@@ -38,6 +41,7 @@ from proofmean.rewrite import (
     gamma_steps,
     normalize,
 )
+from proofmean.meaning import denotation_of
 from proofmean.rewrite import _FRAMES
 from proofmean.sc import end_term_sc
 from proofmean.syntax import parse_term
@@ -314,6 +318,130 @@ def test_finite_model_declines_and_leaves_the_search_to_answer():
     with pytest.raises(OutsideModelBounds):
         FiniteModel().value(parse_term(many + FST_CASE_TERM), {})
     assert gamma_1(many + FST_CASE_TERM, many + SND_CASE_TERM) is INCONCLUSIVE
+
+
+DIST = {
+    (0, (0, 0)): ((1, 0), (1, 0)),
+    (0, (0, 1)): ((1, 0), (1, 1)),
+    (0, (1, 0)): ((1, 1), (1, 0)),
+    (0, (1, 1)): ((1, 1), (1, 1)),
+    (1, 0): ((0, 0), (0, 0)),
+    (1, 1): ((0, 1), (0, 1)),
+}
+SPLIT = {(0, 0): (0, 0), (0, 1): (0, 0), (1, 0): (0, 1), (1, 1): (0, 1)}
+TUPLE = {
+    0: {
+        (0, 0): (((0, 0), 0), 0),
+        (0, 1): (((1, 0), 1), 0),
+        (1, 0): (((0, 0), 0), 0),
+        (1, 1): (((1, 1), 0), 1),
+    },
+    1: {
+        (0, 0): (((0, 1), 0), 1),
+        (0, 1): (((1, 1), 1), 1),
+        (1, 0): (((0, 0), 1), 0),
+        (1, 1): (((1, 1), 1), 1),
+    },
+}
+TS = {
+    (0, 0): {(0, 0): (0, 0), (0, 1): (0, 0), (1, 0): (0, 1), (1, 1): (0, 1)},
+    (0, 1): {(0, 0): (1, 0), (0, 1): (1, 0), (1, 0): (1, 1), (1, 1): (1, 1)},
+    (1, 0): {(0, 0): (0, 0), (0, 1): (0, 0), (1, 0): (0, 1), (1, 1): (0, 1)},
+    (1, 1): {(0, 0): (1, 0), (0, 1): (1, 0), (1, 0): (1, 1), (1, 1): (1, 1)},
+}
+CASE_PAIR = {(0, 0): (0, 0), (0, 1): (1, 1), (1, 0): (0, 0), (1, 1): (1, 1)}
+WEAK = {0: {0: 0, 1: 0}, 1: {0: 1, 1: 1}}
+# Each closed corpus normal form and gamma example with its value and
+# the steps that evaluating it spends, written down from the evaluator
+# that interpreted each node afresh at every environment. The values'
+# key order is part of what is pinned: it fixes every table's hash.
+MODEL_VALUES = {
+    "nd_case_pair.nd": (CASE_PAIR, 35),
+    "nd_identity.nd": ({0: 0, 1: 1}, 5),
+    "nd_identity_detour.nd": ({0: 0, 1: 1}, 5),
+    "nd_pair_pp_1.nd": ({0: {0: (0, 0), 1: (1, 0)}, 1: {0: (0, 1), 1: (1, 1)}}, 17),
+    "nd_pair_pp_2.nd": ({0: {0: (0, 0), 1: (0, 1)}, 1: {0: (1, 0), 1: (1, 1)}}, 17),
+    "nd_weak_pq_1.nd": (WEAK, 11),
+    "nd_weak_pq_2.nd": (WEAK, 11),
+    "sc_case_pair.sc": (CASE_PAIR, 35),
+    "sc_dist_1.sc": (DIST, 67),
+    "sc_dist_2.sc": (DIST, 67),
+    "sc_dist_3.sc": (DIST, 79),
+    "sc_inl_cut.sc": (SPLIT, 19),
+    "sc_inl_cut_plain.sc": (SPLIT, 19),
+    "sc_inl_cutfree.sc": (SPLIT, 19),
+    "sc_pair_pp.sc": ({0: {0: (0, 0), 1: (0, 1)}, 1: {0: (1, 0), 1: (1, 1)}}, 17),
+    "sc_ts_1.sc": (TS, 101),
+    "sc_ts_2.sc": (TS, 101),
+    CASE_OF_TUPLE_TERM: (TUPLE, 81),
+    TUPLE_OF_CASES_TERM: (TUPLE, 129),
+    FST_CASE_TERM: (
+        {
+            (0, (0, 0)): 0, (0, (0, 1)): 0, (0, (1, 0)): 1, (0, (1, 1)): 1,
+            (1, (0, 0)): 0, (1, (0, 1)): 0, (1, (1, 0)): 1, (1, (1, 1)): 1,
+        },
+        47,
+    ),
+    SND_CASE_TERM: (
+        {
+            (0, (0, 0)): 0, (0, (0, 1)): 1, (0, (1, 0)): 0, (0, (1, 1)): 1,
+            (1, (0, 0)): 0, (1, (0, 1)): 1, (1, (1, 0)): 0, (1, (1, 1)): 1,
+        },
+        47,
+    ),
+}
+
+
+def test_finite_model_values_and_steps_are_pinned(corpus_dir, load_corpus):
+    assert {path.name for path in corpus_dir.iterdir()} <= set(MODEL_VALUES)
+    for name, (expected, steps) in MODEL_VALUES.items():
+        if name.endswith((".nd", ".sc")):
+            t = denotation_of(load_corpus(name).derivation)
+        else:
+            t = parse_term(name)
+        model = FiniteModel()
+        assert repr(model.value(t, {})) == repr(expected), name
+        assert MODEL_STEP_BUDGET - model._steps == steps, name
+
+
+def test_finite_model_reads_each_variable_at_its_binders_depth():
+    # A binder that shadows a variable, bound or taken from env, gets a
+    # slot of its own, and so does every binder below it.
+    pairs = {0: {0: (0, 0), 1: (0, 1)}, 1: {0: (1, 0), 1: (1, 1)}}
+    cases = [
+        (r"\x:p. \x:p. \y:p. <x, y>", {}, {0: pairs, 1: pairs}, 33),
+        (r"\x:p. case inl[p] x { x:p. \y:p. <x, y> | z:p. \y:p. <z, y> }", {}, pairs, 23),
+        (r"\y:p. <x, y>", {x: 0, y: 1}, pairs[0], 9),
+    ]
+    for text, env, expected, steps in cases:
+        model = FiniteModel()
+        assert repr(model.value(parse_term(text), env)) == repr(expected), text
+        assert MODEL_STEP_BUDGET - model._steps == steps, text
+
+
+def test_finite_model_never_reaches_an_empty_binder_or_an_untaken_branch():
+    # Each term holds a binder over (((p->p)->p)->p), 2^16 elements, and an
+    # abort; neither is reached, so neither may fail or spend a step.
+    big = r"\f:(((p->p)->p)->p). abort[p] "
+    under_absurd = parse_term(r"\x:_|_. " + big + "x")
+    untaken = parse_term(
+        r"\w:p. case inl[_|_] w { x:p. x | y:_|_. app((" + big + r"y), \g:((p->p)->p). w) }"
+    )
+    assert type_of(Context(), untaken) == Implies(p, p)
+    model = FiniteModel()
+    assert model.value(under_absurd, {}) == {}
+    assert MODEL_STEP_BUDGET - model._steps == 1
+    model = FiniteModel()
+    assert model.value(untaken, {}) == {0: 0, 1: 1}
+    # One step for the lambda, two for the elements of p, and 4 per element.
+    assert MODEL_STEP_BUDGET - model._steps == 11
+
+
+def test_finite_model_raises_type_error_on_reaching_an_abort():
+    with pytest.raises(TypeError):
+        FiniteModel().value(parse_term("abort[p] x"), {x: 0})
+    with pytest.raises(TypeError):
+        FiniteModel().value(parse_term(r"\y:p. abort[p] x"), {x: 0})
 
 
 def test_inconclusive_is_not_a_boolean():
