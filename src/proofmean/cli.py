@@ -20,11 +20,12 @@ import argparse
 import json
 import os
 import sys
+import threading
 from pathlib import Path
 
 from . import nd as _nd
 from . import syntax
-from .core import ProofmeanError, term_size
+from .core import ProofmeanError, Term, term_size
 from .meaning import (
     Checked,
     Derivation,
@@ -66,6 +67,12 @@ class _NotText(ProofmeanError):
 
 _PARSE_ERRORS = (ParseError, UnknownRule, DanglingDischargeLabel, _NotText)
 
+# Each command runs in one thread whose stack holds _RECURSION_LIMIT
+# levels of recursion, the limit while it runs: CPython 3.10 and 3.11
+# take at most about 420 bytes of C stack per level, so each gets 1 KiB.
+_STACK_BYTES = 512 * 2**20
+_RECURSION_LIMIT = _STACK_BYTES // 1024
+
 
 # ---------- Shared helpers ----------
 
@@ -102,11 +109,10 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _sorted_terms(terms) -> list[str]:
-    return [
-        render_term(t)
-        for t in sorted(terms, key=lambda t: (term_size(t), render_term(t)))
-    ]
+def _sorted_terms(terms) -> list[tuple[str, Term]]:
+    """Each term with its rendering, rendered once; smallest first, then by text."""
+    shown = [(render_term(t), t) for t in terms]
+    return sorted(shown, key=lambda pair: (term_size(pair[1]), pair[0]))
 
 
 def _effective_fuel(args) -> int:
@@ -185,17 +191,13 @@ def _cmd_normalize(args) -> int:
 def _cmd_sense(args) -> int:
     sf = _load(args.file)
     sense = sense_of(sf.derivation, multiset=args.multiset)
-    ordered = sorted(sense.elements, key=lambda t: (term_size(t), render_term(t)))
-    details: dict = {
-        "calculus": sf.calculus,
-        "name": sf.name,
-        "elements": [render_term(t) for t in ordered],
-    }
-    lines = [render_term(t) for t in ordered]
+    ordered = _sorted_terms(sense.elements)
+    lines = [text for text, _ in ordered]
+    details: dict = {"calculus": sf.calculus, "name": sf.name, "elements": lines}
     if args.multiset:
         assert sense.counts is not None
-        details["counts"] = [[render_term(t), sense.counts[t]] for t in ordered]
-        lines = [f"{render_term(t)}  x{sense.counts[t]}" for t in ordered]
+        details["counts"] = [[text, sense.counts[t]] for text, t in ordered]
+        lines = [f"{text}  x{count}" for text, count in details["counts"]]
     payload = {"command": "sense", "inputs": [args.file], "details": details}
     _emit(args, payload, lines)
     return 0
@@ -211,8 +213,8 @@ def _verdict_details(args, verdict: Verdict) -> dict:
                 a.name: b.name for a, b in sorted(renaming.items(), key=lambda kv: kv[0].name)
             }
         case DifferentSenseSameDenotation((s1, s2)):
-            details["only_in_first"] = _sorted_terms(s1.elements - s2.elements)
-            details["only_in_second"] = _sorted_terms(s2.elements - s1.elements)
+            details["only_in_first"] = [s for s, _ in _sorted_terms(s1.elements - s2.elements)]
+            details["only_in_second"] = [s for s, _ in _sorted_terms(s2.elements - s1.elements)]
         case DifferentDenotation(normal_forms):
             details["normal_forms"] = [render_term(t) for t in normal_forms]
         case SameDenotationUpToGamma(inconclusive, normal_forms):
@@ -392,21 +394,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+def _run(argv: list[str] | None) -> int | BaseException:
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_RECURSION_LIMIT)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as e:
         return int(e.code or 0)
-    try:
-        return args.handler(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except _PARSE_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (_UsageError, *_PARSE_ERRORS, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ProofmeanError as e:
@@ -415,6 +411,25 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: input nested too deeply to process", file=sys.stderr)
         return 4
+    except BaseException as e:  # raised again by main, in the calling thread
+        return e
+    finally:
+        sys.setrecursionlimit(old_limit)
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the command argv names in one thread on a _STACK_BYTES stack."""
+    outcome: list = []
+    worker = threading.Thread(target=lambda: outcome.append(_run(argv)), daemon=True)
+    old_stack = threading.stack_size(_STACK_BYTES)
+    try:
+        worker.start()
+    finally:
+        threading.stack_size(old_stack)
+    worker.join()
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return outcome[0]
 
 
 if __name__ == "__main__":

@@ -250,11 +250,6 @@ LABELS = {
 }
 
 
-def children(t: Term) -> list[Term]:
-    """The subterms of t, in declaration order."""
-    return [getattr(t, name) for name, _ in SUBTERMS[type(t)]]
-
-
 def rebuild(t: Term, changes: Mapping[str, object]) -> Term:
     """A node like t with the fields named in changes replaced."""
     return type(t)(*[changes.get(f, getattr(t, f)) for f in t.__match_args__])
@@ -414,10 +409,9 @@ def canonicalize(t: Term) -> Term:
 
 def term_size(t: Term) -> int:
     """Number of term constructors in t."""
-    size, stack = 0, [t]
-    while stack:
-        size += 1
-        stack.extend(children(stack.pop()))
+    size = 1
+    for name, _ in SUBTERMS[type(t)]:
+        size += term_size(getattr(t, name))
     return size
 
 

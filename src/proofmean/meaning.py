@@ -129,7 +129,7 @@ def sense_renaming(
     c1, c2 = check(d1), check(d2)
     rho = _Bijection(c1.types, c2.types)
     if isinstance(c1, _nd.Judgment) and isinstance(c2, _nd.Judgment):
-        return _match(c1.term, c2.term, rho)
+        return rho.forward if _match(c1.term, c2.term, rho) else None
     return _search(_occurrences(c1), _occurrences(c2), rho, multiset)
 
 
@@ -160,24 +160,21 @@ class _Bijection:
             del self.backward[self.forward.pop(self.trail.pop())]
 
 
-def _match(t1: Term, t2: Term, rho: _Bijection) -> dict[Var, Var] | None:
-    # Both terms in lockstep on an explicit stack, each binder bound as
-    # its subterm is entered.
-    stack: list[tuple[Term, Term, Var | None, Var | None]] = [(t1, t2, None, None)]
-    while stack:
-        u1, u2, x1, x2 = stack.pop()
-        cls = type(u1)
-        if (x1 is not None and not rho.bind(x1, x2)) or type(u2) is not cls:
-            return None
-        if cls is VarRef:
-            if not rho.bind(u1.var, u2.var):
-                return None
-        elif any(getattr(u1, f) != getattr(u2, f) for f in LABELS[cls]):
-            return None
-        for name, binder in reversed(SUBTERMS[cls]):
-            b1, b2 = (getattr(u1, binder), getattr(u2, binder)) if binder else (None, None)
-            stack.append((getattr(u1, name), getattr(u2, name), b1, b2))
-    return rho.forward
+def _match(t1: Term, t2: Term, rho: _Bijection) -> bool:
+    # Both terms in lockstep, each binder bound as its subterm is entered.
+    cls = type(t1)
+    if type(t2) is not cls:
+        return False
+    if cls is VarRef:
+        return rho.bind(t1.var, t2.var)
+    if any(getattr(t1, f) != getattr(t2, f) for f in LABELS[cls]):
+        return False
+    for name, binder in SUBTERMS[cls]:
+        if binder is not None and not rho.bind(getattr(t1, binder), getattr(t2, binder)):
+            return False
+        if not _match(getattr(t1, name), getattr(t2, name), rho):
+            return False
+    return True
 
 
 def _search(occ1: list[Term], occ2: list[Term], rho: _Bijection, multiset: bool) -> dict | None:
@@ -271,17 +268,15 @@ def same_denotation(
 
 
 def _same_formula(f1: Formula, f2: Formula) -> bool:
-    """f1 == f2, on an explicit stack: the dataclass __eq__ nests two
-    frames per connective, too many for the conclusion of a wide
-    derivation."""
-    stack = [(f1, f2)]
-    while stack:
-        a, b = stack.pop()
-        if type(a) is not type(b) or (type(a) is Atom and a.name != b.name):
-            return False
-        if type(a) not in (Atom, Absurd):
-            stack += ((a.right, b.right), (a.left, b.left))
-    return True
+    """f1 == f2 by plain recursion. The dataclass __eq__ recurses through
+    C, which CPython 3.12 and later stop at a depth no limit raises."""
+    if type(f1) is not type(f2):
+        return False
+    if type(f1) is Atom:
+        return f1.name == f2.name
+    return type(f1) is Absurd or (
+        _same_formula(f1.left, f2.left) and _same_formula(f1.right, f2.right)
+    )
 
 
 # ---------- Classification ----------

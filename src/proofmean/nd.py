@@ -84,8 +84,7 @@ def premises(d: Node) -> list[Node]:
 
 def preorder(d: Node) -> Iterator[tuple[int, Node]]:
     """Every node of d with its depth, each before its premises, left
-    to right. An explicit stack keeps deep derivations off the call
-    stack."""
+    to right."""
     stack = [(0, d)]
     while stack:
         depth, node = stack.pop()
@@ -196,10 +195,10 @@ class Checker:
     """What the checkers of both calculi share: one formula per variable
     across the run, the conclusion recorded at every node, and the root
     that carries both and is kept on the derivation. A subclass's
-    `check` takes one frame per derivation level and appends each node
-    it concludes to `nodes`. It never reads a kept root: an `imp-i`
-    without a declared formula may take it from the whole run's
-    `types`, so a subtree's conclusion can depend on where it sits."""
+    `check` appends each node it concludes to `nodes`. It never reads a
+    kept root: an `imp-i` without a declared formula may take it from
+    the whole run's `types`, so a subtree's conclusion can depend on
+    where it sits."""
 
     def __init__(self) -> None:
         self.types: dict[Var, Formula] = {}
@@ -241,8 +240,7 @@ def kept(d: Node, check) -> Checked:
 
 class _NdChecker(Checker):
     def check(self, d: NdDerivation) -> Judgment:
-        # One frame per derivation level: each case sets `out`, which is
-        # recorded below.
+        # Each case sets `out`, which is recorded below.
         match d:
             case Hyp(x, a):
                 self.bind(x, a)

@@ -327,7 +327,6 @@ def normalize(t: Term, budget: int = DEFAULT_STEP_BUDGET) -> Term:
     steps = 0
 
     def go(u: Term) -> Term:
-        # One frame per level, as for the single steps and substitution.
         nonlocal steps
         if getattr(u, "_normal", False):
             return u

@@ -190,8 +190,7 @@ class _ScChecker(Checker):
             )
 
     def check(self, d: ScDerivation) -> Sequent:
-        # One frame per derivation level: each case sets `out`, which is
-        # recorded below.
+        # Each case sets `out`, which is recorded below.
         match d:
             case Rf(x, a):
                 self.bind(x, a)
@@ -398,14 +397,15 @@ def cut_nodes(d: ScDerivation) -> tuple[CutInfo, ...]:
     # Only premises of weakenings are looked up, and d is none of them.
     antecedent_of = {id(node): seq.antecedent for node, seq in kept(d, check_sc).nodes}
     found: list[CutInfo] = []
-    stack: list[tuple[ScDerivation, tuple[int, ...]]] = [(d, ())]
-    while stack:
-        node, path = stack.pop()
+
+    def visit(node: ScDerivation, path: tuple[int, ...]) -> None:
         if isinstance(node, Cut):
             principal = _left_principal(node.left) and _right_principal(
                 node.right, node.var, antecedent_of
             )
             found.append(CutInfo(path, node, principal))
-        below = premises(node)
-        stack.extend((below[i], path + (i,)) for i in reversed(range(len(below))))
+        for i, p in enumerate(premises(node)):
+            visit(p, path + (i,))
+
+    visit(d, ())
     return tuple(found)

@@ -344,8 +344,7 @@ class _Parser:
 
     def term(self) -> Term:
         """A bare variable, a parenthesized term, or the row of
-        _TERM_SYNTAX its leading token names, read part by part. Each
-        level takes one frame, as in `derivation`."""
+        _TERM_SYNTAX its leading token names, read part by part."""
         word = self.words[self.i]
         row = _TERM_ROWS.get(word)
         if row is None:
@@ -378,10 +377,9 @@ class _Parser:
 
     def derivation(self, calculus: str) -> "_nd.NdDerivation | _sc.ScDerivation":
         """One rule application of the calculus ("nd" or "sc"), its
-        fields read in declaration order by their kinds. Each level
-        takes one frame: a comprehension in place of the loop would add
-        one on Python 3.10 and 3.11. A label-less imp-i whose premise
-        adds no hyp of its variable to self.hyps goes on self.dangling."""
+        fields read in declaration order by their kinds. A label-less
+        imp-i whose premise adds no hyp of its variable to self.hyps
+        goes on self.dangling."""
         rules = _RULES[calculus]
         start = self.i
         self.expect("(")
@@ -485,8 +483,7 @@ def render_formula(f: Formula) -> str:
         return "_|_"
     if cls not in _CONNECTIVES:
         raise TypeError(f"not a formula: {f!r}")
-    # Each operand is parenthesized unless it is an atom or _|_, inline
-    # so that each connective costs one frame.
+    # Each operand is parenthesized unless it is an atom or _|_.
     left, right = render_formula(f.left), render_formula(f.right)
     if type(f.left) in _CONNECTIVES:
         left = f"({left})"
@@ -497,7 +494,7 @@ def render_formula(f: Formula) -> str:
 
 def render_term(t: Term, canonical: bool = False) -> str:
     """Deterministic, re-parseable rendering of t, its parts written in
-    the order _TERM_SYNTAX gives them. Each level takes one frame."""
+    the order _TERM_SYNTAX gives them."""
     if canonical:
         t = canonicalize(t)
 

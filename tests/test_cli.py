@@ -4,11 +4,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import jsonschema
 import pytest
 
 import proofmean
+from proofmean import cli
 from gamma_examples import CASE_OF_TUPLE, FST_CASE, SND_CASE, TUPLE_OF_CASES
 from proofmean.cli import main
 from proofmean.syntax import render_derivation
@@ -106,8 +108,10 @@ def detour_chain(n: int) -> str:
     return f"(nd chain (imp-i x {d}))"
 
 
-def test_too_deep_input_exits_4_without_a_traceback(write, capsys):
-    # Every stage takes one frame per level, so about 490 detours fit.
+def test_too_deep_input_exits_4_without_a_traceback(write, capsys, monkeypatch):
+    # The runner's recursion limit is what stops a deep input: lowered
+    # here, a chain that fits below it answers and one past it exits 4.
+    monkeypatch.setattr(cli, "_RECURSION_LIMIT", 1500)
     deep = write("deep.nd", detour_chain(1000))
     for command in ("check", "normalize"):
         assert main([command, deep]) == 4
@@ -118,44 +122,83 @@ def test_too_deep_input_exits_4_without_a_traceback(write, capsys):
     for command in ("check", "normalize"):
         assert main([command, shallow]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == r"\x:p. x"
-    # A walk that took two frames per level would fail here.
-    near_ceiling = write("near.nd", detour_chain(260))
-    for argv in (["check"], ["normalize"], ["sense"], ["compare", near_ceiling]):
-        assert main([*argv, near_ceiling]) == 0, argv
-    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_commands_answer_on_deep_input(write, capsys):
+    limit, stack = sys.getrecursionlimit(), threading.stack_size()
+    chain = write("chain.nd", detour_chain(600))
+    for argv in (["check"], ["normalize"], ["sense"], ["compare", chain]):
+        assert main([*argv, chain]) == 0, argv
+    capsys.readouterr()
+    deep = write("deep.nd", detour_chain(10_000))
+    assert main(["normalize", deep]) == 0
+    assert capsys.readouterr().out == "\\x:p. x\n"
+    assert main(["compare", deep, deep]) == 0
+    assert capsys.readouterr().out == "SameSenseSameDenotation\nrenaming: {'x': 'x'}\n"
+    # The runner puts both settings back.
+    assert sys.getrecursionlimit() == limit != cli._RECURSION_LIMIT
+    assert threading.stack_size() == stack != cli._STACK_BYTES
 
 
 def test_compare_answers_on_a_wide_pair_family(write, capsys):
-    # The conclusion nests about 400 connectives, more than a recursive
-    # formula comparison takes within the default recursion limit.
-    a, b = (write(f"{tag}.nd", render_derivation(pair_family(200, tag))) for tag in "ab")
+    # render_derivation recurses once per level, which at width 1000 is
+    # past the default recursion limit.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        a, b = (write(f"{tag}.nd", render_derivation(pair_family(1000, tag))) for tag in "ab")
+    finally:
+        sys.setrecursionlimit(limit)
     assert main(["compare", a, b]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "SameSenseSameDenotation"
 
 
+def test_an_unexpected_error_is_raised_in_the_calling_thread(write, monkeypatch):
+    def fail(args):
+        raise ValueError("not handled")
+
+    monkeypatch.setattr(cli, "_cmd_check", fail)
+    with pytest.raises(ValueError, match="not handled"):
+        main(["check", write("id.nd", ID_ND)])
+
+
 def test_check_and_normalize_answer_on_a_wide_pair_family(write, capsys):
-    # The formula nests about 300 connectives; rendering it must take
-    # one frame per connective to stay within the default recursion limit.
     path = write("a.nd", render_derivation(pair_family(300, "a")))
     for command in ("check", "normalize"):
         assert main([command, path]) == 0, command
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_module_entry_point_writes_nothing_to_stderr(corpus_dir):
-    # The package must not import `cli` itself: runpy would then find the
-    # module already loaded and warn on every `python -m proofmean.cli`.
+def run_module(*argv: str) -> subprocess.CompletedProcess:
     src = str(pathlib.Path(proofmean.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "proofmean.cli", "check", str(corpus_dir / "nd_identity.nd")],
+    return subprocess.run(
+        [sys.executable, "-m", "proofmean.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=60,
     )
+
+
+def test_module_entry_point_writes_nothing_to_stderr(corpus_dir):
+    # The package must not import `cli` itself: runpy would then find the
+    # module already loaded and warn on every `python -m proofmean.cli`.
+    proc = run_module("check", str(corpus_dir / "nd_identity.nd"))
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_a_deep_formula_in_an_error_message_does_not_crash(write):
+    # The message shows the formula by its dataclass repr, which recurses
+    # through C: on CPython 3.11 about 500 bytes of stack per connective,
+    # past a default thread stack at 20,000. CPython 3.12 and later stop
+    # that recursion at a fixed depth instead, and exit 4.
+    path = write("deep.nd", "(and-e1 (hyp x p" + " -> p" * 20_000 + "))")
+    proc = run_module("check", path)
+    assert proc.returncode in (1, 4)
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_term_command(write, capsys, schema):

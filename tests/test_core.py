@@ -189,6 +189,8 @@ def test_type_of_rejects_ill_typed_terms():
         type_of(ctx, App(VarRef(x), VarRef(x)))
     with pytest.raises(TypeMismatch):
         type_of(ctx, Fst(VarRef(x)))
+    with pytest.raises(TypeMismatch, match="^snd of a term of type"):
+        type_of(ctx, Snd(VarRef(x)))
     with pytest.raises(TypeMismatch):
         type_of(ctx, Case(VarRef(x), y, p, VarRef(y), z, q, VarRef(z)))
     assert type_of(Context({x: And(p, q)}), App(Lam(y, p, VarRef(y)), Fst(VarRef(x)))) == p

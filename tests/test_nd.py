@@ -99,6 +99,8 @@ def test_rule_shape_errors():
         check_nd(ImpE(Hyp(x, Implies(p, q)), Hyp(y, r)))
     with pytest.raises(RuleMismatch):
         check_nd(AndE1(Hyp(x, p)))
+    with pytest.raises(RuleMismatch, match="not a conjunction"):
+        check_nd(AndE2(Hyp(x, p)))
     with pytest.raises(RuleMismatch):
         check_nd(AbsurdE(r, Hyp(x, p)))
     with pytest.raises(RuleMismatch):

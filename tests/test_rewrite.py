@@ -206,6 +206,15 @@ def test_gamma_steps_rename_branch_binders_to_avoid_capture():
     assert gamma_steps(t) == [
         parse_term(r"case z { x':(p->q). app(x', x) | x'':(p->q). app(x'', x) }")
     ]
+    # Pulled out of both branches, a lambda gets a new binder where its
+    # own would capture the scrutinee's variable, a branch binder, or a
+    # variable free in the other branch.
+    for text, pulled in (
+        (r"case w { x:p. \w:q. x | y:p. \w:q. y }", r"\w':q. case w { x:p. x | y:p. y }"),
+        (r"case z { x:p. \x:q. x | y:p. \x:q. x }", r"\x':q. case z { x:p. x' | y:p. x' }"),
+        (r"case z { x:p. \a:q. a | y:p. \b:q. a }", r"\a':q. case z { x:p. a' | y:p. a }"),
+    ):
+        assert gamma_steps(parse_term(text)) == [parse_term(pulled)], text
 
 
 def test_gamma_connects_case_of_pair_with_pair_of_cases():
@@ -224,6 +233,18 @@ def test_equivalent_beta_eta():
     assert equivalent(t1, t2) is True
     assert equivalent(t1, Inl(VarRef(y), p)) is False
     assert equivalent(t1, t2, BetaEta()) is True
+
+
+def test_gamma_search_meets_after_the_second_sides_layer():
+    # Each side is one gamma step from
+    # app(case z { x. app(x, a) | y. app(y, a) }, b), and neither is one
+    # step from the other.
+    t1 = parse_term(r"app(app(case z { x:(p->(p->q)). x | y:(p->(p->q)). y }, a), b)")
+    t2 = parse_term(
+        r"case z { x:(p->(p->q)). app(app(x, a), b) | y:(p->(p->q)). app(app(y, a), b) }"
+    )
+    assert t2 not in gamma_steps(t1) and t1 not in gamma_steps(t2)
+    assert equivalent(t1, t2, BetaEtaGamma(fuel=1)) is True
 
 
 def test_gamma_mode_falls_back_to_beta_eta_first():
@@ -313,11 +334,19 @@ def test_finite_model_declines_and_leaves_the_search_to_answer():
         FiniteModel().elements(parse_term(big + "f").bound_type)
     assert gamma_1(big + FST_CASE_TERM, big + SND_CASE_TERM) is INCONCLUSIVE
 
-    # Past the step budget: 256 x 256 evaluations of the body.
+    # Above the size bound at a binder: ((p/\p)/\(p/\p))->p has 2^16
+    # elements.
     many = r"\f:(((p/\p)/\(p/\p))->p). \g:(((p/\p)/\(p/\p))->p). "
-    with pytest.raises(OutsideModelBounds):
+    with pytest.raises(OutsideModelBounds, match="over 256 elements"):
         FiniteModel().value(parse_term(many + FST_CASE_TERM), {})
     assert gamma_1(many + FST_CASE_TERM, many + SND_CASE_TERM) is INCONCLUSIVE
+
+    # Past the step budget: fourteen binders over p take 2^14 evaluations
+    # of the body. The two bodies differ, and only the search answers.
+    binders = "".join(rf"\{v}:p. " for v in "abcdefghijklmn")
+    with pytest.raises(OutsideModelBounds, match=f"over {MODEL_STEP_BUDGET} steps"):
+        FiniteModel().value(parse_term(binders + "a"), {})
+    assert gamma_1(binders + "a", binders + "b") is INCONCLUSIVE
 
 
 DIST = {

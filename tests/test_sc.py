@@ -96,6 +96,8 @@ def test_or_left_premises_must_agree():
         check_sc(OrL(z, x, y, Rf(x, p), Rf(y, q)))
     with pytest.raises(RuleMismatch):
         check_sc(OrL(z, u, y, Rf(x, p), Rf(y, p)))
+    with pytest.raises(RuleMismatch, match="^right premise antecedent must contain u$"):
+        check_sc(OrL(z, x, u, Rf(x, p), Rf(y, p)))
 
 
 def test_imp_right_abstracts():
@@ -275,3 +277,6 @@ def test_cut_paths_locate_nested_cuts():
     assert len(info) == 1
     assert info[0].path == (0, 0)
     assert info[0].node is inner
+    # Premise indices past the first, and cuts in preorder.
+    pair = AndR(inner, Weaken(w, q, inner))
+    assert [c.path for c in cut_nodes(pair)] == [(0,), (1, 0)]

@@ -214,6 +214,7 @@ def test_parse_errors_carry_positions():
         (parse_file, "(hyp x p)\n\t ; @\n  @", "3:3: unexpected character '@'"),
         (parse_file, "(hyp ²x p)", "1:6: unexpected character '²'"),
         (parse_file, "(hyp case p)", "1:6: 'case' is reserved and cannot name a variable"),
+        (parse_file, "(hyp -> p)", "1:6: expected 'ident', found '->'"),
         (
             parse_term,
             r"\x:case. x",
