@@ -5,11 +5,11 @@ Everything here is an immutable value. Terms carry enough type
 annotations (binder types, the undetermined component of injections and
 abort) that every well-formed term has a unique type in a context.
 
-Term and formula nodes keep their hash once computed, and
-`rewrite.normalize` marks each term node it returns as beta-eta
-normal. Both live outside the dataclass fields, so equality, repr and
-`dataclasses.fields` never see them, and neither can go stale because
-a node never changes.
+Formulas and variables are built once each, from a table kept for the
+whole process, so their `==` and `hash` are identity. A term node keeps
+its hash once computed, and `rewrite.normalize` marks each term node it
+returns as beta-eta normal. Both live outside the dataclass fields that
+equality and repr read, and a node never changes, so neither goes stale.
 """
 
 from __future__ import annotations
@@ -48,38 +48,53 @@ def _hash_once(cls):
     return cls
 
 
+class _Interned:
+    """Base of frozen dataclasses (eq=False, init=False) built once per class
+    and fields, so `==` and `hash` are identity (Filliâtre & Conchon, 2006)."""
+    _table: dict[tuple, "_Interned"] = {}
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        self = cls._table.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, args, strict=True):
+                object.__setattr__(self, name, value)
+            self = cls._table.setdefault(key, self)
+        return self
+
+    def __reduce__(self):  # copy and pickle rebuild through __new__
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
 # ---------- Formulas ----------
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Atom:
+@dataclass(frozen=True, eq=False, init=False)
+class Atom(_Interned):
     name: str
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Implies:
+@dataclass(frozen=True, eq=False, init=False)
+class Implies(_Interned):
     left: "Formula"
     right: "Formula"
 
 
-@_hash_once
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False, init=False)
+class And(_Interned):
     left: "Formula"
     right: "Formula"
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False, init=False)
+class Or(_Interned):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Absurd:
+@dataclass(frozen=True, eq=False, init=False)
+class Absurd(_Interned):
     pass
 
 
@@ -89,11 +104,8 @@ Formula = Union[Atom, Implies, And, Or, Absurd]
 # ---------- Variables and terms ----------
 
 
-# Var keeps the plain dataclass hash: the parser builds a new Var for
-# each occurrence and hashes it about once, so a cache costs more than
-# it saves.
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False, init=False)
+class Var(_Interned):
     name: str
 
 
@@ -320,6 +332,16 @@ def substitute(t: Term, x: Var, s: Term) -> Term:
 # ---------- Alpha equivalence ----------
 
 
+def _restore(env: dict, x: Var, outer: object) -> None:
+    """Undo a binder's entry for x: put back `outer`, the entry it
+    shadowed, or remove x if that is None. So each walk below keeps one
+    environment, and no binder copies it."""
+    if outer is None:
+        del env[x]
+    else:
+        env[x] = outer
+
+
 def _alpha_key(t: Term, env: dict[Var, int], depth: int) -> object:
     # A bound variable's key is the depth of its binder, a free one's is
     # the variable itself.
@@ -333,8 +355,10 @@ def _alpha_key(t: Term, env: dict[Var, int], depth: int) -> object:
         if binder is None:
             key.append(_alpha_key(getattr(t, name), env, depth))
         else:
-            inner = {**env, getattr(t, binder): depth}
-            key.append(_alpha_key(getattr(t, name), inner, depth + 1))
+            x = getattr(t, binder)
+            outer, env[x] = env.get(x), depth
+            key.append(_alpha_key(getattr(t, name), env, depth + 1))
+            _restore(env, x, outer)
     return tuple(key)
 
 
@@ -368,9 +392,12 @@ def _alpha_equal(
         if binder is None:
             same = _alpha_equal(s1, s2, env1, env2, depth)
         else:
-            inner1 = {**env1, getattr(t1, binder): depth}
-            inner2 = {**env2, getattr(t2, binder): depth}
-            same = _alpha_equal(s1, s2, inner1, inner2, depth + 1)
+            x1, x2 = getattr(t1, binder), getattr(t2, binder)
+            outer1, env1[x1] = env1.get(x1), depth
+            outer2, env2[x2] = env2.get(x2), depth
+            same = _alpha_equal(s1, s2, env1, env2, depth + 1)
+            _restore(env1, x1, outer1)
+            _restore(env2, x2, outer2)
         if not same:
             return False
     return True
@@ -392,19 +419,24 @@ def canonicalize(t: Term) -> Term:
             if name not in taken:
                 return Var(name)
 
-    def go(t: Term, ren: dict[Var, Var]) -> Term:
+    ren: dict[Var, Var] = {}
+
+    def go(t: Term) -> Term:
         if type(t) is VarRef:
             return VarRef(ren.get(t.var, t.var))
         changes: dict[str, object] = {}
         for name, binder in SUBTERMS[type(t)]:
-            inner = ren
-            if binder is not None:
-                changes[binder] = x2 = next_var()
-                inner = {**ren, getattr(t, binder): x2}
-            changes[name] = go(getattr(t, name), inner)
+            if binder is None:
+                changes[name] = go(getattr(t, name))
+            else:
+                x = getattr(t, binder)
+                outer, ren[x] = ren.get(x), next_var()
+                changes[binder] = ren[x]
+                changes[name] = go(getattr(t, name))
+                _restore(ren, x, outer)
         return rebuild(t, changes)
 
-    return go(t, {})
+    return go(t)
 
 
 def term_size(t: Term) -> int:

@@ -24,7 +24,7 @@ from typing import Mapping, Union
 
 from . import nd as _nd
 from . import sc as _sc
-from .core import LABELS, SUBTERMS, Absurd, Atom, Context, Formula, Term, Var, VarRef, alpha_equal
+from .core import LABELS, SUBTERMS, Context, Formula, Term, Var, VarRef, alpha_equal
 from .nd import Checked
 from .rewrite import (
     INCONCLUSIVE,
@@ -260,23 +260,11 @@ def same_denotation(
 
     Derivations of different formulas never share a denotation.
     """
-    if not _same_formula(conclusion(check(d1))[2], conclusion(check(d2))[2]):
+    if conclusion(check(d1))[2] is not conclusion(check(d2))[2]:
         return False
     # normalize returns a normal form unchanged, so handing `equivalent`
     # the two denotations decides the same question.
     return equivalent(denotation_of(d1), denotation_of(d2), mode)
-
-
-def _same_formula(f1: Formula, f2: Formula) -> bool:
-    """f1 == f2 by plain recursion. The dataclass __eq__ recurses through
-    C, which CPython 3.12 and later stop at a depth no limit raises."""
-    if type(f1) is not type(f2):
-        return False
-    if type(f1) is Atom:
-        return f1.name == f2.name
-    return type(f1) is Absurd or (
-        _same_formula(f1.left, f2.left) and _same_formula(f1.right, f2.right)
-    )
 
 
 # ---------- Classification ----------
@@ -335,7 +323,7 @@ def classify(
     """
     c1, c2 = check(d1), check(d2)
     n1, n2 = denotation_of(d1), denotation_of(d2)
-    if not _same_formula(conclusion(c1)[2], conclusion(c2)[2]):
+    if conclusion(c1)[2] is not conclusion(c2)[2]:
         return DifferentDenotation((n1, n2))
     if alpha_equal(n1, n2):
         renaming = sense_renaming(d1, d2, multiset)

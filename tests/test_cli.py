@@ -201,6 +201,17 @@ def test_a_deep_formula_in_an_error_message_does_not_crash(write):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_deep_declared_formula_is_compared_by_identity(write):
+    # The declared and the hypothesis formula are one object, so checking
+    # and comparing never recurse into them. A dataclass == recurses
+    # through C, which CPython 3.12.1 stops at a fixed depth (exit 4).
+    formula = "p" + " -> p" * 3_000
+    path = write("deep.nd", f"(imp-i x {formula} (hyp x {formula}))")
+    for argv in (("check", path), ("compare", path, path)):
+        proc = run_module(*argv)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+
+
 def test_term_command(write, capsys, schema):
     path = write("id.nd", "(imp-i a (hyp a p))")
     assert main(["term", path]) == 0
