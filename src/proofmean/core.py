@@ -5,17 +5,16 @@ Everything here is an immutable value. Terms carry enough type
 annotations (binder types, the undetermined component of injections and
 abort) that every well-formed term has a unique type in a context.
 
-Formulas and variables are built once each, from a table kept for the
-whole process, so their `==` and `hash` are identity. A term node keeps
-its hash once computed, and `rewrite.normalize` marks each term node it
-returns as beta-eta normal. Both live outside the dataclass fields that
-equality and repr read, and a node never changes, so neither goes stale.
+Formulas, variables and term nodes are built once each, from one table
+kept for the whole process, so their `==` and `hash` are identity and
+never recurse. `rewrite.normalize` marks each term node it returns as
+beta-eta normal. The mark lives outside the dataclass fields that repr
+reads, and a node never changes, so it never goes stale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import dataclass
 from typing import Mapping, Union
 
 
@@ -31,29 +30,16 @@ class TypeMismatch(ProofmeanError):
     pass
 
 
-def _hash_once(cls):
-    """Make a frozen dataclass hash its class and fields on first use
-    and keep the result on the instance."""
-    key = attrgetter(*(f.name for f in fields(cls)))
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((cls, key(self)))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls._hash = None
-    cls.__hash__ = __hash__
-    return cls
-
-
 class _Interned:
     """Base of frozen dataclasses (eq=False, init=False) built once per class
     and fields, so `==` and `hash` are identity (Filliâtre & Conchon, 2006)."""
     _table: dict[tuple, "_Interned"] = {}
 
-    def __new__(cls, *args):
+    def __new__(cls, *args, **kwargs):
+        if kwargs:  # keywords bind to the fields after the positional ones
+            args += tuple(kwargs.pop(f) for f in cls.__match_args__[len(args):] if f in kwargs)
+            if kwargs:
+                raise TypeError(f"{cls.__name__}() got unexpected fields {', '.join(kwargs)}")
         key = (cls, *args)
         self = cls._table.get(key)
         if self is None:
@@ -109,63 +95,54 @@ class Var(_Interned):
     name: str
 
 
-@_hash_once
-@dataclass(frozen=True)
-class VarRef:
+@dataclass(frozen=True, eq=False, init=False)
+class VarRef(_Interned):
     var: Var
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Lam:
+@dataclass(frozen=True, eq=False, init=False)
+class Lam(_Interned):
     bound: Var
     bound_type: Formula
     body: "Term"
 
 
-@_hash_once
-@dataclass(frozen=True)
-class App:
+@dataclass(frozen=True, eq=False, init=False)
+class App(_Interned):
     fun: "Term"
     arg: "Term"
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Pair:
+@dataclass(frozen=True, eq=False, init=False)
+class Pair(_Interned):
     first: "Term"
     second: "Term"
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Fst:
+@dataclass(frozen=True, eq=False, init=False)
+class Fst(_Interned):
     arg: "Term"
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Snd:
+@dataclass(frozen=True, eq=False, init=False)
+class Snd(_Interned):
     arg: "Term"
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Inl:
+@dataclass(frozen=True, eq=False, init=False)
+class Inl(_Interned):
     arg: "Term"
     other: Formula  # the right disjunct, not determined by arg
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Inr:
+@dataclass(frozen=True, eq=False, init=False)
+class Inr(_Interned):
     arg: "Term"
     other: Formula  # the left disjunct
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Case:
+@dataclass(frozen=True, eq=False, init=False)
+class Case(_Interned):
     scrutinee: "Term"
     left_var: Var
     left_type: Formula
@@ -175,9 +152,8 @@ class Case:
     right_branch: "Term"
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Abort:
+@dataclass(frozen=True, eq=False, init=False)
+class Abort(_Interned):
     arg: "Term"
     target: Formula
 
@@ -342,29 +318,34 @@ def _restore(env: dict, x: Var, outer: object) -> None:
         env[x] = outer
 
 
-def _alpha_key(t: Term, env: dict[Var, int], depth: int) -> object:
-    # A bound variable's key is the depth of its binder, a free one's is
-    # the variable itself.
+def _alpha_key(t: Term, env: dict[Var, int], depth: int, key: list) -> None:
+    # Append t in preorder: each node's class and labels, and for each
+    # variable occurrence the depth of its binder, or the variable itself
+    # when it is free. Each class has a fixed arity, so the flat list
+    # determines the term.
     cls = type(t)
     if cls is VarRef:
-        return env.get(t.var, t.var)
-    key = [cls]
+        key.append(env.get(t.var, t.var))
+        return
+    key.append(cls)
     for f in LABELS[cls]:
         key.append(getattr(t, f))
     for name, binder in SUBTERMS[cls]:
         if binder is None:
-            key.append(_alpha_key(getattr(t, name), env, depth))
+            _alpha_key(getattr(t, name), env, depth, key)
         else:
             x = getattr(t, binder)
             outer, env[x] = env.get(x), depth
-            key.append(_alpha_key(getattr(t, name), env, depth + 1))
+            _alpha_key(getattr(t, name), env, depth + 1, key)
             _restore(env, x, outer)
+
+
+def alpha_key(t: Term) -> tuple:
+    """A hashable key equal for exactly the alpha-equivalent terms: one
+    flat tuple, so hashing and comparing it never recurse."""
+    key: list = []
+    _alpha_key(t, {}, 0, key)
     return tuple(key)
-
-
-def alpha_key(t: Term) -> object:
-    """A hashable key equal for exactly the alpha-equivalent terms."""
-    return _alpha_key(t, {}, 0)
 
 
 def alpha_equal(t1: Term, t2: Term) -> bool:
@@ -451,52 +432,65 @@ def term_size(t: Term) -> int:
 
 
 def type_of(ctx: Context, t: Term) -> Formula:
-    """The unique formula A with ctx entailing t : A, or an error."""
+    """The unique formula A with ctx entailing t : A, or an error. The
+    walk copies ctx once and binds each binder in that one copy."""
+    return _type_of(dict(ctx._bindings), t)
+
+
+def _type_under(env: dict[Var, Formula], x: Var, a: Formula, body: Term) -> Formula:
+    # The type of body with x bound to a; env is left as it was found.
+    outer, env[x] = env.get(x), a
+    b = _type_of(env, body)
+    _restore(env, x, outer)
+    return b
+
+
+def _type_of(env: dict[Var, Formula], t: Term) -> Formula:
     match t:
         case VarRef(v):
-            a = ctx.get(v)
+            a = env.get(v)
             if a is None:
                 raise UnboundVariable(f"unbound variable {v.name}")
             return a
         case Lam(x, a, body):
-            return Implies(a, type_of(ctx.extend(x, a), body))
+            return Implies(a, _type_under(env, x, a, body))
         case App(f, arg):
-            ft = type_of(ctx, f)
+            ft = _type_of(env, f)
             if not isinstance(ft, Implies):
                 raise TypeMismatch(f"applied term has type {ft!r}, not an implication")
-            at = type_of(ctx, arg)
+            at = _type_of(env, arg)
             if at != ft.left:
                 raise TypeMismatch(f"argument type {at!r} does not match {ft.left!r}")
             return ft.right
         case Pair(a, b):
-            return And(type_of(ctx, a), type_of(ctx, b))
+            return And(_type_of(env, a), _type_of(env, b))
         case Fst(a):
-            at = type_of(ctx, a)
+            at = _type_of(env, a)
             if not isinstance(at, And):
                 raise TypeMismatch(f"fst of a term of type {at!r}")
             return at.left
         case Snd(a):
-            at = type_of(ctx, a)
+            at = _type_of(env, a)
             if not isinstance(at, And):
                 raise TypeMismatch(f"snd of a term of type {at!r}")
             return at.right
         case Inl(a, other):
-            return Or(type_of(ctx, a), other)
+            return Or(_type_of(env, a), other)
         case Inr(a, other):
-            return Or(other, type_of(ctx, a))
+            return Or(other, _type_of(env, a))
         case Case(r, x, a, s, y, b, u):
-            rt = type_of(ctx, r)
+            rt = _type_of(env, r)
             if not isinstance(rt, Or):
                 raise TypeMismatch(f"case scrutinee has type {rt!r}, not a disjunction")
             if rt.left != a or rt.right != b:
                 raise TypeMismatch("case branch annotations do not match the scrutinee type")
-            ct1 = type_of(ctx.extend(x, a), s)
-            ct2 = type_of(ctx.extend(y, b), u)
+            ct1 = _type_under(env, x, a, s)
+            ct2 = _type_under(env, y, b, u)
             if ct1 != ct2:
                 raise TypeMismatch(f"case branches have types {ct1!r} and {ct2!r}")
             return ct1
         case Abort(a, target):
-            at = type_of(ctx, a)
+            at = _type_of(env, a)
             if not isinstance(at, Absurd):
                 raise TypeMismatch(f"abort of a term of type {at!r}")
             return target

@@ -97,25 +97,32 @@ def _occurrences(root: Checked) -> list[Term]:
     return out
 
 
-def _skeleton(t: Term, out: list[Var]):
+def _skeleton(t: Term, out: list[Var]) -> tuple:
     """Hashable shape of t with variable occurrences blanked out.
 
-    Variables, binders included, are appended to `out` in a fixed
-    traversal order, so two terms with equal skeletons correspond
-    variable for variable.
+    The shape is one flat tuple of the node classes and labels in
+    preorder, which each class's fixed arity makes unambiguous, so
+    hashing and comparing it never recurse. Variables, binders
+    included, are appended to `out` in the same order, so two terms with
+    equal skeletons correspond variable for variable.
     """
+    key: list = []
+    _shape(t, key, out)
+    return tuple(key)
+
+
+def _shape(t: Term, key: list, out: list[Var]) -> None:
     cls = type(t)
+    key.append(cls)
     if cls is VarRef:
         out.append(t.var)
-        return None
-    key = [cls]
+        return
     for f in LABELS[cls]:
         key.append(getattr(t, f))
     for name, binder in SUBTERMS[cls]:
         if binder is not None:
             out.append(getattr(t, binder))
-        key.append(_skeleton(getattr(t, name), out))
-    return tuple(key)
+        _shape(getattr(t, name), key, out)
 
 
 def sense_renaming(

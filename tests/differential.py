@@ -4,8 +4,10 @@ and report the first command whose stdout, stderr or exit code differs.
     python tests/differential.py REF
 
 REF is anything `git archive` takes, such as HEAD^. The inputs are the
-corpus and every pair that bench/gen.py writes for the benchmark's two
-workloads at seeds 0-3. Each file goes through `check --json`,
+corpus, every pair that bench/gen.py writes for the benchmark's two
+workloads at seeds 0-3, and derivations that mention absurdity, drawn
+from tests/strategies.py with a fixed seed (needs Hypothesis), since
+neither of the others holds any. Each file goes through `check --json`,
 `sense --multiset --json` and `normalize --json`; each pair through
 `compare --json` in beta-eta mode and in beta-eta-gamma mode, at the
 pair's fuel when it has one. Each tree runs every command through its
@@ -29,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(4)
+DRAW_SEED, DRAWS = 0, 400
 
 # Reads one JSON argv per line and writes one JSON [code, stdout, stderr].
 WORKER = """
@@ -54,6 +57,43 @@ def generated_pairs() -> list[tuple[str, str, int | None]]:
     return [(p.text1, p.text2, p.fuel) for p in pairs]
 
 
+def drawn_pairs() -> list[tuple[str, str]]:
+    """Pairs of the derivations with _|_, absurd-e or absurd-l among
+    DRAWS drawn at DRAW_SEED: each with a renamed copy of itself, and
+    each with the next one that proves the same formula."""
+    sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src")]
+    from hypothesis import HealthCheck, Phase, given, seed, settings
+    from hypothesis import strategies as st
+
+    import strategies
+    from proofmean.meaning import check, conclusion
+    from proofmean.nd import NdDerivation
+    from proofmean.syntax import render_derivation
+
+    drawn = []
+
+    @seed(DRAW_SEED)
+    @settings(database=None, max_examples=DRAWS, phases=[Phase.generate], deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(st.one_of(strategies.nd_derivations(), strategies.sc_derivations()))
+    def draw(d):
+        text = render_derivation(d)
+        if "_|_" in text or "absurd-" in text:
+            drawn.append(d)
+
+    draw()
+    pairs, last = [], {}
+    for d in drawn:
+        rename = strategies.rename_nd if isinstance(d, NdDerivation) else strategies.rename_sc
+        copy = rename(d, strategies.fresh_renaming(check(d).types))
+        pairs.append((render_derivation(d), render_derivation(copy)))
+        formula = conclusion(check(d))[2]
+        if formula in last:
+            pairs.append((render_derivation(last[formula]), render_derivation(d)))
+        last[formula] = d
+    return pairs
+
+
 def commands(inputs: Path) -> tuple[list[list[str]], int, int]:
     """Write the input files into `inputs` and list the commands over
     them, with the number of files and of pairs."""
@@ -69,6 +109,7 @@ def commands(inputs: Path) -> tuple[list[list[str]], int, int]:
               for path in sorted((ROOT / "corpus").iterdir())]
     pairs = [(a, b, None) for a, b in itertools.combinations(corpus, 2)]
     pairs += [(name(t1), name(t2), fuel) for t1, t2, fuel in generated_pairs()]
+    pairs += [(name(t1), name(t2), None) for t1, t2 in drawn_pairs()]
     argvs = []
     for f in names.values():
         argvs += [["check", f, "--json"], ["sense", f, "--multiset", "--json"],

@@ -3,12 +3,13 @@ import pickle
 import sys
 import threading
 import tracemalloc
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 from typing import get_args, get_type_hints
 
 import pytest
 
 from proofmean.core import (
+    Abort,
     Absurd,
     And,
     App,
@@ -63,8 +64,9 @@ def test_formulas_are_values():
         Implies(p)
 
 
-# Each interned class with an instance built from separately built
-# parts (names joined at run time), its repr, and its fields.
+# Each interned class (formulas, variables and term nodes) with an
+# instance built from separately built parts (names joined at run
+# time), its repr, and its fields.
 INTERNED = [
     (Atom, lambda: Atom("".join("pq")), "Atom(name='pq')", ("name",)),
     (Var, lambda: Var("".join("xy")), "Var(name='xy')", ("name",)),
@@ -82,6 +84,52 @@ INTERNED = [
     (Or, lambda: Or(Atom("p"), Implies(Absurd(), Atom("q"))),
      "Or(left=Atom(name='p'), right=Implies(left=Absurd(), right=Atom(name='q')))",
      ("left", "right")),
+    (VarRef, lambda: VarRef(Var("".join("xy"))), "VarRef(var=Var(name='xy'))", ("var",)),
+    (
+        Lam,
+        lambda: Lam(Var("".join("xy")), Implies(Atom("p"), Absurd()), VarRef(Var("xy"))),
+        "Lam(bound=Var(name='xy'), bound_type=Implies(left=Atom(name='p'), right=Absurd()), "
+        "body=VarRef(var=Var(name='xy')))",
+        ("bound", "bound_type", "body"),
+    ),
+    (
+        App,
+        lambda: App(VarRef(Var("f")), Pair(VarRef(Var("a")), VarRef(Var("b")))),
+        "App(fun=VarRef(var=Var(name='f')), "
+        "arg=Pair(first=VarRef(var=Var(name='a')), second=VarRef(var=Var(name='b'))))",
+        ("fun", "arg"),
+    ),
+    (
+        Pair,
+        lambda: Pair(Fst(VarRef(Var("u"))), Snd(VarRef(Var("u")))),
+        "Pair(first=Fst(arg=VarRef(var=Var(name='u'))), "
+        "second=Snd(arg=VarRef(var=Var(name='u'))))",
+        ("first", "second"),
+    ),
+    (Fst, lambda: Fst(VarRef(Var("".join("uv")))), "Fst(arg=VarRef(var=Var(name='uv')))",
+     ("arg",)),
+    (Snd, lambda: Snd(Inl(VarRef(Var("a")), Atom("q"))),
+     "Snd(arg=Inl(arg=VarRef(var=Var(name='a')), other=Atom(name='q')))", ("arg",)),
+    (Inl, lambda: Inl(VarRef(Var("a")), Or(Atom("p"), Atom("q"))),
+     "Inl(arg=VarRef(var=Var(name='a')), other=Or(left=Atom(name='p'), right=Atom(name='q')))",
+     ("arg", "other")),
+    (Inr, lambda: Inr(Abort(VarRef(Var("z")), Atom("p")), Atom("q")),
+     "Inr(arg=Abort(arg=VarRef(var=Var(name='z')), target=Atom(name='p')), "
+     "other=Atom(name='q'))", ("arg", "other")),
+    (
+        Case,
+        lambda: Case(VarRef(Var("w")), Var("x"), Atom("p"), Inl(VarRef(Var("x")), Atom("q")),
+                     Var("y"), Atom("q"), Inr(VarRef(Var("y")), Atom("p"))),
+        "Case(scrutinee=VarRef(var=Var(name='w')), left_var=Var(name='x'), "
+        "left_type=Atom(name='p'), left_branch=Inl(arg=VarRef(var=Var(name='x')), "
+        "other=Atom(name='q')), right_var=Var(name='y'), right_type=Atom(name='q'), "
+        "right_branch=Inr(arg=VarRef(var=Var(name='y')), other=Atom(name='p')))",
+        ("scrutinee", "left_var", "left_type", "left_branch", "right_var", "right_type",
+         "right_branch"),
+    ),
+    (Abort, lambda: Abort(VarRef(Var("z")), And(Atom("p"), Atom("r"))),
+     "Abort(arg=VarRef(var=Var(name='z')), target=And(left=Atom(name='p'), right=Atom(name='r')))",
+     ("arg", "target")),
 ]
 
 
@@ -99,12 +147,43 @@ def test_formulas_and_variables_are_built_once(cls, build, text, names):
         a.name = "changed"
 
 
+def test_fields_can_be_given_by_keyword():
+    t = VarRef(x)
+    lam = Lam(x, p, t)
+    assert Atom(name="p") is p and Var(name="x") is x
+    assert Lam(bound=x, bound_type=p, body=t) is Lam(x, body=t, bound_type=p) is lam
+    assert replace(lam, body=VarRef(y)) is Lam(x, p, VarRef(y))
+    assert replace(Implies(p, q), right=r) is Implies(p, r)
+    with pytest.raises(TypeError, match="unexpected fields colour"):
+        Lam(x, p, t, colour=1)
+    with pytest.raises(TypeError, match="unexpected fields bound"):
+        Lam(x, p, t, bound=y)
+    with pytest.raises(ValueError):  # from zip(strict=True): a field is missing
+        Lam(bound=x, body=t)
+
+
+def test_a_deep_term_is_built_once_and_hashed_without_recursion():
+    # == and hash are identity. A structural == or hash would recurse
+    # once per level and raise RecursionError at the default limit.
+    def chain():
+        t = VarRef(Var("".join("xy")))
+        for _ in range(5_000):
+            t = Fst(t)
+        return t
+
+    a, b = chain(), chain()
+    assert a == b and hash(a) == hash(b)
+    assert a is b
+    assert len({a, b, a.arg}) == 2
+
+
 def test_threads_building_the_same_formulas_get_one_instance_each():
     # A thread can be switched out between the table lookup and the
     # insert; whichever instance is stored first is the one every
-    # thread gets back.
+    # thread gets back. Each term also holds a formula and variables.
     def build(out):
-        out.extend(Implies(Atom(f"race{i}"), Var(f"race{i}")) for i in range(2_000))
+        out.extend(Lam(Var(f"race{i}"), Implies(Atom(f"race{i}"), p), VarRef(Var(f"race{i}")))
+                   for i in range(2_000))
 
     results = [[] for _ in range(8)]
     threads = [threading.Thread(target=build, args=(out,)) for out in results]

@@ -2,7 +2,7 @@ import sys
 
 from gamma_examples import CASE_OF_TUPLE, TUPLE_OF_CASES
 from proofmean import meaning, rewrite
-from proofmean.core import And, Atom, Lam, Or, Pair, Var, VarRef, alpha_equal
+from proofmean.core import And, Atom, Lam, Or, Pair, Var, VarRef, _Interned, alpha_equal
 from proofmean.meaning import (
     DifferentDenotation,
     DifferentSenseSameDenotation,
@@ -18,7 +18,7 @@ from proofmean.meaning import (
 from proofmean.nd import AndE1, AndE2, AndI, Hyp, ImpE, ImpI, OrE, check_nd, node_judgments
 from proofmean.rewrite import BetaEta, BetaEtaGamma
 from proofmean.sc import AndR, Rf
-from proofmean.syntax import parse, parse_term
+from proofmean.syntax import parse, parse_file, parse_term
 
 p, q = Atom("p"), Atom("q")
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -235,3 +235,21 @@ def test_classify_does_linear_work_on_long_same_sense_pairs(monkeypatch):
             assert calls["skeleton"] == 0
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_classifying_fresh_copies_of_a_pair_again_adds_no_table_entry(corpus_dir):
+    # Terms are interned with formulas and variables, so the checker runs,
+    # normal forms and gamma successors of freshly parsed copies find
+    # every node they build in the table already.
+    texts = [(corpus_dir / name).read_text(encoding="utf-8")
+             for name in ("sc_dist_1.sc", "sc_dist_3.sc")]
+
+    def classify_fresh():
+        return classify(*(parse_file(text).derivation for text in texts), BetaEtaGamma())
+
+    first = classify_fresh()
+    size = len(_Interned._table)
+    assert first == SameDenotationUpToGamma(inconclusive=False)
+    assert first.normal_forms[0] in _Interned._table.values()
+    assert classify_fresh() == first
+    assert len(_Interned._table) == size
