@@ -2,8 +2,8 @@
 
 The package splits into: `core` (formulas, terms, typing), `rewrite`
 (reduction and equality search), `nd` and `sc` (the two checked
-calculi), `meaning` (sense, denotation, classification), and `cli`
-(concrete syntax and the command line).
+calculi), `meaning` (sense, denotation, classification), `syntax`
+(concrete syntax) and `cli` (the command line).
 """
 
 from .core import (

@@ -7,9 +7,10 @@ abort) that every well-formed term has a unique type in a context.
 
 Formulas, variables and term nodes are built once each, from one table
 kept for the whole process, so their `==` and `hash` are identity and
-never recurse. `rewrite.normalize` marks each term node it returns as
-beta-eta normal. The mark lives outside the dataclass fields that repr
-reads, and a node never changes, so it never goes stale.
+never recurse. A term node keeps two facts once computed, outside the
+fields that repr reads: `_normal`, which `rewrite.normalize` sets on each
+node it returns as beta-eta normal, and `_skeleton`, which
+`meaning._skeleton` sets. A node never changes, so neither goes stale.
 """
 
 from __future__ import annotations

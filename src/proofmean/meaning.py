@@ -24,7 +24,7 @@ from typing import Mapping, Union
 
 from . import nd as _nd
 from . import sc as _sc
-from .core import LABELS, SUBTERMS, Context, Formula, Term, Var, VarRef, alpha_equal
+from .core import LABELS, SUBTERMS, Context, Formula, Term, Var, VarRef, alpha_equal, rebuild
 from .nd import Checked
 from .rewrite import (
     INCONCLUSIVE,
@@ -97,32 +97,23 @@ def _occurrences(root: Checked) -> list[Term]:
     return out
 
 
-def _skeleton(t: Term, out: list[Var]) -> tuple:
-    """Hashable shape of t with variable occurrences blanked out.
-
-    The shape is one flat tuple of the node classes and labels in
-    preorder, which each class's fixed arity makes unambiguous, so
-    hashing and comparing it never recurse. Variables, binders
-    included, are appended to `out` in the same order, so two terms with
-    equal skeletons correspond variable for variable.
-    """
-    key: list = []
-    _shape(t, key, out)
-    return tuple(key)
+_BLANK = Var("")
 
 
-def _shape(t: Term, key: list, out: list[Var]) -> None:
-    cls = type(t)
-    key.append(cls)
-    if cls is VarRef:
-        out.append(t.var)
-        return
-    for f in LABELS[cls]:
-        key.append(getattr(t, f))
-    for name, binder in SUBTERMS[cls]:
-        if binder is not None:
-            out.append(getattr(t, binder))
-        _shape(getattr(t, name), key, out)
+def _skeleton(t: Term) -> Term:
+    """t with every variable, bound or free, replaced by one blank. It
+    is interned, so skeletons compare by identity, and it is computed
+    once per node and kept on the node, as `normalize` keeps `_normal`."""
+    skel = getattr(t, "_skeleton", None)
+    if skel is None:
+        changes: dict[str, object] = {"var": _BLANK} if type(t) is VarRef else {}
+        for name, binder in SUBTERMS[type(t)]:
+            changes[name] = _skeleton(getattr(t, name))
+            if binder is not None:
+                changes[binder] = _BLANK
+        skel = rebuild(t, changes)
+        object.__setattr__(t, "_skeleton", skel)
+    return skel
 
 
 def sense_renaming(
@@ -136,20 +127,23 @@ def sense_renaming(
     c1, c2 = check(d1), check(d2)
     rho = _Bijection(c1.types, c2.types)
     if isinstance(c1, _nd.Judgment) and isinstance(c2, _nd.Judgment):
-        return rho.forward if _match(c1.term, c2.term, rho) else None
+        return rho.renaming() if _match(c1.term, c2.term, rho) else None
     return _search(_occurrences(c1), _occurrences(c2), rho, multiset)
 
 
 class _Bijection:
     """A partial renaming between the variables of two checked
     derivations that stays bijective and keeps each variable's formula.
-    `trail` lists the variables bound, oldest first."""
+    It also pairs each term node `_match` has carried onto another.
+    `trail` lists both, oldest first, each node after its variables.
+    Pairs last one comparison; a node itself keeps `_normal` and
+    `_skeleton` (see core)."""
 
     def __init__(self, tau1: Mapping[Var, Formula], tau2: Mapping[Var, Formula]) -> None:
         self.tau1, self.tau2 = tau1, tau2
         self.forward, self.backward, self.trail = {}, {}, []
 
-    def bind(self, a: Var, b: Var) -> bool:
+    def bind(self, a: Var | Term, b: Var | Term) -> bool:
         """Map a to b; False if that changes a formula or either is mapped elsewhere."""
         if self.tau1.get(a) != self.tau2.get(b):
             return False
@@ -166,68 +160,67 @@ class _Bijection:
         while len(self.trail) > mark:
             del self.backward[self.forward.pop(self.trail.pop())]
 
+    def renaming(self) -> dict[Var, Var]:
+        """The variables bound, oldest first."""
+        return {a: b for a, b in self.forward.items() if type(a) is Var}
+
 
 def _match(t1: Term, t2: Term, rho: _Bijection) -> bool:
     # Both terms in lockstep, each binder bound as its subterm is entered.
+    # A renaming carries a node onto one node, so a paired one is settled.
     cls = type(t1)
     if type(t2) is not cls:
         return False
     if cls is VarRef:
         return rho.bind(t1.var, t2.var)
-    if any(getattr(t1, f) != getattr(t2, f) for f in LABELS[cls]):
-        return False
+    known = rho.forward.get(t1)
+    if known is not None:
+        return known is t2
+    for f in LABELS[cls]:
+        if getattr(t1, f) != getattr(t2, f):
+            return False
     for name, binder in SUBTERMS[cls]:
         if binder is not None and not rho.bind(getattr(t1, binder), getattr(t2, binder)):
             return False
         if not _match(getattr(t1, name), getattr(t2, name), rho):
             return False
-    return True
+    return rho.bind(t1, t2)
 
 
 def _search(occ1: list[Term], occ2: list[Term], rho: _Bijection, multiset: bool) -> dict | None:
     """Extend rho by search until it carries the terms of occ1 onto
-    those of occ2. The distinct terms are taken in the order given, so
-    the renaming found does not depend on hashing."""
+    those of occ2. Each term tries, through `_match`, the terms with its
+    skeleton (kept on each node, beside `_normal`) and, for multisets,
+    its count. The distinct terms are taken in the order given, so the
+    renaming found does not depend on hashing."""
     counts1, counts2 = Counter(occ1), Counter(occ2)
-    if len(counts1) != len(counts2):
+    keys1 = {e: (_skeleton(e), n if multiset else 0) for e, n in counts1.items()}
+    keys2 = {e: (_skeleton(e), n if multiset else 0) for e, n in counts2.items()}
+    if Counter(keys1.values()) != Counter(keys2.values()):
         return None
 
-    def prepared(counts: Counter) -> list[tuple[object, tuple[Var, ...]]]:
-        items = []
-        for e, count in counts.items():
-            vs: list[Var] = []
-            skel = _skeleton(e, vs)
-            items.append(((skel, count if multiset else 0), tuple(vs)))
-        return items
+    buckets: dict[tuple, list[Term]] = {}
+    for e, k in keys2.items():
+        buckets.setdefault(k, []).append(e)
+    # Scarce skeletons first keeps the search shallow.
+    order = sorted(keys1, key=lambda e: len(buckets[keys1[e]]))
 
-    items1 = prepared(counts1)
-    items2 = prepared(counts2)
-    if Counter(k for k, _ in items1) != Counter(k for k, _ in items2):
-        return None
-
-    buckets: dict[object, list[int]] = {}
-    for j, (k, _) in enumerate(items2):
-        buckets.setdefault(k, []).append(j)
-    # Scarce shapes first keeps the search shallow.
-    order = sorted(range(len(items1)), key=lambda i: len(buckets[items1[i][0]]))
-
-    used = [False] * len(items2)
-
+    used: set[Term] = set()
     # Depth-first over `order` on an explicit stack, so a long sense
     # costs no recursion: chosen[i] holds the bucket position matched to
     # order[i] and the length of rho's trail before that match.
     chosen: list[tuple[int, int]] = []
     start = 0
     while len(chosen) < len(order):
-        key, vs1 = items1[order[len(chosen)]]
-        bucket = buckets[key]
+        e1 = order[len(chosen)]
+        bucket = buckets[keys1[e1]]
         for pos in range(start, len(bucket)):
-            j = bucket[pos]
-            if used[j]:
+            e2 = bucket[pos]
+            if e2 in used:
                 continue
             mark = len(rho.trail)
-            if all(rho.bind(a, b) for a, b in zip(vs1, items2[j][1])):
-                used[j] = True
+            if _match(e1, e2, rho):
+                used.add(e2)
                 chosen.append((pos, mark))
                 start = 0
                 break
@@ -236,10 +229,10 @@ def _search(occ1: list[Term], occ2: list[Term], rho: _Bijection, multiset: bool)
             if not chosen:
                 return None
             pos, mark = chosen.pop()
-            used[buckets[items1[order[len(chosen)]][0]][pos]] = False
+            used.discard(buckets[keys1[order[len(chosen)]]][pos])
             rho.undo(mark)
             start = pos + 1
-    return dict(rho.forward)
+    return rho.renaming()
 
 
 def same_sense(d1: Derivation, d2: Derivation, multiset: bool = False) -> bool:

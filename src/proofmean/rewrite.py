@@ -39,6 +39,7 @@ from .core import (
     Term,
     Var,
     VarRef,
+    _restore,
     alpha_equal,
     alpha_key,
     free_vars,
@@ -478,22 +479,26 @@ class FiniteModel:
         return self._compile(t, {v: i for i, v in enumerate(env)}, len(frame), frame)()
 
     def _compile(
-        self, t: Term, scope: Mapping[Var, int], depth: int, frame: list
+        self, t: Term, scope: dict[Var, int], depth: int, frame: list
     ) -> Callable[[], object]:
         # The closure for t calls its subterms' closures, and a binder at
-        # this depth writes frame[depth]. Each closure takes what it reads
-        # as default arguments: closing over this method's variables would
+        # this depth writes frame[depth]; a variable's slot is read from the
+        # one scope while compiling. Each closure takes what it reads as
+        # default arguments: closing over this method's variables would
         # make a cell for each of them, about twenty, at every node, and
         # the cycle collector would run correspondingly more often.
         cls, spend = type(t), self._spend
         kids = []
         for name, binder in SUBTERMS[cls]:
-            inner = scope
-            if binder is not None:
+            if binder is None:
+                kids.append(self._compile(getattr(t, name), scope, depth, frame))
+            else:
                 if depth == len(frame):
                     frame.append(None)
-                inner = {**scope, getattr(t, binder): depth}
-            kids.append(self._compile(getattr(t, name), inner, depth + (binder is not None), frame))
+                x = getattr(t, binder)
+                outer, scope[x] = scope.get(x), depth
+                kids.append(self._compile(getattr(t, name), scope, depth + 1, frame))
+                _restore(scope, x, outer)
         if cls is VarRef:
 
             def run(spend=spend, frame=frame, slot=scope[t.var]):

@@ -5,13 +5,15 @@ and report the first command whose stdout, stderr or exit code differs.
 
 REF is anything `git archive` takes, such as HEAD^. The inputs are the
 corpus, every pair that bench/gen.py writes for the benchmark's two
-workloads at seeds 0-3, and derivations that mention absurdity, drawn
+workloads at seeds 0-3, derivations that mention absurdity, drawn
 from tests/strategies.py with a fixed seed (needs Hypothesis), since
-neither of the others holds any. Each file goes through `check --json`,
-`sense --multiset --json` and `normalize --json`; each pair through
-`compare --json` in beta-eta mode and in beta-eta-gamma mode, at the
-pair's fuel when it has one. Each tree runs every command through its
-own `cli.main` in one worker process, so start-up is paid once per tree.
+neither of the others holds any, and sequent chains a few hundred
+sense elements deep, each element holding all the ones below it. Each
+file goes through `check --json`, `sense --multiset --json` and
+`normalize --json`; each pair through `compare --json` in beta-eta mode
+and in beta-eta-gamma mode, at the pair's fuel when it has one. Each
+tree runs every command through its own `cli.main` in one worker
+process, so start-up is paid once per tree.
 
 Prints the counts and exits 0 when nothing differs; prints the first
 difference and exits 1 otherwise. Tier-1 does not collect this file.
@@ -32,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(4)
 DRAW_SEED, DRAWS = 0, 400
+DEPTH = 300
 
 # Reads one JSON argv per line and writes one JSON [code, stdout, stderr].
 WORKER = """
@@ -94,6 +97,15 @@ def drawn_pairs() -> list[tuple[str, str]]:
     return pairs
 
 
+def deep_pairs() -> list[tuple[str, str]]:
+    """A chain of DEPTH or-r1 sequents against a renamed copy, and
+    against a chain whose leaf has another formula."""
+    def chain(v: str, leaf: str) -> str:
+        return f"(imp-r {v} {'(or-r1 q ' * DEPTH}(rf {v} {leaf}){')' * (DEPTH + 1)}"
+
+    return [(chain("x", "p"), chain("y", "p")), (chain("x", "p"), chain("y", "r"))]
+
+
 def commands(inputs: Path) -> tuple[list[list[str]], int, int]:
     """Write the input files into `inputs` and list the commands over
     them, with the number of files and of pairs."""
@@ -109,7 +121,7 @@ def commands(inputs: Path) -> tuple[list[list[str]], int, int]:
               for path in sorted((ROOT / "corpus").iterdir())]
     pairs = [(a, b, None) for a, b in itertools.combinations(corpus, 2)]
     pairs += [(name(t1), name(t2), fuel) for t1, t2, fuel in generated_pairs()]
-    pairs += [(name(t1), name(t2), None) for t1, t2 in drawn_pairs()]
+    pairs += [(name(t1), name(t2), None) for t1, t2 in drawn_pairs() + deep_pairs()]
     argvs = []
     for f in names.values():
         argvs += [["check", f, "--json"], ["sense", f, "--multiset", "--json"],

@@ -214,9 +214,9 @@ def test_a_deep_declared_formula_is_compared_by_identity(write):
 
 def test_deep_sequent_senses_are_compared_by_flat_keys(write):
     # Each of the 2,000 nested or-r1 sequents is a sense element, matched
-    # by its skeleton, a flat tuple. A nested one would be hashed and
-    # compared by recursion through C, which CPython 3.12.1 stops at a
-    # fixed depth (exit 4).
+    # by its skeleton, an interned term hashed and compared by identity.
+    # A nested tuple would be hashed and compared by recursion through C,
+    # which CPython 3.12.1 stops at a fixed depth (exit 4).
     paths = [write(f"{v}.sc", f"(imp-r {v} {'(or-r1 q ' * 2_000}(rf {v} p){')' * 2_001}")
              for v in "xy"]
     proc = run_module("compare", *paths)

@@ -42,7 +42,7 @@ from proofmean.core import (
 )
 from proofmean.meaning import conclusion
 from proofmean.nd import check_nd
-from proofmean.rewrite import FiniteModel, equivalent
+from proofmean.rewrite import FiniteModel, OutsideModelBounds, equivalent
 from proofmean.sc import check_sc
 from proofmean.syntax import parse_file, render_formula
 
@@ -299,7 +299,9 @@ def test_alpha_key_agrees_with_canonical_forms():
 
 def test_binder_walks_keep_one_environment():
     # Copying the environment at each binder made these walks quadratic
-    # in memory: 77-154 MiB at peak on this chain of 2,000 binders.
+    # in memory: 77-154 MiB at peak on this chain of 2,000 binders. The
+    # finite model's compile walk peaked at 77 MiB; its value needs 2^2000
+    # steps, so the budget runs out once the whole chain is compiled.
     n = 2_000
     chains = []
     for name in "vw":
@@ -311,6 +313,7 @@ def test_binder_walks_keep_one_environment():
         "alpha_key": lambda: isinstance(alpha_key(chains[0]), tuple),
         "alpha_equal": lambda: alpha_equal(*chains),
         "canonicalize": lambda: canonicalize(chains[0]) is not chains[0],
+        "model": lambda: pytest.raises(OutsideModelBounds, FiniteModel().value, chains[0], {}),
     }
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 3 * n))

@@ -88,6 +88,18 @@ def test_sense_search_takes_back_a_partial_match():
     occ2 = [Pair(VarRef(c2), VarRef(d2)), Pair(VarRef(c), VarRef(d))]
     found = meaning._search(occ1, occ2, meaning._Bijection(tau1, tau2), multiset=False)
     assert found == {a: c, b: d, a2: c2, b2: d2}
+    # Pairing <<a, a2>, b> with <<c2, c>, d2> matches <a, a2> with
+    # <c2, c> before b fails on its formula; that node pair must go too,
+    # or <a, a2> cannot meet <c, c2>.
+    r = Atom("r")
+    tau1 = {a: p, a2: p, b: q, b2: r}
+    tau2 = {c: p, c2: p, d: q, d2: r}
+    occ1 = [Pair(Pair(VarRef(a), VarRef(a2)), VarRef(b)),
+            Pair(Pair(VarRef(a2), VarRef(a)), VarRef(b2))]
+    occ2 = [Pair(Pair(VarRef(c2), VarRef(c)), VarRef(d2)),
+            Pair(Pair(VarRef(c), VarRef(c2)), VarRef(d))]
+    found = meaning._search(occ1, occ2, meaning._Bijection(tau1, tau2), multiset=False)
+    assert found == {a: c, a2: c2, b: d, b2: d2}
 
 
 def test_denotation_is_the_normal_form():
@@ -212,9 +224,9 @@ def test_classify_does_linear_work_on_long_same_sense_pairs(monkeypatch):
         calls["beta"] += 1
         return beta(t)
 
-    def counting_skeleton(t, out):
+    def counting_skeleton(t):
         calls["skeleton"] += 1
-        return skeleton(t, out)
+        return skeleton(t)
 
     monkeypatch.setattr(rewrite, "_beta_contract", counting_beta)
     monkeypatch.setattr(meaning, "_skeleton", counting_skeleton)
@@ -235,6 +247,34 @@ def test_classify_does_linear_work_on_long_same_sense_pairs(monkeypatch):
             assert calls["skeleton"] == 0
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_sequent_senses_are_matched_with_linear_work(monkeypatch):
+    # Counted, not timed: every or-r1 sequent's term is a sense element
+    # holding all the ones below it, so walking each element anew reads
+    # the traversal table a quadratic number of times (1,003,002 at this
+    # depth). Each node's skeleton is kept on it, and a node pair once
+    # matched is not walked again. The names are fresh, so no skeleton
+    # is kept yet.
+    class Counting(dict):
+        reads = 0
+
+        def __getitem__(self, cls):
+            Counting.reads += 1
+            return super().__getitem__(cls)
+
+    n = 1_000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * n))
+    try:
+        d1, d2 = (parse(f"(imp-r {v} {'(or-r1 q ' * n}(rf {v} p){')' * (n + 1)}")
+                  for v in ("linear_sc_a", "linear_sc_b"))
+        monkeypatch.setattr(meaning, "SUBTERMS", Counting(meaning.SUBTERMS))
+        renaming = sense_renaming(d1, d2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert renaming == {Var("linear_sc_a"): Var("linear_sc_b")}
+    assert Counting.reads <= 4 * (n + 2)
 
 
 def test_classifying_fresh_copies_of_a_pair_again_adds_no_table_entry(corpus_dir):
