@@ -15,7 +15,8 @@ node it returns as beta-eta normal, and `_skeleton`, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from functools import cache
 from typing import Mapping, Union
 
 
@@ -31,10 +32,38 @@ class TypeMismatch(ProofmeanError):
     pass
 
 
-class _Interned:
-    """Base of frozen dataclasses (eq=False, init=False) built once per class
-    and fields, so `==` and `hash` are identity (Filliâtre & Conchon, 2006)."""
+class Record:
+    """Base of the classes `record` makes, with the methods a frozen
+    dataclass generates for each, shared: repr, no assignment, and `==`
+    and `hash` over the fields not declared `compare=False`."""
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._shown])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._compared])
+
+
+class _Interned(Record):
+    """A record built once per class and fields, so `==` and `hash` are
+    identity (Filliâtre & Conchon, 2006)."""
     _table: dict[tuple, "_Interned"] = {}
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __new__(cls, *args, **kwargs):
         if kwargs:  # keywords bind to the fields after the positional ones
@@ -54,33 +83,75 @@ class _Interned:
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
+_MISSING = object()
+
+
+@cache
+def _interning_new(arity: int) -> staticmethod:
+    # The __new__ of the interned classes of one arity: a hit is one
+    # lookup, and _Interned.__new__ takes the rest.
+    args = "".join(f"a{i}, " for i in range(arity))
+    last = f"a{arity - 1} is _MISSING or " if arity else ""
+    exec(f"def __new__(cls, {args.replace(',', '=_MISSING,')}/, *more, **kw):\n"
+         f"    if {last}more or kw:\n"
+         f"        return _new(cls, *[a for a in ({args}) if a is not _MISSING], *more, **kw)\n"
+         f"    return _table.get((cls, {args})) or _new(cls, {args})",
+         space := {"_MISSING": _MISSING, "_new": _Interned.__new__, "_table": _Interned._table})
+    return staticmethod(space["__new__"])
+
+
+def record(cls: type) -> type:
+    """Make cls a dataclass, for `fields`, `replace` and `__match_args__`,
+    with its base's methods and one constructor of fixed arity: the
+    interned classes' `__new__` of that arity, or an `__init__` of its
+    own. A docstring spares dataclass reading a signature."""
+    cls.__doc__ = cls.__doc__ or f"{cls.__name__}({', '.join(cls.__annotations__)})"
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    names, declared = cls.__match_args__, fields(cls)
+    cls._shown = tuple(f.name for f in declared if f.repr)
+    cls._compared = tuple(f.name for f in declared if f.compare)
+    if issubclass(cls, _Interned):
+        cls.__new__ = _interning_new(len(names))
+        return cls
+    # object.__setattr__ keeps the fields in the instance's inline values;
+    # filling self.__dict__ would make a dict per instance, slower to read.
+    body = "".join(f"\n    _set(self, {f!r}, {f})" for f in names)
+    body += "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    source = f"def __init__(self, {', '.join(names)}):{body or ' pass'}"
+    exec(source, space := {"_set": object.__setattr__})
+    init = cls.__init__ = space["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__defaults__ = tuple(f.default for f in declared if f.default is not MISSING) or None
+    return cls
+
+
 # ---------- Formulas ----------
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class Atom(_Interned):
     name: str
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class Implies(_Interned):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class And(_Interned):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class Or(_Interned):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class Absurd(_Interned):
     pass
 
@@ -91,58 +162,58 @@ Formula = Union[Atom, Implies, And, Or, Absurd]
 # ---------- Variables and terms ----------
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class Var(_Interned):
     name: str
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class VarRef(_Interned):
     var: Var
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class Lam(_Interned):
     bound: Var
     bound_type: Formula
     body: "Term"
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class App(_Interned):
     fun: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class Pair(_Interned):
     first: "Term"
     second: "Term"
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class Fst(_Interned):
     arg: "Term"
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class Snd(_Interned):
     arg: "Term"
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class Inl(_Interned):
     arg: "Term"
     other: Formula  # the right disjunct, not determined by arg
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class Inr(_Interned):
     arg: "Term"
     other: Formula  # the left disjunct
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class Case(_Interned):
     scrutinee: "Term"
     left_var: Var
@@ -153,7 +224,7 @@ class Case(_Interned):
     right_branch: "Term"
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class Abort(_Interned):
     arg: "Term"
     target: Formula
@@ -176,22 +247,27 @@ class Context:
     __slots__ = ("_bindings",)
 
     def __init__(self, bindings: Mapping[Var, Formula] | None = None):
-        object.__setattr__(self, "_bindings", dict(bindings) if bindings else {})
+        self._bindings = dict(bindings) if bindings else {}
+
+    @classmethod
+    def _owning(cls, bindings: dict[Var, Formula]) -> "Context":
+        # A context over a dict the caller has just built and gives up, not a copy.
+        ctx = object.__new__(cls)
+        ctx._bindings = bindings
+        return ctx
 
     def get(self, var: Var) -> Formula | None:
         return self._bindings.get(var)
 
     def extend(self, var: Var, formula: Formula) -> "Context":
-        new = dict(self._bindings)
-        new[var] = formula
-        return Context(new)
+        return Context._owning({**self._bindings, var: formula})
 
     def without(self, var: Var) -> "Context":
         if var not in self._bindings:
             return self
         new = dict(self._bindings)
         del new[var]
-        return Context(new)
+        return Context._owning(new)
 
     def items(self) -> tuple[tuple[Var, Formula], ...]:
         return tuple(sorted(self._bindings.items(), key=lambda kv: kv[0].name))

@@ -19,12 +19,13 @@ senses or the two normal forms.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Mapping, Union
 
 from . import nd as _nd
 from . import sc as _sc
 from .core import LABELS, SUBTERMS, Context, Formula, Term, Var, VarRef, alpha_equal, rebuild
+from .core import Record, record
 from .nd import Checked
 from .rewrite import (
     INCONCLUSIVE,
@@ -57,8 +58,8 @@ def conclusion(j: Checked) -> tuple[Context, Term, Formula]:
 # ---------- Sense ----------
 
 
-@dataclass(frozen=True)
-class Sense:
+@record
+class Sense(Record):
     """The terms a derivation mentions, optionally with multiplicities."""
 
     elements: frozenset[Term]
@@ -81,20 +82,30 @@ def sense_of(d: Derivation, multiset: bool = False) -> Sense:
     hypothesis leaves included. For sequents it is each node's
     succedent term together with each antecedent variable.
     """
-    occurrences = _occurrences(check(d))
-    counts = dict(Counter(occurrences)) if multiset else None
-    return Sense(frozenset(occurrences), counts)
+    counts = _occurrences(check(d))
+    return Sense(frozenset(counts), counts if multiset else None)
 
 
-def _occurrences(root: Checked) -> list[Term]:
-    # The sense's terms, each as often as it occurs, in the order the
-    # checker recorded the nodes, root last; antecedent variables by name.
-    out: list[Term] = []
+def _occurrences(root: Checked) -> dict[Term, int]:
+    # The sense's terms with their counts, in the order the checker
+    # recorded the nodes, root last: each node's term, then the antecedent
+    # variables first seen at that node, by name. So each variable is
+    # sorted and interned once, and the antecedents are counted together.
+    counts: dict[Term, int] = {}
+    antecedents: list[Var] = []
+    seen: set[Var] = set()
     for j in (*(j for _, j in root.nodes), root):
-        out.append(j.term)
+        counts[j.term] = counts.get(j.term, 0) + 1
         if isinstance(j, _sc.Sequent):
-            out.extend(VarRef(v) for v, _ in j.antecedent.items())
-    return out
+            ante = j.antecedent._bindings
+            antecedents.extend(ante)
+            if not seen.issuperset(ante):
+                for v in sorted(ante.keys() - seen, key=lambda v: v.name):
+                    counts.setdefault(VarRef(v), 0)
+                seen.update(ante)
+    for v, n in Counter(antecedents).items():
+        counts[VarRef(v)] += n
+    return counts
 
 
 _BLANK = Var("")
@@ -187,13 +198,14 @@ def _match(t1: Term, t2: Term, rho: _Bijection) -> bool:
     return rho.bind(t1, t2)
 
 
-def _search(occ1: list[Term], occ2: list[Term], rho: _Bijection, multiset: bool) -> dict | None:
-    """Extend rho by search until it carries the terms of occ1 onto
-    those of occ2. Each term tries, through `_match`, the terms with its
+def _search(
+    counts1: Mapping[Term, int], counts2: Mapping[Term, int], rho: _Bijection, multiset: bool
+) -> dict | None:
+    """Extend rho by search until it carries the terms of counts1 onto
+    those of counts2. Each term tries, through `_match`, the terms with its
     skeleton (kept on each node, beside `_normal`) and, for multisets,
     its count. The distinct terms are taken in the order given, so the
     renaming found does not depend on hashing."""
-    counts1, counts2 = Counter(occ1), Counter(occ2)
     keys1 = {e: (_skeleton(e), n if multiset else 0) for e, n in counts1.items()}
     keys2 = {e: (_skeleton(e), n if multiset else 0) for e, n in counts2.items()}
     if Counter(keys1.values()) != Counter(keys2.values()):
@@ -275,23 +287,23 @@ def same_denotation(
 # senses, or the normal forms of the two end terms.
 
 
-@dataclass(frozen=True)
-class SameSenseSameDenotation:
+@record
+class SameSenseSameDenotation(Record):
     renaming: Mapping[Var, Var] | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class DifferentSenseSameDenotation:
+@record
+class DifferentSenseSameDenotation(Record):
     senses: tuple[Sense, Sense] | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class DifferentDenotation:
+@record
+class DifferentDenotation(Record):
     normal_forms: tuple[Term, Term] | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class SameDenotationUpToGamma:
+@record
+class SameDenotationUpToGamma(Record):
     inconclusive: bool = False
     normal_forms: tuple[Term, Term] | None = field(default=None, compare=False, repr=False)
 

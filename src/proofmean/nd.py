@@ -16,7 +16,7 @@ share, and `Checked` is the base of a judgment and a sequent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from types import MappingProxyType
 from typing import Any, ClassVar, Iterator, Mapping, Union
 
@@ -41,6 +41,7 @@ from .core import (
     VarRef,
     Absurd,
 )
+from .core import Record, record
 
 
 class RuleMismatch(ProofmeanError):
@@ -58,7 +59,7 @@ class VariableTypeClash(ProofmeanError):
 # ---------- Derivation nodes ----------
 
 
-class Node:
+class Node(Record):
     """A derivation node of either calculus. Its fields hold variables,
     formulas (None for an undeclared discharge) and premises, in the
     order the concrete syntax writes them after the rule name."""
@@ -92,14 +93,14 @@ def preorder(d: Node) -> Iterator[tuple[int, Node]]:
         stack.extend((depth + 1, p) for p in reversed(premises(node)))
 
 
-@dataclass(frozen=True)
+@record
 class Hyp(Node):
     rule = "hyp"
     var: Var
     formula: Formula
 
 
-@dataclass(frozen=True)
+@record
 class ImpI(Node):
     rule = "imp-i"
     var: Var
@@ -107,47 +108,47 @@ class ImpI(Node):
     premise: NdDerivation
 
 
-@dataclass(frozen=True)
+@record
 class ImpE(Node):
     rule = "imp-e"
     fun: NdDerivation
     arg: NdDerivation
 
 
-@dataclass(frozen=True)
+@record
 class AndI(Node):
     rule = "and-i"
     left: NdDerivation
     right: NdDerivation
 
 
-@dataclass(frozen=True)
+@record
 class AndE1(Node):
     rule = "and-e1"
     premise: NdDerivation
 
 
-@dataclass(frozen=True)
+@record
 class AndE2(Node):
     rule = "and-e2"
     premise: NdDerivation
 
 
-@dataclass(frozen=True)
+@record
 class OrI1(Node):
     rule = "or-i1"
     other: Formula  # the right disjunct
     premise: NdDerivation
 
 
-@dataclass(frozen=True)
+@record
 class OrI2(Node):
     rule = "or-i2"
     other: Formula  # the left disjunct
     premise: NdDerivation
 
 
-@dataclass(frozen=True)
+@record
 class OrE(Node):
     rule = "or-e"
     scrutinee: NdDerivation
@@ -157,7 +158,7 @@ class OrE(Node):
     right: NdDerivation
 
 
-@dataclass(frozen=True)
+@record
 class AbsurdE(Node):
     rule = "absurd-e"
     target: Formula
@@ -167,7 +168,7 @@ class AbsurdE(Node):
 NdDerivation = Union[Hyp, ImpI, ImpE, AndI, AndE1, AndE2, OrI1, OrI2, OrE, AbsurdE]
 
 
-class Checked:
+class Checked(Record):
     """A node's checked conclusion in either calculus: a judgment or a
     sequent. A checker run keeps on its root what it recorded: every
     node below the root with its conclusion, premises first, each
@@ -181,7 +182,7 @@ class Checked:
     normal: Term | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Judgment(Checked):
     open: Context
     term: Term
@@ -217,7 +218,7 @@ class Checker:
         merged: dict[Var, Formula] = {}
         for ctx in ctxs:
             merged.update(ctx._bindings)
-        return Context(merged)
+        return Context._owning(merged)
 
     def run(self, d: Node) -> Checked:
         """Check d and return its root conclusion, carrying the
@@ -244,7 +245,7 @@ class _NdChecker(Checker):
         match d:
             case Hyp(x, a):
                 self.bind(x, a)
-                out = Judgment(Context({x: a}), VarRef(x), a)
+                out = Judgment(Context._owning({x: a}), VarRef(x), a)
             case ImpI(x, declared, premise):
                 j = self.check(premise)
                 from_open = j.open.get(x)

@@ -13,7 +13,6 @@ cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Literal, Mapping, Union
 
@@ -48,19 +47,20 @@ from .core import (
     substitute,
     type_of,
 )
+from .core import Record, record
 
 
 class FuelExhausted(ProofmeanError):
     pass
 
 
-@dataclass(frozen=True)
-class BetaEta:
+@record
+class BetaEta(Record):
     pass
 
 
-@dataclass(frozen=True)
-class BetaEtaGamma:
+@record
+class BetaEtaGamma(Record):
     fuel: int = 4
 
     def __post_init__(self) -> None:

@@ -11,7 +11,6 @@ deduction checker and re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .core import (
@@ -35,7 +34,7 @@ from .core import (
     Var,
     VarRef,
 )
-from .core import substitute, substitute_many
+from .core import Record, record, substitute, substitute_many
 from .nd import Checked, Checker, Node, RuleMismatch, VariableTypeClash, kept, premises
 
 __all__ = [
@@ -72,21 +71,21 @@ class FreshnessViolation(ProofmeanError):
 # ---------- Derivation nodes ----------
 
 
-@dataclass(frozen=True)
+@record
 class Rf(Node):
     rule = "rf"
     var: Var
     formula: Formula
 
 
-@dataclass(frozen=True)
+@record
 class AndR(Node):
     rule = "and-r"
     left: ScDerivation
     right: ScDerivation
 
 
-@dataclass(frozen=True)
+@record
 class AndL(Node):
     rule = "and-l"
     principal: Var
@@ -95,21 +94,21 @@ class AndL(Node):
     premise: ScDerivation
 
 
-@dataclass(frozen=True)
+@record
 class OrR1(Node):
     rule = "or-r1"
     other: Formula  # the right disjunct
     premise: ScDerivation
 
 
-@dataclass(frozen=True)
+@record
 class OrR2(Node):
     rule = "or-r2"
     other: Formula  # the left disjunct
     premise: ScDerivation
 
 
-@dataclass(frozen=True)
+@record
 class OrL(Node):
     rule = "or-l"
     principal: Var
@@ -119,14 +118,14 @@ class OrL(Node):
     right: ScDerivation
 
 
-@dataclass(frozen=True)
+@record
 class ImpR(Node):
     rule = "imp-r"
     var: Var
     premise: ScDerivation
 
 
-@dataclass(frozen=True)
+@record
 class ImpL(Node):
     rule = "imp-l"
     principal: Var
@@ -135,14 +134,14 @@ class ImpL(Node):
     body: ScDerivation
 
 
-@dataclass(frozen=True)
+@record
 class AbsurdL(Node):
     rule = "absurd-l"
     var: Var
     target: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Weaken(Node):
     rule = "weaken"
     var: Var
@@ -150,7 +149,7 @@ class Weaken(Node):
     premise: ScDerivation
 
 
-@dataclass(frozen=True)
+@record
 class Contract(Node):
     rule = "contract"
     kept: Var
@@ -158,7 +157,7 @@ class Contract(Node):
     premise: ScDerivation
 
 
-@dataclass(frozen=True)
+@record
 class Cut(Node):
     rule = "cut"
     var: Var
@@ -171,7 +170,7 @@ ScDerivation = Union[
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Sequent(Checked):
     antecedent: Context
     term: Term
@@ -194,7 +193,7 @@ class _ScChecker(Checker):
         match d:
             case Rf(x, a):
                 self.bind(x, a)
-                out = Sequent(Context({x: a}), VarRef(x), a)
+                out = Sequent(Context._owning({x: a}), VarRef(x), a)
             case AndR(left, right):
                 s1 = self.check(left)
                 s2 = self.check(right)
@@ -269,7 +268,7 @@ class _ScChecker(Checker):
             case AbsurdL(x, target):
                 self.bind(x, Absurd())
                 out = Sequent(
-                    Context({x: Absurd()}), Abort(VarRef(x), target), target
+                    Context._owning({x: Absurd()}), Abort(VarRef(x), target), target
                 )
             case Weaken(x, a, premise):
                 s = self.check(premise)
@@ -343,8 +342,8 @@ def end_term_sc(d: ScDerivation) -> Term:
 # ---------- Cut inspection ----------
 
 
-@dataclass(frozen=True)
-class CutInfo:
+@record
+class CutInfo(Record):
     path: tuple[int, ...]
     node: Cut
     principal: bool

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from inspect import get_annotations
 from itertools import chain, islice
 from typing import Mapping, NamedTuple, get_args
@@ -64,6 +64,7 @@ from .core import (
     VarRef,
     canonicalize,
 )
+from .core import Record, record
 from . import nd as _nd
 from . import sc as _sc
 
@@ -418,8 +419,8 @@ class _Parser:
         return opening == "(" and head in _RULE_NAMES and (head in rules or after not in _AFTER_ATOM)
 
 
-@dataclass(frozen=True)
-class SourceFile:
+@record
+class SourceFile(Record):
     calculus: str  # "nd" or "sc"
     name: str | None
     derivation: "_nd.NdDerivation | _sc.ScDerivation"

@@ -3,7 +3,7 @@ import pickle
 import sys
 import threading
 import tracemalloc
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from typing import get_args, get_type_hints
 
 import pytest
@@ -23,6 +23,7 @@ from proofmean.core import (
     Lam,
     Or,
     Pair,
+    Record,
     SUBTERMS,
     Snd,
     Term,
@@ -30,6 +31,7 @@ from proofmean.core import (
     UnboundVariable,
     Var,
     VarRef,
+    _Interned,
     alpha_equal,
     alpha_key,
     canonicalize,
@@ -145,6 +147,30 @@ def test_formulas_and_variables_are_built_once(cls, build, text, names):
     assert copy.copy(a) is copy.deepcopy(a) is pickle.loads(pickle.dumps(a)) is a
     with pytest.raises(FrozenInstanceError):
         a.name = "changed"
+
+
+def test_record_classes_hold_one_constructor_and_no_generated_method():
+    # A frozen dataclass would give each class its own __init__, __repr__,
+    # __eq__, __hash__, __setattr__ and __delattr__. A record class takes
+    # them from its base and holds one constructor, the `__new__` of its
+    # arity when interned, so a returning @dataclass(frozen=True) shows.
+    import proofmean.cli  # noqa: F401  (every module, so every class)
+
+    classes, stack = [], [Record]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            classes += [cls] if is_dataclass(cls) else []
+    assert len(classes) == 49
+    methods = {"__init__", "__new__", "__repr__", "__eq__", "__hash__"}
+    methods |= {"__setattr__", "__delattr__"}
+    news: dict[int, set] = {}
+    for cls in classes:
+        own = {"__new__"} if issubclass(cls, _Interned) else {"__init__"}
+        assert vars(cls).keys() & methods == own, cls
+        if issubclass(cls, _Interned):
+            news.setdefault(len(fields(cls)), set()).add(vars(cls)["__new__"])
+    assert sorted(news) == [0, 1, 2, 3, 7] and all(len(n) == 1 for n in news.values())
 
 
 def test_fields_can_be_given_by_keyword():

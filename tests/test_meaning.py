@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 
 from gamma_examples import CASE_OF_TUPLE, TUPLE_OF_CASES
 from proofmean import meaning, rewrite
@@ -86,7 +87,8 @@ def test_sense_search_takes_back_a_partial_match():
     tau2 = {c: p, d: q, c2: p, d2: p}
     occ1 = [Pair(VarRef(a), VarRef(b)), Pair(VarRef(a2), VarRef(b2))]
     occ2 = [Pair(VarRef(c2), VarRef(d2)), Pair(VarRef(c), VarRef(d))]
-    found = meaning._search(occ1, occ2, meaning._Bijection(tau1, tau2), multiset=False)
+    rho = meaning._Bijection(tau1, tau2)
+    found = meaning._search(Counter(occ1), Counter(occ2), rho, multiset=False)
     assert found == {a: c, b: d, a2: c2, b2: d2}
     # Pairing <<a, a2>, b> with <<c2, c>, d2> matches <a, a2> with
     # <c2, c> before b fails on its formula; that node pair must go too,
@@ -98,7 +100,8 @@ def test_sense_search_takes_back_a_partial_match():
             Pair(Pair(VarRef(a2), VarRef(a)), VarRef(b2))]
     occ2 = [Pair(Pair(VarRef(c2), VarRef(c)), VarRef(d2)),
             Pair(Pair(VarRef(c), VarRef(c2)), VarRef(d))]
-    found = meaning._search(occ1, occ2, meaning._Bijection(tau1, tau2), multiset=False)
+    rho = meaning._Bijection(tau1, tau2)
+    found = meaning._search(Counter(occ1), Counter(occ2), rho, multiset=False)
     assert found == {a: c, a2: c2, b: d, b2: d2}
 
 

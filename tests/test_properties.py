@@ -7,14 +7,16 @@ derivations at or under 10 nodes.
 
 import math
 import random
-from dataclasses import fields, is_dataclass
+from collections import Counter
+from dataclasses import FrozenInstanceError, field, fields, is_dataclass, make_dataclass
+from functools import cache
 from itertools import product
 
 import pytest
 from hypothesis import given, reject
 from hypothesis import strategies as st
 
-from proofmean import meaning
+from proofmean import meaning, rewrite
 from proofmean.core import (
     SUBTERMS,
     Abort,
@@ -28,9 +30,11 @@ from proofmean.core import (
     Lam,
     Pair,
     ProofmeanError,
+    Record,
     Snd,
     Var,
     VarRef,
+    _Interned,
     alpha_equal,
     alpha_key,
     canonicalize,
@@ -41,7 +45,7 @@ from proofmean.core import (
     type_of,
 )
 from proofmean.meaning import same_sense, sense_of
-from proofmean.nd import check_nd, node_judgments
+from proofmean.nd import check_nd, node_judgments, preorder
 from proofmean.nd import variable_types as nd_variable_types
 from proofmean.rewrite import (
     FiniteModel,
@@ -53,10 +57,11 @@ from proofmean.rewrite import (
     gamma_steps,
     normalize,
 )
-from proofmean.sc import check_sc, end_term_sc, node_sequents
+from proofmean.sc import Sequent, check_sc, cut_nodes, end_term_sc, node_sequents
 from proofmean.sc import variable_types as sc_variable_types
 from proofmean.syntax import (
     ParseError,
+    SourceFile,
     parse,
     parse_formula,
     parse_term,
@@ -618,3 +623,92 @@ def test_sc_sense_is_stable_under_renaming(d):
     check_sc(renamed)
     assert same_sense(d, renamed)
     assert same_sense(d, renamed, multiset=True)
+
+
+@given(sc_derivations())
+def test_sense_counts_follow_the_list_of_every_occurrence(d):
+    # The reference lists every occurrence, each node's term and then its
+    # whole antecedent sorted by name, and counts the list. The counts
+    # must agree in order too, because the renaming search tries the
+    # terms in that order.
+    root = check_sc(d)
+    listed = []
+    for s in (*(s for _, s in root.nodes), root):
+        listed.append(s.term)
+        listed.extend(VarRef(v) for v, _ in s.antecedent.items())
+    assert list(meaning._occurrences(root).items()) == list(Counter(listed).items())
+
+
+# ---------- Record methods ----------
+
+
+@cache
+def reference_class(cls):
+    """cls as a frozen dataclass of the same name and fields, with the
+    methods dataclasses generates for it."""
+    declared = [(f.name, f.type, field(repr=f.repr, compare=f.compare)) for f in fields(cls)]
+    return make_dataclass(cls.__name__, declared, frozen=True)
+
+
+def reference(x):
+    return reference_class(type(x))(*(getattr(x, f) for f in x.__match_args__))
+
+
+def records_below(*roots):
+    """Every record reachable from roots through fields, containers and
+    contexts, each once."""
+    seen, found, stack = set(), [], list(roots)
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, Record):
+            found.append(x)
+            stack += [getattr(x, f) for f in x.__match_args__]
+        elif isinstance(x, (tuple, list, frozenset)):
+            stack += x
+        elif isinstance(x, dict):
+            stack += [*x, *x.values()]
+        elif isinstance(x, Context):
+            stack += [part for pair in x.items() for part in pair]
+    return found
+
+
+def hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError:  # a multiset sense holds a dict
+        return TypeError
+
+
+@given(any_derivation, any_derivation, st.integers(1, 9), st.booleans())
+def test_records_behave_as_frozen_dataclasses(d, other, fuel, inconclusive):
+    # Every record class, drawn from derivations and what is computed
+    # from them, has the repr, == and hash of a frozen dataclass with its
+    # fields, except that an interned record hashes by identity; and no
+    # field can be assigned or deleted.
+    root = meaning.check(d)
+    calculus = "sc" if isinstance(root, Sequent) else "nd"
+    denotations = (meaning.denotation_of(d), meaning.denotation_of(other))
+    records = records_below(
+        d, root, root.nodes, sense_of(d, multiset=True),
+        meaning.classify(d, other), meaning.classify(d, d),
+        meaning.SameDenotationUpToGamma(inconclusive, denotations),
+        rewrite.BetaEta(), rewrite.BetaEtaGamma(fuel), SourceFile(calculus, "d", d),
+        cut_nodes(d) if calculus == "sc" else (),
+    )
+    previous = {}
+    for x in records:
+        cls, ref = type(x), reference(x)
+        assert repr(x) == repr(ref)
+        if not issubclass(cls, _Interned):
+            assert hash_or_error(x) == hash_or_error(ref)
+        y = previous.setdefault(cls, x)
+        assert (x == y, x != y) == (ref == reference(y), ref != reference(y))
+        previous[cls] = x
+        name = cls.__match_args__[0] if cls.__match_args__ else "anything"
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(x, name)
