@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import threading
+from functools import cache
 from pathlib import Path
 
 from . import nd as _nd
@@ -332,6 +333,7 @@ def _cmd_corpus(args) -> int:
 # ---------- Entry point ----------
 
 
+@cache  # once per process, on first use: at import it would add about 1 ms to start-up
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proofmean",
@@ -357,25 +359,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="validate a derivation file")
     sp.add_argument("file")
     sp.add_argument("--json", action="store_true")
-    sp.set_defaults(handler=_cmd_check)
 
     sp = sub.add_parser("term", help="print the end term")
     sp.add_argument("file")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--canonical", action="store_true", help="rename binders to x1, x2, ...")
-    sp.set_defaults(handler=_cmd_term)
 
     sp = sub.add_parser("normalize", help="print the normal form of the end term")
     sp.add_argument("file")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--canonical", action="store_true", help="rename binders to x1, x2, ...")
-    sp.set_defaults(handler=_cmd_normalize)
 
     sp = sub.add_parser("sense", help="print the sense set, sorted")
     sp.add_argument("file")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--multiset", action="store_true", help="keep multiplicities")
-    sp.set_defaults(handler=_cmd_sense)
 
     sp = sub.add_parser("compare", help="classify a pair of derivations")
     sp.add_argument("first")
@@ -383,13 +381,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--multiset", action="store_true", help="compare senses as multisets")
     mode_flags(sp)
-    sp.set_defaults(handler=_cmd_compare)
 
     sp = sub.add_parser("corpus", help="check a directory and classify every pair")
     sp.add_argument("dir")
     sp.add_argument("--json", action="store_true")
     mode_flags(sp)
-    sp.set_defaults(handler=_cmd_corpus)
 
     return parser
 
@@ -399,7 +395,8 @@ def _run(argv: list[str] | None) -> int | BaseException:
     sys.setrecursionlimit(_RECURSION_LIMIT)
     try:
         args = _build_parser().parse_args(argv)
-        return args.handler(args)
+        # Looked up when the command runs, as the parser is built only once.
+        return globals()[f"_cmd_{args.command}"](args)
     except SystemExit as e:
         return int(e.code or 0)
     except (_UsageError, *_PARSE_ERRORS, OSError) as e:

@@ -16,8 +16,8 @@ node it returns as beta-eta normal, and `_skeleton`, which
 from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
-from functools import cache
-from typing import Mapping, Union
+from itertools import count
+from typing import Iterator, Mapping, Union
 
 
 class ProofmeanError(Exception):
@@ -65,63 +65,46 @@ class _Interned(Record):
     _table: dict[tuple, "_Interned"] = {}
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __new__(cls, *args, **kwargs):
-        if kwargs:  # keywords bind to the fields after the positional ones
-            args += tuple(kwargs.pop(f) for f in cls.__match_args__[len(args):] if f in kwargs)
-            if kwargs:
-                raise TypeError(f"{cls.__name__}() got unexpected fields {', '.join(kwargs)}")
-        key = (cls, *args)
-        self = cls._table.get(key)
-        if self is None:
-            self = object.__new__(cls)
-            for name, value in zip(cls.__match_args__, args, strict=True):
-                object.__setattr__(self, name, value)
-            self = cls._table.setdefault(key, self)
-        return self
-
     def __reduce__(self):  # copy and pickle rebuild through __new__
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
-_MISSING = object()
-
-
-@cache
-def _interning_new(arity: int) -> staticmethod:
-    # The __new__ of the interned classes of one arity: a hit is one
-    # lookup, and _Interned.__new__ takes the rest.
-    args = "".join(f"a{i}, " for i in range(arity))
-    last = f"a{arity - 1} is _MISSING or " if arity else ""
-    exec(f"def __new__(cls, {args.replace(',', '=_MISSING,')}/, *more, **kw):\n"
-         f"    if {last}more or kw:\n"
-         f"        return _new(cls, *[a for a in ({args}) if a is not _MISSING], *more, **kw)\n"
-         f"    return _table.get((cls, {args})) or _new(cls, {args})",
-         space := {"_MISSING": _MISSING, "_new": _Interned.__new__, "_table": _Interned._table})
-    return staticmethod(space["__new__"])
+def _intern(key: tuple) -> _Interned:
+    # On a miss: build the node key names and store it, unless another
+    # thread stored one first; either way, return the stored one.
+    self = object.__new__(key[0])
+    for name, value in zip(key[0].__match_args__, key[1:]):
+        object.__setattr__(self, name, value)
+    return _Interned._table.setdefault(key, self)
 
 
 def record(cls: type) -> type:
     """Make cls a dataclass, for `fields`, `replace` and `__match_args__`,
-    with its base's methods and one constructor of fixed arity: the
-    interned classes' `__new__` of that arity, or an `__init__` of its
-    own. A docstring spares dataclass reading a signature."""
+    with its base's methods and one constructor whose parameters are its
+    fields, with their defaults: an interned class's `__new__`, which
+    looks the fields up in the table, or an `__init__`. A docstring
+    spares dataclass reading a signature."""
     cls.__doc__ = cls.__doc__ or f"{cls.__name__}({', '.join(cls.__annotations__)})"
     cls = dataclass(init=False, repr=False, eq=False)(cls)
     names, declared = cls.__match_args__, fields(cls)
     cls._shown = tuple(f.name for f in declared if f.repr)
     cls._compared = tuple(f.name for f in declared if f.compare)
-    if issubclass(cls, _Interned):
-        cls.__new__ = _interning_new(len(names))
-        return cls
-    # object.__setattr__ keeps the fields in the instance's inline values;
-    # filling self.__dict__ would make a dict per instance, slower to read.
-    body = "".join(f"\n    _set(self, {f!r}, {f})" for f in names)
-    body += "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-    source = f"def __init__(self, {', '.join(names)}):{body or ' pass'}"
-    exec(source, space := {"_set": object.__setattr__})
-    init = cls.__init__ = space["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__defaults__ = tuple(f.default for f in declared if f.default is not MISSING) or None
+    params = "".join(f", {f}" for f in names)
+    if interned := issubclass(cls, _Interned):
+        head = f"def __new__(cls{params}):"
+        body = [f"key = (cls{params},)", "return _table.get(key) or _intern(key)"]
+    else:
+        # object.__setattr__ keeps the fields in the instance's inline values;
+        # filling self.__dict__ would make a dict per instance, slower to read.
+        head = f"def __init__(self{params}):"
+        body = [f"_set(self, {f!r}, {f})" for f in names]
+        body += ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+    space = {"_set": object.__setattr__, "_table": _Interned._table, "_intern": _intern}
+    exec("\n    ".join([head, *(body or ["pass"])]), space)
+    make = space.get("__new__") or space["__init__"]
+    make.__qualname__ = f"{cls.__qualname__}.{make.__name__}"
+    make.__defaults__ = tuple(f.default for f in declared if f.default is not MISSING) or None
+    setattr(cls, make.__name__, staticmethod(make) if interned else make)
     return cls
 
 
@@ -468,33 +451,24 @@ def canonicalize(t: Term) -> Term:
     the result is alpha-equal to the input.
     """
     taken = {v.name for v in free_vars(t)}
-    counter = [0]
+    fresh = (Var(f"x{i}") for i in count(1) if f"x{i}" not in taken)
+    return _canonicalize(t, {}, fresh)
 
-    def next_var() -> Var:
-        while True:
-            counter[0] += 1
-            name = f"x{counter[0]}"
-            if name not in taken:
-                return Var(name)
 
-    ren: dict[Var, Var] = {}
-
-    def go(t: Term) -> Term:
-        if type(t) is VarRef:
-            return VarRef(ren.get(t.var, t.var))
-        changes: dict[str, object] = {}
-        for name, binder in SUBTERMS[type(t)]:
-            if binder is None:
-                changes[name] = go(getattr(t, name))
-            else:
-                x = getattr(t, binder)
-                outer, ren[x] = ren.get(x), next_var()
-                changes[binder] = ren[x]
-                changes[name] = go(getattr(t, name))
-                _restore(ren, x, outer)
-        return rebuild(t, changes)
-
-    return go(t)
+def _canonicalize(t: Term, ren: dict[Var, Var], fresh: Iterator[Var]) -> Term:
+    if type(t) is VarRef:
+        return VarRef(ren.get(t.var, t.var))
+    changes: dict[str, object] = {}
+    for name, binder in SUBTERMS[type(t)]:
+        if binder is None:
+            changes[name] = _canonicalize(getattr(t, name), ren, fresh)
+        else:
+            x = getattr(t, binder)
+            outer, ren[x] = ren.get(x), next(fresh)
+            changes[binder] = ren[x]
+            changes[name] = _canonicalize(getattr(t, name), ren, fresh)
+            _restore(ren, x, outer)
+    return rebuild(t, changes)
 
 
 def term_size(t: Term) -> int:

@@ -16,7 +16,6 @@ share, and `Checked` is the base of a judgment and a sequent.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from types import MappingProxyType
 from typing import Any, ClassVar, Iterator, Mapping, Union
 
@@ -41,7 +40,7 @@ from .core import (
     VarRef,
     Absurd,
 )
-from .core import Record, record
+from .core import Record, rebuild, record
 
 
 class RuleMismatch(ProofmeanError):
@@ -67,10 +66,6 @@ class Node(Record):
     rule: ClassVar[str]
     # The root of this node's checker run, kept by `Checker.run`.
     checked: Checked | None = None
-
-
-# A node dataclass's __match_args__ names all its fields in order, and
-# reads faster than dataclasses.fields on every node of every parse.
 
 
 def parts(d: Node) -> tuple[Any, ...]:
@@ -224,7 +219,7 @@ class Checker:
         """Check d and return its root conclusion, carrying the
         conclusion of every node below d and the variable types of this
         run, and keep it on d as `d.checked`."""
-        root = replace(self.check(d))
+        root = rebuild(self.check(d), {})
         self.nodes.pop()
         object.__setattr__(root, "nodes", tuple(self.nodes))
         object.__setattr__(root, "types", self.types)

@@ -325,30 +325,29 @@ def normalize(t: Term, budget: int = DEFAULT_STEP_BUDGET) -> Term:
     FuelExhausted past `budget` contractions, which for well-typed input
     signals a bug rather than divergence.
     """
-    steps = 0
+    return _normalize(t, [0], budget)
 
-    def go(u: Term) -> Term:
-        nonlocal steps
-        if getattr(u, "_normal", False):
-            return u
-        changes = {}
-        for name, _ in SUBTERMS[type(u)]:
-            s = getattr(u, name)
-            n = go(s)
-            if n is not s:
-                changes[name] = n
-        if changes:
-            u = rebuild(u, changes)
-        r = _beta_contract(u) or _eta_contract(u)
-        if r is None:
-            object.__setattr__(u, "_normal", True)
-            return u
-        steps += 1
-        if steps > budget:
-            raise FuelExhausted(f"no normal form within {budget} steps")
-        return go(r)
 
-    return go(t)
+def _normalize(u: Term, steps: list[int], budget: int) -> Term:
+    # steps[0] counts the contractions made so far, across the recursion.
+    if getattr(u, "_normal", False):
+        return u
+    changes = {}
+    for name, _ in SUBTERMS[type(u)]:
+        s = getattr(u, name)
+        n = _normalize(s, steps, budget)
+        if n is not s:
+            changes[name] = n
+    if changes:
+        u = rebuild(u, changes)
+    r = _beta_contract(u) or _eta_contract(u)
+    if r is None:
+        object.__setattr__(u, "_normal", True)
+        return u
+    steps[0] += 1
+    if steps[0] > budget:
+        raise FuelExhausted(f"no normal form within {budget} steps")
+    return _normalize(r, steps, budget)
 
 
 def _gamma_search(n1: Term, n2: Term, fuel: int) -> "Literal[True] | Inconclusive":

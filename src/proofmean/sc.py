@@ -396,15 +396,17 @@ def cut_nodes(d: ScDerivation) -> tuple[CutInfo, ...]:
     # Only premises of weakenings are looked up, and d is none of them.
     antecedent_of = {id(node): seq.antecedent for node, seq in kept(d, check_sc).nodes}
     found: list[CutInfo] = []
-
-    def visit(node: ScDerivation, path: tuple[int, ...]) -> None:
-        if isinstance(node, Cut):
-            principal = _left_principal(node.left) and _right_principal(
-                node.right, node.var, antecedent_of
-            )
-            found.append(CutInfo(path, node, principal))
-        for i, p in enumerate(premises(node)):
-            visit(p, path + (i,))
-
-    visit(d, ())
+    _visit_cuts(d, (), antecedent_of, found)
     return tuple(found)
+
+
+def _visit_cuts(
+    node: ScDerivation, path: tuple[int, ...], antecedent_of: dict[int, Context], found: list
+) -> None:
+    if isinstance(node, Cut):
+        principal = _left_principal(node.left) and _right_principal(
+            node.right, node.var, antecedent_of
+        )
+        found.append(CutInfo(path, node, principal))
+    for i, p in enumerate(premises(node)):
+        _visit_cuts(p, path + (i,), antecedent_of, found)

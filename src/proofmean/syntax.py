@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import fields
 from inspect import get_annotations
 from itertools import chain, islice
 from typing import Mapping, NamedTuple, get_args
@@ -167,7 +166,7 @@ def _rule_table(derivation: object) -> dict[str, tuple[type, tuple[str, ...]]]:
     table = {}
     for cls in get_args(derivation):
         hints = get_annotations(cls, eval_str=True)
-        kinds = tuple(_field_kind(hints[f.name], derivation) for f in fields(cls))
+        kinds = tuple(_field_kind(hints[f], derivation) for f in cls.__match_args__)
         table[cls.rule] = (cls, kinds)
     return table
 
@@ -496,33 +495,31 @@ def render_formula(f: Formula) -> str:
 def render_term(t: Term, canonical: bool = False) -> str:
     """Deterministic, re-parseable rendering of t, its parts written in
     the order _TERM_SYNTAX gives them."""
-    if canonical:
-        t = canonicalize(t)
+    return _render_term(canonicalize(t) if canonical else t)
 
-    def render(u: Term) -> str:
-        if type(u) is VarRef:
-            return u.var.name
-        out = []
-        for kind, part in _TERM_PARTS[type(u)]:
-            if kind is _LITERAL:
-                out.append(part)
-                continue
-            value = getattr(u, part)
-            if kind is _SUBTERM:
-                out.append(render(value))
-            elif kind is _OPERAND:
-                s = render(value)
-                out.append(f"({s})" if type(value) in (Lam, Case) else s)
-            elif kind is _VARIABLE:
-                out.append(value.name)
-            elif kind is _ANNOTATION:
-                s = render_formula(value)
-                out.append(f"({s})" if type(value) in _CONNECTIVES else s)
-            else:
-                out.append(render_formula(value))
-        return "".join(out)
 
-    return render(t)
+def _render_term(u: Term) -> str:
+    if type(u) is VarRef:
+        return u.var.name
+    out = []
+    for kind, part in _TERM_PARTS[type(u)]:
+        if kind is _LITERAL:
+            out.append(part)
+            continue
+        value = getattr(u, part)
+        if kind is _SUBTERM:
+            out.append(_render_term(value))
+        elif kind is _OPERAND:
+            s = _render_term(value)
+            out.append(f"({s})" if type(value) in (Lam, Case) else s)
+        elif kind is _VARIABLE:
+            out.append(value.name)
+        elif kind is _ANNOTATION:
+            s = render_formula(value)
+            out.append(f"({s})" if type(value) in _CONNECTIVES else s)
+        else:
+            out.append(render_formula(value))
+    return "".join(out)
 
 
 def _render_part(part: Var | Formula) -> str:

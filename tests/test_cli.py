@@ -1,4 +1,7 @@
+import collections
+import gc
 import importlib.resources
+import itertools
 import json
 import os
 import pathlib
@@ -13,6 +16,9 @@ import proofmean
 from proofmean import cli
 from gamma_examples import CASE_OF_TUPLE, FST_CASE, SND_CASE, TUPLE_OF_CASES
 from proofmean.cli import main
+from proofmean.meaning import classify
+from proofmean.rewrite import BetaEta, BetaEtaGamma
+from proofmean.sc import cut_nodes
 from proofmean.syntax import render_derivation
 from test_meaning import pair_family
 
@@ -453,3 +459,49 @@ def test_corpus_inconclusive_exits_3(write, tmp_path, capsys):
     assert "c vs d: DifferentDenotation" in out
     assert main(["corpus", str(tmp_path), "--mode=beta-eta-gamma", "--fuel=2"]) == 0
     assert "(inconclusive)" not in capsys.readouterr().out
+
+
+def test_commands_leave_no_cyclic_garbage(write, capsys, tmp_path, corpus_dir, load_corpus):
+    # Interned nodes live for the whole process, so each collection the
+    # cyclic collector makes walks all of them. Nothing a classification,
+    # a cut listing or a command leaves behind should need one. The first
+    # round builds the parser, once per process, and imports what commands
+    # load on use; the second is counted, with the collector off and every
+    # object it finds kept. No command changes the collector's state.
+    files = [load_corpus(p.name) for p in sorted(corpus_dir.iterdir())]
+    sources = [f.derivation for f in files]
+    pairs = [*itertools.combinations(sources, 2), (pair_family(12, "a"), pair_family(12, "b"))]
+    a, b = write("a.nd", WEAK_1), write("b.nd", WEAK_2)
+    commands = [
+        ["check", a], ["term", a, "--canonical"], ["normalize", write("d.nd", DETOUR_ND)],
+        ["sense", b, "--multiset"], ["compare", a, b], ["compare", a, b, "--mode=beta-eta-gamma"],
+        ["corpus", str(corpus_dir)], ["check", write("bad.nd", "(and-e1 (hyp x p))")],
+        ["check", str(tmp_path / "missing.nd")],
+    ]
+
+    def run():
+        for (d1, d2), mode in itertools.product(pairs, (BetaEta(), BetaEtaGamma())):
+            classify(d1, d2, mode)
+        for f in files:
+            if f.calculus == "sc":
+                cut_nodes(f.derivation)
+        assert [main(argv) for argv in commands] == [0, 0, 0, 0, 0, 0, 0, 1, 2]
+        capsys.readouterr()
+
+    run()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        run()
+        state = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        left = collections.Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(flags)
+        if enabled:
+            gc.enable()
+    assert not left, left.most_common(8)
+    assert state == (False, flags | gc.DEBUG_SAVEALL)

@@ -1,9 +1,10 @@
 import copy
+import inspect
 import pickle
 import sys
 import threading
 import tracemalloc
-from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
+from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass, replace
 from typing import get_args, get_type_hints
 
 import pytest
@@ -62,8 +63,9 @@ def test_formulas_are_values():
             assert (left, right) == (q, r)
         case _:
             pytest.fail("Implies did not match its own fields")
-    with pytest.raises(ValueError):  # from zip(strict=True): a field is missing
+    with pytest.raises(TypeError) as missing:
         Implies(p)
+    assert str(missing.value) == "Implies.__new__() missing 1 required positional argument: 'right'"
 
 
 # Each interned class (formulas, variables and term nodes) with an
@@ -147,13 +149,26 @@ def test_formulas_and_variables_are_built_once(cls, build, text, names):
     assert copy.copy(a) is copy.deepcopy(a) is pickle.loads(pickle.dumps(a)) is a
     with pytest.raises(FrozenInstanceError):
         a.name = "changed"
+    # Python binds the fields: positional, keyword and mixed calls build
+    # one key, and a missing, unknown or repeated field is a TypeError.
+    values = [getattr(a, f) for f in names]
+    later = dict(zip(names[1:], values[1:]))
+    assert cls(*values) is cls(**dict(zip(names, values))) is cls(*values[:1], **later) is a
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__new__\(\) got an unexpected"):
+        cls(*values, colour=1)
+    if names:
+        with pytest.raises(TypeError, match=f"1 required positional argument: '{names[-1]}'$"):
+            cls(*values[:-1])
+        with pytest.raises(TypeError, match=f"got multiple values for argument '{names[0]}'"):
+            cls(*values, **{names[0]: values[0]})
 
 
 def test_record_classes_hold_one_constructor_and_no_generated_method():
     # A frozen dataclass would give each class its own __init__, __repr__,
     # __eq__, __hash__, __setattr__ and __delattr__. A record class takes
-    # them from its base and holds one constructor, the `__new__` of its
-    # arity when interned, so a returning @dataclass(frozen=True) shows.
+    # them from its base and holds one constructor, `__new__` when it is
+    # interned, whose parameters are its fields with their declared
+    # defaults, so a returning @dataclass(frozen=True) shows.
     import proofmean.cli  # noqa: F401  (every module, so every class)
 
     classes, stack = [], [Record]
@@ -164,13 +179,14 @@ def test_record_classes_hold_one_constructor_and_no_generated_method():
     assert len(classes) == 49
     methods = {"__init__", "__new__", "__repr__", "__eq__", "__hash__"}
     methods |= {"__setattr__", "__delattr__"}
-    news: dict[int, set] = {}
     for cls in classes:
-        own = {"__new__"} if issubclass(cls, _Interned) else {"__init__"}
-        assert vars(cls).keys() & methods == own, cls
-        if issubclass(cls, _Interned):
-            news.setdefault(len(fields(cls)), set()).add(vars(cls)["__new__"])
-    assert sorted(news) == [0, 1, 2, 3, 7] and all(len(n) == 1 for n in news.values())
+        (own,) = vars(cls).keys() & methods
+        assert own == ("__new__" if issubclass(cls, _Interned) else "__init__"), cls
+        params = list(inspect.signature(getattr(cls, own)).parameters.values())[1:]
+        assert tuple(p.name for p in params) == cls.__match_args__, cls
+        assert [p.default for p in params] == [
+            inspect.Parameter.empty if f.default is MISSING else f.default for f in fields(cls)
+        ], cls
 
 
 def test_fields_can_be_given_by_keyword():
@@ -180,12 +196,15 @@ def test_fields_can_be_given_by_keyword():
     assert Lam(bound=x, bound_type=p, body=t) is Lam(x, body=t, bound_type=p) is lam
     assert replace(lam, body=VarRef(y)) is Lam(x, p, VarRef(y))
     assert replace(Implies(p, q), right=r) is Implies(p, r)
-    with pytest.raises(TypeError, match="unexpected fields colour"):
-        Lam(x, p, t, colour=1)
-    with pytest.raises(TypeError, match="unexpected fields bound"):
-        Lam(x, p, t, bound=y)
-    with pytest.raises(ValueError):  # from zip(strict=True): a field is missing
-        Lam(bound=x, body=t)
+    calls = {
+        "got an unexpected keyword argument 'colour'": lambda: Lam(x, p, t, colour=1),
+        "got multiple values for argument 'bound'": lambda: Lam(x, p, t, bound=y),
+        "missing 1 required positional argument: 'bound_type'": lambda: Lam(bound=x, body=t),
+    }
+    for message, call in calls.items():
+        with pytest.raises(TypeError) as error:
+            call()
+        assert str(error.value) == f"Lam.__new__() {message}"
 
 
 def test_a_deep_term_is_built_once_and_hashed_without_recursion():
