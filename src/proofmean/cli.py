@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import threading
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 from . import nd as _nd
@@ -66,7 +66,16 @@ class _NotText(ProofmeanError):
     pass
 
 
-_PARSE_ERRORS = (ParseError, UnknownRule, DanglingDischargeLabel, _NotText)
+def _stage_of(e: BaseException) -> tuple[str, int] | None:
+    """The stage of `corpus` that e belongs to, and the exit code it
+    gives; None for an error that no command reports."""
+    if isinstance(e, OSError):
+        return "read", 2
+    if isinstance(e, (_UsageError, ParseError, UnknownRule, DanglingDischargeLabel, _NotText)):
+        return "parse", 2
+    if isinstance(e, ProofmeanError):
+        return "check", 1
+    return None
 
 # Each command runs in one thread whose stack holds _RECURSION_LIMIT
 # levels of recursion, the limit while it runs: CPython 3.10 and 3.11
@@ -265,25 +274,16 @@ def _cmd_corpus(args) -> int:
     mode = _mode_of(args)
     files: list[dict] = []
     checked: list[tuple[str, Derivation]] = []
-    load_failed = False
-    check_failed = False
+    codes = {0}
     for p in paths:
         label = p.stem
         try:
             sf = _load(str(p))
-            root = check(sf.derivation)
-            _, _, formula = conclusion(root)
-        except OSError as e:
-            load_failed = True
-            files.append({"name": label, "ok": False, "stage": "read", "error": str(e)})
-            continue
-        except _PARSE_ERRORS as e:
-            load_failed = True
-            files.append({"name": label, "ok": False, "stage": "parse", "error": str(e)})
-            continue
-        except ProofmeanError as e:
-            check_failed = True
-            files.append({"name": label, "ok": False, "stage": "check", "error": str(e)})
+            _, _, formula = conclusion(check(sf.derivation))
+        except (OSError, ProofmeanError) as e:
+            stage, code = _stage_of(e)
+            codes.add(code)
+            files.append({"name": label, "ok": False, "stage": stage, "error": str(e)})
             continue
         files.append(
             {
@@ -295,7 +295,6 @@ def _cmd_corpus(args) -> int:
         )
         checked.append((label, sf.derivation))
     pairs: list[dict] = []
-    inconclusive = False
     for i in range(len(checked)):
         for j in range(i + 1, len(checked)):
             a, d_a = checked[i]
@@ -304,7 +303,7 @@ def _cmd_corpus(args) -> int:
             entry = {"first": a, "second": b, "verdict": type(verdict).__name__}
             if isinstance(verdict, SameDenotationUpToGamma):
                 entry["inconclusive"] = verdict.inconclusive
-                inconclusive = inconclusive or verdict.inconclusive
+                codes.add(3 if verdict.inconclusive else 0)
             pairs.append(entry)
     lines = []
     for f in files:
@@ -321,13 +320,7 @@ def _cmd_corpus(args) -> int:
         "details": {"files": files, "pairs": pairs},
     }
     _emit(args, payload, lines)
-    if load_failed:
-        return 2
-    if check_failed:
-        return 1
-    if inconclusive:
-        return 3
-    return 0
+    return min(codes, key=(2, 1, 3, 0).index)  # the gravest first
 
 
 # ---------- Entry point ----------
@@ -340,6 +333,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Check term-annotated derivations and compare their senses and denotations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true")
+    add = partial(sub.add_parser, parents=[json_flag])  # every command takes --json
 
     def mode_flags(sp):
         sp.add_argument(
@@ -356,35 +352,29 @@ def _build_parser() -> argparse.ArgumentParser:
             " or PROOFMEAN_FUEL)",
         )
 
-    sp = sub.add_parser("check", help="validate a derivation file")
+    sp = add("check", help="validate a derivation file")
     sp.add_argument("file")
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("term", help="print the end term")
+    sp = add("term", help="print the end term")
     sp.add_argument("file")
-    sp.add_argument("--json", action="store_true")
     sp.add_argument("--canonical", action="store_true", help="rename binders to x1, x2, ...")
 
-    sp = sub.add_parser("normalize", help="print the normal form of the end term")
+    sp = add("normalize", help="print the normal form of the end term")
     sp.add_argument("file")
-    sp.add_argument("--json", action="store_true")
     sp.add_argument("--canonical", action="store_true", help="rename binders to x1, x2, ...")
 
-    sp = sub.add_parser("sense", help="print the sense set, sorted")
+    sp = add("sense", help="print the sense set, sorted")
     sp.add_argument("file")
-    sp.add_argument("--json", action="store_true")
     sp.add_argument("--multiset", action="store_true", help="keep multiplicities")
 
-    sp = sub.add_parser("compare", help="classify a pair of derivations")
+    sp = add("compare", help="classify a pair of derivations")
     sp.add_argument("first")
     sp.add_argument("second")
-    sp.add_argument("--json", action="store_true")
     sp.add_argument("--multiset", action="store_true", help="compare senses as multisets")
     mode_flags(sp)
 
-    sp = sub.add_parser("corpus", help="check a directory and classify every pair")
+    sp = add("corpus", help="check a directory and classify every pair")
     sp.add_argument("dir")
-    sp.add_argument("--json", action="store_true")
     mode_flags(sp)
 
     return parser
@@ -399,17 +389,14 @@ def _run(argv: list[str] | None) -> int | BaseException:
         return globals()[f"_cmd_{args.command}"](args)
     except SystemExit as e:
         return int(e.code or 0)
-    except (_UsageError, *_PARSE_ERRORS, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ProofmeanError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except RecursionError:
         print("error: input nested too deeply to process", file=sys.stderr)
         return 4
-    except BaseException as e:  # raised again by main, in the calling thread
-        return e
+    except BaseException as e:
+        if (reported := _stage_of(e)) is None:
+            return e  # raised again by main, in the calling thread
+        print(f"error: {e}", file=sys.stderr)
+        return reported[1]
     finally:
         sys.setrecursionlimit(old_limit)
 

@@ -24,8 +24,8 @@ from typing import Mapping, Union
 
 from . import nd as _nd
 from . import sc as _sc
-from .core import LABELS, SUBTERMS, Context, Formula, Term, Var, VarRef, alpha_equal, rebuild
-from .core import Record, record
+from .core import LABELS, SUBTERMS, Context, Formula, Term, Var, VarRef, alpha_equal
+from .core import Record, free_vars, rebuild, record
 from .nd import Checked
 from .rewrite import (
     INCONCLUSIVE,
@@ -270,13 +270,31 @@ def same_denotation(
 ) -> bool | Inconclusive:
     """Whether the end terms of d1 and d2 are equal under `mode`.
 
-    Derivations of different formulas never share a denotation.
+    Derivations of different formulas, or whose denotations share a
+    free variable at two formulas, never share a denotation.
     """
-    if conclusion(check(d1))[2] is not conclusion(check(d2))[2]:
+    n1, n2 = denotation_of(d1), denotation_of(d2)
+    if not _comparable(check(d1), check(d2), n1, n2):
         return False
     # normalize returns a normal form unchanged, so handing `equivalent`
     # the two denotations decides the same question.
-    return equivalent(denotation_of(d1), denotation_of(d2), mode)
+    return equivalent(n1, n2, mode)
+
+
+def _comparable(c1: Checked, c2: Checked, n1: Term, n2: Term) -> bool:
+    """Whether checked derivations with denotations n1 and n2 may share
+    one: they prove one formula, and each variable free in both n1 and
+    n2 stands at one formula in both. One free on one side only does not
+    block, as normalizing can drop it and a weakened one never occurs."""
+    ctx1, _, f1 = conclusion(c1)
+    ctx2, _, f2 = conclusion(c2)
+    if f1 is not f2:
+        return False
+    # Each root's context holds its end term's free variables, so the
+    # normal forms are read only when the contexts disagree somewhere.
+    other = ctx2._bindings
+    clash = {v for v, f in ctx1._bindings.items() if other.get(v, f) is not f}
+    return not clash or clash.isdisjoint(free_vars(n1) & free_vars(n2))
 
 
 # ---------- Classification ----------
@@ -333,9 +351,8 @@ def classify(
     and its denotation are read off that check, however many pairs it
     takes part in.
     """
-    c1, c2 = check(d1), check(d2)
     n1, n2 = denotation_of(d1), denotation_of(d2)
-    if conclusion(c1)[2] is not conclusion(c2)[2]:
+    if not _comparable(check(d1), check(d2), n1, n2):
         return DifferentDenotation((n1, n2))
     if alpha_equal(n1, n2):
         renaming = sense_renaming(d1, d2, multiset)

@@ -128,18 +128,8 @@ def _eta_contract(t: Term) -> Term | None:
     return None
 
 
-def _first(t: Term, at_root: Callable[[Term], Term | None]) -> Term | None:
-    r = at_root(t)
-    if r is not None:
-        return r
-    for name, _ in SUBTERMS[type(t)]:
-        r = _first(getattr(t, name), at_root)
-        if r is not None:
-            return rebuild(t, {name: r})
-    return None
-
-
 def _everywhere(t: Term, at_root: Callable[[Term], Iterable[Term]]) -> list[Term]:
+    # In preorder, the root's contractions first, so the head is leftmost-outermost.
     out = list(at_root(t))
     for name, _ in SUBTERMS[type(t)]:
         out += [rebuild(t, {name: r}) for r in _everywhere(getattr(t, name), at_root)]
@@ -147,13 +137,13 @@ def _everywhere(t: Term, at_root: Callable[[Term], Iterable[Term]]) -> list[Term
 
 
 def beta_step(t: Term) -> Term | None:
-    """Contract the leftmost-outermost beta redex, if any."""
-    return _first(t, _beta_contract)
+    """Contract the leftmost-outermost beta redex, if any: the head of `beta_steps`."""
+    return next(iter(beta_steps(t)), None)
 
 
 def eta_step(t: Term) -> Term | None:
-    """Contract the leftmost-outermost eta redex, if any."""
-    return _first(t, _eta_contract)
+    """Contract the leftmost-outermost eta redex, if any: the head of `eta_steps`."""
+    return next(iter(eta_steps(t)), None)
 
 
 def beta_steps(t: Term) -> list[Term]:

@@ -181,12 +181,16 @@ class Sequent(Checked):
 
 
 class _ScChecker(Checker):
-    def fresh_or_same(self, ctx: Context, v: Var, f: Formula) -> None:
+    def introduce(self, ctx: Context, v: Var, f: Formula) -> Context:
+        """ctx with v at f, for a rule whose conclusion adds v: v must be
+        fresh in ctx or stand there at f already, and at f everywhere."""
         existing = ctx.get(v)
         if existing is not None and existing != f:
             raise FreshnessViolation(
                 f"{v.name} is already in the context at {existing!r}, cannot reuse it at {f!r}"
             )
+        self.bind(v, f)
+        return ctx.extend(v, f)
 
     def check(self, d: ScDerivation) -> Sequent:
         # Each case sets `out`, which is recorded below.
@@ -213,11 +217,9 @@ class _ScChecker(Checker):
                         f"premise antecedent must contain both {x.name} and {y.name}"
                     )
                 rest = s.antecedent.without(x).without(y)
-                conj = And(a, b)
-                self.fresh_or_same(rest, z, conj)
-                self.bind(z, conj)
+                ante = self.introduce(rest, z, And(a, b))
                 term = substitute_many(s.term, {x: Fst(VarRef(z)), y: Snd(VarRef(z))})
-                out = Sequent(rest.extend(z, conj), term, s.succedent)
+                out = Sequent(ante, term, s.succedent)
             case OrR1(other, premise):
                 s = self.check(premise)
                 out = Sequent(s.antecedent, Inl(s.term, other), Or(s.succedent, other))
@@ -238,11 +240,8 @@ class _ScChecker(Checker):
                         f"premises conclude {s1.succedent!r} and {s2.succedent!r}, which differ"
                     )
                 rest = self.union(s1.antecedent.without(x), s2.antecedent.without(y))
-                disj = Or(a, b)
-                self.fresh_or_same(rest, z, disj)
-                self.bind(z, disj)
                 term = Case(VarRef(z), x, a, s1.term, y, b, s2.term)
-                out = Sequent(rest.extend(z, disj), term, s1.succedent)
+                out = Sequent(self.introduce(rest, z, Or(a, b)), term, s1.succedent)
             case ImpR(x, premise):
                 s = self.check(premise)
                 a = s.antecedent.get(x)
@@ -259,12 +258,10 @@ class _ScChecker(Checker):
                 b = s2.antecedent.get(y)
                 if b is None:
                     raise RuleMismatch(f"second premise antecedent must contain {y.name}")
-                imp = Implies(s1.succedent, b)
                 rest = self.union(s1.antecedent, s2.antecedent.without(y))
-                self.fresh_or_same(rest, x, imp)
-                self.bind(x, imp)
+                ante = self.introduce(rest, x, Implies(s1.succedent, b))
                 term = substitute(s2.term, y, App(VarRef(x), s1.term))
-                out = Sequent(rest.extend(x, imp), term, s2.succedent)
+                out = Sequent(ante, term, s2.succedent)
             case AbsurdL(x, target):
                 self.bind(x, Absurd())
                 out = Sequent(
@@ -272,9 +269,7 @@ class _ScChecker(Checker):
                 )
             case Weaken(x, a, premise):
                 s = self.check(premise)
-                self.fresh_or_same(s.antecedent, x, a)
-                self.bind(x, a)
-                out = Sequent(s.antecedent.extend(x, a), s.term, s.succedent)
+                out = Sequent(self.introduce(s.antecedent, x, a), s.term, s.succedent)
             case Contract(kept, merged, premise):
                 s = self.check(premise)
                 fk = s.antecedent.get(kept)

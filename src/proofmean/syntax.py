@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from inspect import get_annotations
 from itertools import chain, islice
-from typing import Mapping, NamedTuple, get_args
+from typing import Mapping, NamedTuple, get_args, get_type_hints
 
 from .core import (
     LABELS,
@@ -165,7 +164,7 @@ def _field_kind(hint: object, derivation: object) -> str:
 def _rule_table(derivation: object) -> dict[str, tuple[type, tuple[str, ...]]]:
     table = {}
     for cls in get_args(derivation):
-        hints = get_annotations(cls, eval_str=True)
+        hints = get_type_hints(cls)
         kinds = tuple(_field_kind(hints[f], derivation) for f in cls.__match_args__)
         table[cls.rule] = (cls, kinds)
     return table

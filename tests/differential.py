@@ -1,5 +1,5 @@
 """Run the CLI of this tree and of another commit on the same inputs,
-and report the first command whose stdout, stderr or exit code differs.
+and report every command whose stdout, stderr or exit code differs.
 
     python tests/differential.py REF
 
@@ -15,8 +15,11 @@ and in beta-eta-gamma mode, at the pair's fuel when it has one. Each
 tree runs every command through its own `cli.main` in one worker
 process, so start-up is paid once per tree.
 
-Prints the counts and exits 0 when nothing differs; prints the first
-difference and exits 1 otherwise. Tier-1 does not collect this file.
+Prints the counts and exits 0 when nothing differs. Otherwise it
+prints each differing command, the first FULL of them with their diffs,
+then one tally line per mode (the command, for other than compare),
+old and new exit code, and old and new verdict, and exits 1. Tier-1
+does not collect this file.
 """
 
 from __future__ import annotations
@@ -29,12 +32,14 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(4)
 DRAW_SEED, DRAWS = 0, 400
 DEPTH = 300
+FULL = 5
 
 # Reads one JSON argv per line and writes one JSON [code, stdout, stderr].
 WORKER = """
@@ -142,6 +147,14 @@ def run_tree(src: Path, inputs: Path, argvs: list[list[str]]) -> list[list]:
     return [json.loads(line) for line in done.stdout.splitlines()]
 
 
+def verdict(stdout: str) -> str:
+    """The verdict a `--json` output names, or "-"."""
+    try:
+        return json.loads(stdout).get("verdict", "-")
+    except ValueError:
+        return "-"
+
+
 def main(ref: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         other, inputs = Path(tmp, "other"), Path(tmp, "inputs")
@@ -152,16 +165,25 @@ def main(ref: str) -> int:
         subprocess.run(["tar", "-x", "-C", str(other)], input=archive, check=True)
         argvs, files, pairs = commands(inputs)
         results = [run_tree(src, inputs, argvs) for src in (other / "src", ROOT / "src")]
-    for argv, theirs, ours in zip(argvs, *results):
-        if theirs != ours:
-            print(f"differs: proofmean {' '.join(argv)}")
-            for stream, a, b in zip(("exit code", "stdout", "stderr"), theirs, ours):
-                if a != b:
-                    print(f"{stream}, {ref} (-) against this tree (+):")
-                    diff = difflib.unified_diff(str(a).splitlines(), str(b).splitlines(),
-                                                lineterm="")
-                    print("\n".join(itertools.islice(diff, 40)))
-            return 1
+    differing = [row for row in zip(argvs, *results) if row[1] != row[2]]
+    tally: Counter = Counter()
+    for n, (argv, theirs, ours) in enumerate(differing):
+        print(f"differs: proofmean {' '.join(argv)}")
+        for stream, a, b in zip(("exit code", "stdout", "stderr"), theirs, ours):
+            if n < FULL and a != b:
+                print(f"{stream}, {ref} (-) against this tree (+):")
+                diff = difflib.unified_diff(str(a).splitlines(), str(b).splitlines(),
+                                            lineterm="")
+                print("\n".join(itertools.islice(diff, 40)))
+        mode = argv[0]
+        if mode == "compare":
+            mode = argv[argv.index("--mode") + 1] if "--mode" in argv else "beta-eta"
+        tally[mode, theirs[0], ours[0], verdict(theirs[1]), verdict(ours[1])] += 1
+    if differing:
+        print(f"{len(differing)} of {len(argvs)} commands differ from {ref} (-> this tree):")
+        for (mode, c1, c2, v1, v2), n in sorted(tally.items()):
+            print(f"  {n} {mode}: exit {c1} -> {c2}, {v1} -> {v2}")
+        return 1
     codes = sorted({r[0] for r in results[1]})
     print(f"no difference from {ref}: {len(argvs)} commands on {files} files and "
           f"{pairs} pairs (exit codes {codes})")

@@ -117,6 +117,28 @@ def test_same_denotation_compares_formulas_first():
     assert same_denotation(d1, d1, BetaEta()) is True
 
 
+def test_a_free_variable_at_two_formulas_keeps_denotations_apart():
+    # Each pair proves p; no type-preserving conversion relates the two
+    # sides of the first two, whose normal forms share x (or z) at two
+    # formulas. In the last two, the variable at two formulas is free in
+    # one normal form at most, dropped by normalizing or weakened in.
+    apart = [
+        (r"(and-e1 (hyp x p/\q))", r"(and-e1 (hyp x p/\r))"),
+        ("(and-l z x y (weaken y q (rf x p)))", "(and-l z x y (weaken y r (rf x p)))"),
+    ]
+    together = [
+        ("(and-e1 (and-i (hyp x p) (hyp y q)))", "(and-e1 (and-i (hyp x p) (hyp y r)))"),
+        ("(weaken y q (rf x p))", "(weaken y r (rf x p))"),
+    ]
+    for mode in (BetaEta(), BetaEtaGamma()):
+        for a, b in apart:
+            assert classify(parse(a), parse(b), mode) == DifferentDenotation()
+            assert same_denotation(parse(a), parse(b), mode) is False
+        for a, b in together:
+            assert classify(parse(a), parse(b), mode) == DifferentSenseSameDenotation()
+            assert same_denotation(parse(a), parse(b), mode) is True
+
+
 def test_classification_of_identity_against_its_detour(load_corpus):
     d1 = load_corpus("nd_identity.nd").derivation
     d2 = load_corpus("nd_identity_detour.nd").derivation
