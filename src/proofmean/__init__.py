@@ -45,11 +45,7 @@ from .rewrite import (
     EqualityMode,
     FuelExhausted,
     Inconclusive,
-    beta_step,
-    beta_steps,
     equivalent,
-    eta_step,
-    eta_steps,
     gamma_steps,
     normalize,
 )

@@ -213,10 +213,10 @@ def _cmd_sense(args) -> int:
     return 0
 
 
-def _verdict_details(args, verdict: Verdict) -> dict:
+def _verdict_details(args, mode: EqualityMode, verdict: Verdict) -> dict:
     details: dict = {"mode": args.mode}
-    if args.mode == "beta-eta-gamma":
-        details["fuel"] = _effective_fuel(args)
+    if isinstance(mode, BetaEtaGamma):
+        details["fuel"] = mode.fuel
     match verdict:
         case SameSenseSameDenotation(renaming):
             details["renaming"] = {
@@ -247,7 +247,7 @@ def _cmd_compare(args) -> int:
     sf2 = _load(args.second)
     mode = _mode_of(args)
     verdict = classify(sf1.derivation, sf2.derivation, mode, multiset=args.multiset)
-    details = _verdict_details(args, verdict)
+    details = _verdict_details(args, mode, verdict)
     name = type(verdict).__name__
     lines = [name]
     for key in ("renaming", "only_in_first", "only_in_second", "normal_forms"):

@@ -8,9 +8,10 @@ abort) that every well-formed term has a unique type in a context.
 Formulas, variables and term nodes are built once each, from one table
 kept for the whole process, so their `==` and `hash` are identity and
 never recurse. A term node keeps two facts once computed, outside the
-fields that repr reads: `_normal`, which `rewrite.normalize` sets on each
-node it returns as beta-eta normal, and `_skeleton`, which
-`meaning._skeleton` sets. A node never changes, so neither goes stale.
+fields that repr reads: `_normal`, its beta-eta normal form (itself if
+normal), set by `rewrite.normalize` on each node it visits, and
+`_skeleton`, set by `meaning._skeleton`. A node never changes, so
+neither goes stale.
 """
 
 from __future__ import annotations

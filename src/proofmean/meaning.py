@@ -10,10 +10,10 @@ the root judgment or sequent, which carries each node's judgment (the
 sense) and the variable types (for the renaming search), and its end
 term gives the denotation. The first run on a derivation object is kept
 on it (`Node.checked`), and every reader here takes it from there, so a
-derivation is checked once however many questions are asked of it. Its
-denotation is likewise normalized once and kept on that root. A verdict
-of `classify` carries the evidence it found: the renaming, the two
-senses or the two normal forms.
+derivation is checked once however many questions are asked of it, and
+its end term keeps its normal form (see core). A verdict of `classify`
+carries the evidence it found: the renaming, the two senses or the two
+normal forms.
 """
 
 from __future__ import annotations
@@ -257,12 +257,8 @@ def same_sense(d1: Derivation, d2: Derivation, multiset: bool = False) -> bool:
 
 
 def denotation_of(d: Derivation) -> Term:
-    """The normal form of the end term of d. It is computed once and
-    kept on the root of d's checker run, where every reader finds it."""
-    root = check(d)
-    if root.normal is None:
-        object.__setattr__(root, "normal", normalize(root.term))
-    return root.normal
+    """The normal form of the end term of d, which the end term keeps."""
+    return normalize(check(d).term)
 
 
 def same_denotation(

@@ -166,15 +166,14 @@ NdDerivation = Union[Hyp, ImpI, ImpE, AndI, AndE1, AndE2, OrI1, OrI2, OrE, Absur
 class Checked(Record):
     """A node's checked conclusion in either calculus: a judgment or a
     sequent. A checker run keeps on its root what it recorded: every
-    node below the root with its conclusion, premises first, each
-    variable's formula and, once read, the normal form of the end term.
-    They are not fields, so equality and repr ignore them. Nothing the
-    root holds refers back to its derivation, so keeping it there makes
-    no reference cycle."""
+    node below the root with its conclusion, premises first, and each
+    variable's formula. They are not fields, so equality and repr ignore
+    them. Nothing the root holds refers back to its derivation, so
+    keeping it there makes no reference cycle. The end term keeps its
+    own normal form (see core)."""
 
     nodes: tuple[tuple[Node, Checked], ...] = ()
     types: Mapping[Var, Formula] = MappingProxyType({})
-    normal: Term | None = None
 
 
 @record

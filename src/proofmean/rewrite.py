@@ -1,8 +1,7 @@
 """Beta, eta, and permutative (gamma) conversions over typed terms.
 
-The single-step functions contract the leftmost-outermost redex, so
-they are deterministic; `normalize` instead contracts bottom-up in one
-pass.
+`normalize` contracts beta and eta redexes bottom-up in one pass, and
+keeps each node's normal form on the node (see core).
 Gamma steps are one commuting law, F[case r {x. s | y. u}] =
 case r {x. F[s] | y. F[u]}, applied in either direction to every frame
 F in one table (_FRAMES) and walked over core.SUBTERMS like every other
@@ -14,7 +13,7 @@ cases.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Iterable, Literal, Mapping, Union
+from typing import Callable, Literal, Mapping, Union
 
 from .core import (
     Abort,
@@ -95,65 +94,6 @@ class Inconclusive:
 INCONCLUSIVE = Inconclusive()
 
 DEFAULT_STEP_BUDGET = 1_000_000
-
-
-# ---------- Single-step machinery ----------
-
-
-def _beta_contract(t: Term) -> Term | None:
-    match t:
-        case App(Lam(x, _, body), s):
-            return substitute(body, x, s)
-        case Fst(Pair(s, _)):
-            return s
-        case Snd(Pair(_, u)):
-            return u
-        case Case(Inl(r, _), x, _, s, _, _, _):
-            return substitute(s, x, r)
-        case Case(Inr(r, _), _, _, _, y, _, u):
-            return substitute(u, y, r)
-    return None
-
-
-def _eta_contract(t: Term) -> Term | None:
-    match t:
-        case Lam(x, _, App(f, VarRef(v))) if v == x and x not in free_vars(f):
-            return f
-        case Pair(Fst(a), Snd(b)) if alpha_equal(a, b):
-            return a
-        case Case(r, x, a, Inl(VarRef(xv), ob), y, b, Inr(VarRef(yv), oa)) if (
-            xv == x and yv == y and ob == b and oa == a
-        ):
-            return r
-    return None
-
-
-def _everywhere(t: Term, at_root: Callable[[Term], Iterable[Term]]) -> list[Term]:
-    # In preorder, the root's contractions first, so the head is leftmost-outermost.
-    out = list(at_root(t))
-    for name, _ in SUBTERMS[type(t)]:
-        out += [rebuild(t, {name: r}) for r in _everywhere(getattr(t, name), at_root)]
-    return out
-
-
-def beta_step(t: Term) -> Term | None:
-    """Contract the leftmost-outermost beta redex, if any: the head of `beta_steps`."""
-    return next(iter(beta_steps(t)), None)
-
-
-def eta_step(t: Term) -> Term | None:
-    """Contract the leftmost-outermost eta redex, if any: the head of `eta_steps`."""
-    return next(iter(eta_steps(t)), None)
-
-
-def beta_steps(t: Term) -> list[Term]:
-    """All results of contracting one beta redex anywhere in t."""
-    return _everywhere(t, lambda u: (r,) if (r := _beta_contract(u)) is not None else ())
-
-
-def eta_steps(t: Term) -> list[Term]:
-    """All results of contracting one eta redex anywhere in t."""
-    return _everywhere(t, lambda u: (r,) if (r := _eta_contract(u)) is not None else ())
 
 
 # ---------- Gamma steps ----------
@@ -291,11 +231,19 @@ def _gamma_at_root(t: Term) -> list[Term]:
     return _gamma_out(t) + _gamma_in(t) + _pair_splits(t)
 
 
+def _everywhere(t: Term) -> list[Term]:
+    # In preorder: the gamma steps at the root, then those in each subterm.
+    out = _gamma_at_root(t)
+    for name, _ in SUBTERMS[type(t)]:
+        out += [rebuild(t, {name: r}) for r in _everywhere(getattr(t, name))]
+    return out
+
+
 def gamma_steps(t: Term) -> list[Term]:
     """All single permutative steps available anywhere in t."""
     seen: set[object] = set()
     out: list[Term] = []
-    for r in _everywhere(t, _gamma_at_root):
+    for r in _everywhere(t):
         if r not in seen:
             seen.add(r)
             out.append(r)
@@ -305,14 +253,43 @@ def gamma_steps(t: Term) -> list[Term]:
 # ---------- Normalization and equivalence ----------
 
 
+def _beta_contract(t: Term) -> Term | None:
+    match t:
+        case App(Lam(x, _, body), s):
+            return substitute(body, x, s)
+        case Fst(Pair(s, _)):
+            return s
+        case Snd(Pair(_, u)):
+            return u
+        case Case(Inl(r, _), x, _, s, _, _, _):
+            return substitute(s, x, r)
+        case Case(Inr(r, _), _, _, _, y, _, u):
+            return substitute(u, y, r)
+    return None
+
+
+def _eta_contract(t: Term) -> Term | None:
+    match t:
+        case Lam(x, _, App(f, VarRef(v))) if v == x and x not in free_vars(f):
+            return f
+        case Pair(Fst(a), Snd(b)) if alpha_equal(a, b):
+            return a
+        case Case(r, x, a, Inl(VarRef(xv), ob), y, b, Inr(VarRef(yv), oa)) if (
+            xv == x and yv == y and ob == b and oa == a
+        ):
+            return r
+    return None
+
+
 def normalize(t: Term, budget: int = DEFAULT_STEP_BUDGET) -> Term:
     """The beta-eta normal form of t; t itself when it is already normal.
 
     One bottom-up pass: a node's subterms are normalized first, the node
     is rebuilt only if one changed, and then a beta redex, or else an
     eta redex, at the node is contracted and the result normalized.
-    Every node returned is marked normal (see core). Raises
-    FuelExhausted past `budget` contractions, which for well-typed input
+    Each node visited keeps its normal form (see core), so a later visit
+    returns it at once. Raises FuelExhausted past `budget` contractions
+    in this call, a kept form costing none; for well-typed input that
     signals a bug rather than divergence.
     """
     return _normalize(t, [0], budget)
@@ -320,24 +297,29 @@ def normalize(t: Term, budget: int = DEFAULT_STEP_BUDGET) -> Term:
 
 def _normalize(u: Term, steps: list[int], budget: int) -> Term:
     # steps[0] counts the contractions made so far, across the recursion.
-    if getattr(u, "_normal", False):
-        return u
+    # A node keeps its normal form only once that is complete, so one
+    # FuelExhausted leaves no wrong form behind.
+    n = getattr(u, "_normal", None)
+    if n is not None:
+        return n
     changes = {}
     for name, _ in SUBTERMS[type(u)]:
         s = getattr(u, name)
-        n = _normalize(s, steps, budget)
-        if n is not s:
-            changes[name] = n
-    if changes:
-        u = rebuild(u, changes)
-    r = _beta_contract(u) or _eta_contract(u)
+        m = _normalize(s, steps, budget)
+        if m is not s:
+            changes[name] = m
+    v = rebuild(u, changes) if changes else u
+    r = _beta_contract(v) or _eta_contract(v)
     if r is None:
-        object.__setattr__(u, "_normal", True)
-        return u
-    steps[0] += 1
-    if steps[0] > budget:
-        raise FuelExhausted(f"no normal form within {budget} steps")
-    return _normalize(r, steps, budget)
+        n = v
+    else:
+        steps[0] += 1
+        if steps[0] > budget:
+            raise FuelExhausted(f"no normal form within {budget} steps")
+        n = _normalize(r, steps, budget)
+    object.__setattr__(u, "_normal", n)
+    object.__setattr__(v, "_normal", n)
+    return n
 
 
 def _gamma_search(n1: Term, n2: Term, fuel: int) -> "Literal[True] | Inconclusive":

@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 from proofmean import nd as _nd
 from proofmean import sc as _sc
 from proofmean.core import (
+    SUBTERMS,
     Abort,
     Absurd,
     And,
     App,
     Atom,
     Case,
+    Context,
     Formula,
     Fst,
     Implies,
@@ -29,13 +31,16 @@ from proofmean.core import (
     Lam,
     Or,
     Pair,
+    ProofmeanError,
     Snd,
     Term,
     Var,
     VarRef,
     free_vars,
     fresh_var,
+    rebuild,
     substitute,
+    type_of,
 )
 
 ATOMS = (Atom("p"), Atom("q"), Atom("r"))
@@ -227,6 +232,53 @@ def eta_planted_terms(draw) -> tuple[dict[Var, Formula], Term, Formula]:
         rest = {u: f for u, f in ctx.items() if u != v}
         return {**rest, **ctx2}, App(Lam(v, ctx[v], t), planted), a
     return {**ctx, **ctx2}, substitute(t, v, planted), a
+
+
+def _variables(t: Term) -> set[Var]:
+    # Every variable of t, free or bound.
+    if type(t) is VarRef:
+        return {t.var}
+    out: set[Var] = set()
+    for name, binder in SUBTERMS[type(t)]:
+        if binder is not None:
+            out.add(getattr(t, binder))
+        out |= _variables(getattr(t, name))
+    return out
+
+
+def _renamed_everywhere(t: Term, names: dict[Var, Var]) -> Term:
+    # Every occurrence and binder of each variable renamed by `names`,
+    # with no regard for capture.
+    if type(t) is VarRef:
+        return VarRef(names[t.var])
+    changes: dict[str, object] = {}
+    for name, binder in SUBTERMS[type(t)]:
+        if binder is not None:
+            changes[binder] = names[getattr(t, binder)]
+        changes[name] = _renamed_everywhere(getattr(t, name), names)
+    return rebuild(t, changes)
+
+
+@st.composite
+def name_collapsed_terms(draw) -> tuple[dict[Var, Formula], Term, Formula] | None:
+    """A typed term, with its context and type, whose variables, bound
+    and free, are renamed onto two or three names, which makes capture
+    frequent. None when the renamed term no longer types with its free
+    variables at their old formulas."""
+    ctx, t, a = draw(typed_terms())
+    pool = [Var(n) for n in ("u", "v", "w")[: draw(_integers(2, 3))]]
+    names = {v: draw(_sampled(tuple(pool))) for v in sorted(_variables(t), key=lambda v: v.name)}
+    collapsed = _renamed_everywhere(t, names)
+    new_ctx: dict[Var, Formula] = {}
+    for v, f in ctx.items():
+        if new_ctx.setdefault(names[v], f) != f:
+            return None
+    try:
+        if type_of(Context(new_ctx), collapsed) != a:
+            return None
+    except ProofmeanError:
+        return None
+    return new_ctx, collapsed, a
 
 
 def _term_to_nd(t: Term, types: dict[Var, Formula]) -> _nd.NdDerivation:

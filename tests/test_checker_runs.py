@@ -3,10 +3,10 @@
 The two checker classes are wrapped so that every checker run is
 counted; the sense, the denotation, the variable types and a verdict's
 details are all read off those runs. A derivation keeps its run, and
-the run keeps the denotation, so asking again takes no checker run and
-no normalization, and the kept run makes no reference cycle. Each file
-is tokenized once, and the benchmark's trace counts its tokens from
-that call.
+its end term keeps its normal form, so asking again takes no checker
+run and no contraction, and the kept run makes no reference cycle.
+Each file is tokenized once, and the benchmark's trace counts its
+tokens from that call.
 """
 
 import contextlib
@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from gamma_examples import CASE_OF_TUPLE, TUPLE_OF_CASES
-from proofmean import meaning, nd, sc, syntax
+from proofmean import meaning, nd, rewrite, sc, syntax
 from proofmean.cli import main
 from proofmean.core import Atom, Var
 from proofmean.meaning import classify
@@ -43,6 +43,31 @@ def checks(monkeypatch):
 
     monkeypatch.setattr(nd, "_NdChecker", counting(nd._NdChecker))
     monkeypatch.setattr(sc, "_ScChecker", counting(sc._ScChecker))
+
+    def taken():
+        n, count[0] = count[0], 0
+        return n
+
+    return taken
+
+
+@pytest.fixture
+def contractions(monkeypatch):
+    """Returns, and resets, the number of beta and eta contractions so
+    far. Terms keep their normal forms for the whole session, so only a
+    count of zero is independent of the tests run before."""
+    count = [0]
+
+    def counting(contract):
+        def counted(t):
+            r = contract(t)
+            count[0] += r is not None
+            return r
+
+        return counted
+
+    monkeypatch.setattr(rewrite, "_beta_contract", counting(rewrite._beta_contract))
+    monkeypatch.setattr(rewrite, "_eta_contract", counting(rewrite._eta_contract))
 
     def taken():
         n, count[0] = count[0], 0
@@ -125,39 +150,31 @@ def test_corpus_checks_each_file_once(checks, corpus_dir, corpus_files):
 
 
 def test_denotation_after_classify_needs_no_checker_run(
-    checks, load_corpus, corpus_files, monkeypatch
+    checks, contractions, load_corpus, corpus_files
 ):
-    calls = [0]
-    normalize = meaning.normalize
-
-    def counted(t):
-        calls[0] += 1
-        return normalize(t)
-
-    monkeypatch.setattr(meaning, "normalize", counted)
     derivations = [load_corpus(p.rsplit("/", 1)[-1]).derivation for p in corpus_files]
-    for d1, d2 in itertools.combinations(derivations, 2):
-        for mode in (BetaEta(), BetaEtaGamma(fuel=4)):
-            classify(d1, d2, mode)
-            for d in (d1, d2):
-                assert meaning.denotation_of(d) is meaning.denotation_of(d)
+
+    def classify_all():
+        for d1, d2 in itertools.combinations(derivations, 2):
+            for mode in (BetaEta(), BetaEtaGamma(fuel=4)):
+                classify(d1, d2, mode)
+                for d in (d1, d2):
+                    assert meaning.denotation_of(d) is meaning.denotation_of(d)
+
+    classify_all()
+    contractions()
+    # Each end term, and each term the gamma search met, kept its normal form.
+    classify_all()
+    assert contractions() == 0
     assert checks() == len(derivations)
-    assert calls[0] == len(derivations)
 
 
-def test_corpus_normalizes_each_file_once(checks, corpus_dir, corpus_files, monkeypatch):
-    calls = [0]
-    normalize = meaning.normalize
-
-    def counted(t):
-        calls[0] += 1
-        return normalize(t)
-
-    monkeypatch.setattr(meaning, "normalize", counted)
+def test_corpus_normalizes_each_file_once(checks, contractions, corpus_dir, corpus_files):
     for mode in ("beta-eta", "beta-eta-gamma"):
         assert run(["corpus", str(corpus_dir), "--mode", mode])[0] == 0
-        assert calls[0] == len(corpus_files), mode
-        calls[0] = 0
+        contractions()
+        assert run(["corpus", str(corpus_dir), "--mode", mode])[0] == 0
+        assert contractions() == 0, mode
 
 
 def test_failed_check_keeps_no_denotation(checks):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, reject
 from hypothesis import strategies as st
 
+import nbe
 from proofmean import meaning, rewrite
 from proofmean.core import (
     SUBTERMS,
@@ -28,6 +29,7 @@ from proofmean.core import (
     Inl,
     Inr,
     Lam,
+    Or,
     Pair,
     ProofmeanError,
     Record,
@@ -50,10 +52,6 @@ from proofmean.nd import variable_types as nd_variable_types
 from proofmean.rewrite import (
     FiniteModel,
     OutsideModelBounds,
-    beta_step,
-    beta_steps,
-    eta_step,
-    eta_steps,
     gamma_steps,
     normalize,
 )
@@ -107,13 +105,23 @@ def substitution_cases(draw):
 # ---------- Subject reduction ----------
 
 
+def single_steps(t, contract):
+    """Every term one contraction by `contract` away from t, at any
+    position: normalize's own redex contraction, applied where it fires."""
+    r = contract(t)
+    out = [] if r is None else [r]
+    for name, _ in SUBTERMS[type(t)]:
+        out += [rebuild(t, {name: u}) for u in single_steps(getattr(t, name), contract)]
+    return out
+
+
 @given(typed_terms())
 def test_beta_steps_preserve_the_type(case):
     ctx, t, a = case
     assert term_size(t) <= MAX_TERM_CONSTRUCTORS
     context = Context(ctx)
     assert type_of(context, t) == a
-    for u in beta_steps(t):
+    for u in single_steps(t, rewrite._beta_contract):
         assert type_of(context, u) == a
 
 
@@ -121,134 +129,51 @@ def test_beta_steps_preserve_the_type(case):
 def test_eta_steps_preserve_the_type(case, planted):
     for ctx, t, a in (case, planted):
         context = Context(ctx)
-        for u in eta_steps(t):
+        for u in single_steps(t, rewrite._eta_contract):
             assert type_of(context, u) == a
 
 
-@given(typed_terms())
-def test_gamma_steps_preserve_the_type(case):
-    ctx, t, a = case
-    context = Context(ctx)
-    for u in gamma_steps(t):
-        assert type_of(context, u) == a
-
-
-# ---------- Beta confluence ----------
-
-
-def beta_normal_forms(t, memo):
-    # Reduction of a typed term terminates, so the graph is a finite
-    # DAG up to alpha and plain recursion with a result cache suffices.
-    key = alpha_key(t)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    successors = beta_steps(t)
-    if not successors:
-        out = frozenset((key,))
-    else:
-        out = frozenset().union(*(beta_normal_forms(s, memo) for s in successors))
-    memo[key] = out
-    return out
-
-
-@given(typed_terms())
-def test_beta_reduction_is_confluent(case):
-    _, t, _ = case
-    assert len(beta_normal_forms(t, {})) == 1
+@given(typed_terms(), eta_planted_terms())
+def test_gamma_steps_preserve_the_type(case, planted):
+    assert term_size(case[1]) <= MAX_TERM_CONSTRUCTORS
+    for ctx, t, a in (case, planted):
+        context = Context(ctx)
+        assert type_of(context, t) == a
+        for u in gamma_steps(t):
+            assert type_of(context, u) == a
 
 
 # ---------- Normalization ----------
 
 
-@given(typed_terms())
-def test_normalize_is_idempotent_and_reaches_a_normal_form(case):
-    ctx, t, a = case
-    n = normalize(t)
-    assert beta_step(n) is None
-    assert eta_step(n) is None
-    assert normalize(n) == n
-    assert type_of(Context(ctx), n) == a
+def in_context(ctx, t):
+    """Every subterm of t, t included, each with its context: ctx
+    extended by the binders above it."""
+    yield ctx, t
+    match t:
+        case Lam(x, a, body):
+            yield from in_context({**ctx, x: a}, body)
+        case Case(r, x, a, s, y, b, u):
+            yield from in_context(ctx, r)
+            yield from in_context({**ctx, x: a}, s)
+            yield from in_context({**ctx, y: b}, u)
+        case _:
+            for name, _ in SUBTERMS[type(t)]:
+                yield from in_context(ctx, getattr(t, name))
+
+
+def is_normal(ctx, t):
+    """Whether the oracle's normal form of t is t itself."""
+    return nbe.normal_key(t, ctx) == nbe.key(t)
 
 
 @given(typed_terms(), eta_planted_terms())
-def test_normalize_is_invariant_under_single_beta_eta_steps(case, planted):
-    # Beta-eta equality compares normal forms and nothing else, so no
-    # single step may change the normal form.
-    for _, term, _ in (case, planted):
-        n = normalize(term)
-        for u in beta_steps(term) + eta_steps(term):
-            assert alpha_equal(normalize(u), n)
-
-
-def reference_normal_form(t):
-    # The order normalize used before its one-pass form: leftmost-
-    # outermost beta to exhaustion, then eta, while eta made progress.
-    while True:
-        while (r := beta_step(t)) is not None:
-            t = r
-        took_eta = False
-        while (r := eta_step(t)) is not None:
-            t = r
-            took_eta = True
-        if not took_eta:
-            return t
-
-
-def renamed_everywhere(t, names):
-    # Every occurrence and binder of each variable renamed by `names`,
-    # with no regard for capture.
-    if type(t) is VarRef:
-        return VarRef(names[t.var])
-    changes = {}
-    for name, binder in SUBTERMS[type(t)]:
-        if binder is not None:
-            changes[binder] = names[getattr(t, binder)]
-        changes[name] = renamed_everywhere(getattr(t, name), names)
-    return rebuild(t, changes)
-
-
-def variables_of(t):
-    out = set(free_vars(t))
-    for u in term_nodes(t):
-        for name, binder in SUBTERMS[type(u)]:
-            if binder is not None:
-                out.add(getattr(u, binder))
-    return out
-
-
-@st.composite
-def name_collapsed_terms(draw):
-    # A typed term whose variables, bound and free, are renamed onto two
-    # or three names, which makes capture frequent; kept when it still
-    # types with its free variables at their old formulas.
-    ctx, t, a = draw(typed_terms())
-    pool = [Var(n) for n in ("u", "v", "w")[: draw(st.integers(2, 3))]]
-    names = {v: draw(st.sampled_from(pool)) for v in sorted(variables_of(t), key=lambda v: v.name)}
-    collapsed = renamed_everywhere(t, names)
-    new_ctx = {}
-    for v, f in ctx.items():
-        if new_ctx.setdefault(names[v], f) != f:
-            return None
-    try:
-        if type_of(Context(new_ctx), collapsed) != a:
-            return None
-    except ProofmeanError:
-        return None
-    return collapsed
-
-
-@given(typed_terms(), eta_planted_terms(), name_collapsed_terms())
-def test_one_pass_normalize_agrees_with_the_reduction_loop(case, planted, collapsed):
-    # The same term, bound names included, unless the loop primed a
-    # binder to dodge a variable that a later step removed (see
-    # test_rewrite.py::test_normalize_keeps_a_binder_whose_capture_was_reduced_away).
-    terms = [case[1], planted[1]] + ([collapsed] if collapsed is not None else [])
-    for t in terms:
-        n, expected = normalize(t), reference_normal_form(t)
-        assert alpha_equal(n, expected)
-        if not any("'" in v.name for v in variables_of(expected)):
-            assert n == expected
+def test_normalize_is_idempotent_and_reaches_a_normal_form(case, planted):
+    for ctx, t, a in (case, planted):
+        n = normalize(t)
+        assert is_normal(ctx, n)
+        assert normalize(n) is n
+        assert type_of(Context(ctx), n) == a
 
 
 # ---------- The finite model ----------
@@ -265,10 +190,10 @@ def environments(ctx, limit=64):
     return [{v: rng.choice(d) for v, d in zip(names, domains)} for _ in range(limit)]
 
 
-def assert_one_step_keeps_the_value(ctx, t):
+def assert_conversions_keep_the_value(ctx, t):
     # Refuting in the model is sound only if no conversion changes a
-    # value, so every single step and the normal form must keep it.
-    converted = [normalize(t), *beta_steps(t), *eta_steps(t), *gamma_steps(t)]
+    # value, so the normal form and every gamma step must keep it.
+    converted = [normalize(t), *gamma_steps(t)]
     for env in environments(ctx):
         value = FiniteModel().value(t, env)
         for u in converted:
@@ -292,7 +217,7 @@ def inhabited_in_the_model(case) -> bool:
 def test_conversions_keep_the_value_in_the_finite_model(case, planted):
     for ctx, t, _ in (case, planted):
         try:
-            assert_one_step_keeps_the_value(ctx, t)
+            assert_conversions_keep_the_value(ctx, t)
         except OutsideModelBounds:
             reject()
 
@@ -322,7 +247,7 @@ def test_gamma_steps_on_nested_cases_keep_the_value_in_the_finite_model(load_cor
         first = gamma_steps(t)
         assert first
         for u in [t, *first, *(g for s in first for g in gamma_steps(s))]:
-            assert_one_step_keeps_the_value({}, u)
+            assert_conversions_keep_the_value({}, u)
 
 
 # ---------- Cached facts ----------
@@ -346,24 +271,20 @@ def rebuilt(x):
     return x
 
 
-def is_normal(t):
-    return beta_step(t) is None and eta_step(t) is None
-
-
 @given(typed_terms(), eta_planted_terms())
 def test_normalize_returns_its_input_exactly_when_it_is_normal(case, planted):
-    # normalize answers from a flag kept on each node. The flag must agree
-    # with the step functions on the term (twice, the second time from the
-    # cache), on each subterm once an ancestor has been walked, and on the
-    # gamma successors of the normal form, which reuse its checked parts.
-    for _, t, _ in (case, planted):
-        expected = is_normal(t)
+    # normalize answers from the normal form kept on each node. It must
+    # agree with the oracle on the term (twice, the second time from the
+    # kept form), on each subterm once an ancestor has been walked, and on
+    # the gamma successors of the normal form, which reuse its checked parts.
+    for ctx, t, _ in (case, planted):
+        expected = is_normal(ctx, t)
         assert (normalize(t) is t) == expected
         assert (normalize(t) is t) == expected
-        for u in term_nodes(t):
-            assert (normalize(u) is u) == is_normal(u)
+        for inner, u in in_context(ctx, t):
+            assert (normalize(u) is u) == is_normal(inner, u)
         for g in gamma_steps(normalize(t)):
-            assert (normalize(g) is g) == is_normal(g)
+            assert (normalize(g) is g) == is_normal(ctx, g)
 
 
 def test_normality_is_decided_afresh_when_gamma_makes_a_beta_redex():
@@ -378,7 +299,7 @@ def test_normality_is_decided_afresh_when_gamma_makes_a_beta_redex():
     steps = gamma_steps(n)
     g = steps[steps.index(pushed)]
     assert g.left_branch.fun is ident
-    assert beta_step(g) is not None
+    assert not is_normal({w: Or(p, r), a: q}, g)
     assert normalize(g) == Case(VarRef(w), x, p, VarRef(a), y, r, VarRef(a))
 
 

@@ -33,11 +33,7 @@ from proofmean.rewrite import (
     FiniteModel,
     FuelExhausted,
     OutsideModelBounds,
-    beta_step,
-    beta_steps,
     equivalent,
-    eta_step,
-    eta_steps,
     gamma_steps,
     normalize,
 )
@@ -51,50 +47,37 @@ x, y, z, f = Var("x"), Var("y"), Var("z"), Var("f")
 
 
 def test_beta_step_contracts_each_redex_shape():
-    assert beta_step(App(Lam(x, p, VarRef(x)), VarRef(y))) == VarRef(y)
-    assert beta_step(Fst(Pair(VarRef(x), VarRef(y)))) == VarRef(x)
-    assert beta_step(Snd(Pair(VarRef(x), VarRef(y)))) == VarRef(y)
+    # Each term is one redex whose contractum is normal.
+    assert normalize(App(Lam(x, p, VarRef(x)), VarRef(y))) == VarRef(y)
+    assert normalize(Fst(Pair(VarRef(x), VarRef(y)))) == VarRef(x)
+    assert normalize(Snd(Pair(VarRef(x), VarRef(y)))) == VarRef(y)
     t = Case(Inl(VarRef(z), q), x, p, Pair(VarRef(x), VarRef(x)), y, q, VarRef(f))
-    assert beta_step(t) == Pair(VarRef(z), VarRef(z))
+    assert normalize(t) == Pair(VarRef(z), VarRef(z))
     t = Case(Inr(VarRef(z), p), x, p, VarRef(f), y, q, Pair(VarRef(y), VarRef(y)))
-    assert beta_step(t) == Pair(VarRef(z), VarRef(z))
-
-
-def test_beta_step_is_leftmost_outermost():
-    inner = App(Lam(x, p, VarRef(x)), VarRef(y))
-    outer = App(Lam(z, p, VarRef(z)), inner)
-    assert beta_step(outer) == inner
-    two = Pair(inner, inner)
-    assert beta_step(two) == Pair(VarRef(y), inner)
+    assert normalize(t) == Pair(VarRef(z), VarRef(z))
 
 
 def test_beta_step_returns_none_on_normal_forms():
-    assert beta_step(VarRef(x)) is None
-    assert beta_step(Lam(x, p, App(VarRef(f), VarRef(x)))) is None
+    for t in (VarRef(x), Lam(x, p, App(VarRef(f), VarRef(y))), App(VarRef(f), VarRef(x))):
+        assert normalize(t) is t
 
 
 def test_eta_step_shapes():
-    assert eta_step(Lam(x, p, App(VarRef(f), VarRef(x)))) == VarRef(f)
-    assert eta_step(Pair(Fst(VarRef(x)), Snd(VarRef(x)))) == VarRef(x)
+    assert normalize(Lam(x, p, App(VarRef(f), VarRef(x)))) == VarRef(f)
+    assert normalize(Pair(Fst(VarRef(x)), Snd(VarRef(x)))) == VarRef(x)
     t = Case(VarRef(z), x, p, Inl(VarRef(x), q), y, q, Inr(VarRef(y), p))
-    assert eta_step(t) == VarRef(z)
+    assert normalize(t) == VarRef(z)
 
 
 def test_eta_step_requires_side_conditions():
-    assert eta_step(Lam(x, p, App(VarRef(x), VarRef(x)))) is None
-    assert eta_step(Pair(Fst(VarRef(x)), Snd(VarRef(y)))) is None
-    t = Case(VarRef(z), x, p, Inl(VarRef(x), p), y, q, Inr(VarRef(y), p))
-    assert eta_step(t) is None
-
-
-def test_all_position_steps_find_every_redex():
-    inner = App(Lam(x, p, VarRef(x)), VarRef(y))
-    two = Pair(inner, inner)
-    results = beta_steps(two)
-    assert Pair(VarRef(y), inner) in results
-    assert Pair(inner, VarRef(y)) in results
-    assert len(results) == 2
-    assert eta_steps(Lam(x, p, App(VarRef(f), VarRef(x)))) == [VarRef(f)]
+    # Each term has an eta shape whose side condition fails, and no redex.
+    no_redex = [
+        Lam(x, p, App(VarRef(x), VarRef(x))),
+        Pair(Fst(VarRef(x)), Snd(VarRef(y))),
+        Case(VarRef(z), x, p, Inl(VarRef(x), p), y, q, Inr(VarRef(y), p)),
+    ]
+    for t in no_redex:
+        assert normalize(t) is t
 
 
 def test_normalize_reaches_beta_eta_normal_form():
@@ -123,11 +106,22 @@ def test_normalize_keeps_a_binder_whose_capture_was_reduced_away():
 
 
 def test_normalize_respects_budget():
-    inner = App(Lam(x, p, VarRef(x)), VarRef(y))
-    t = Pair(inner, inner)
+    # Terms are interned for the whole session, so these variables are
+    # this test's own: no other test has normalized its redexes.
+    a, b, c = Var("budget_a"), Var("budget_b"), Var("budget_c")
+    first = App(Lam(a, p, VarRef(a)), VarRef(b))
+    second = App(Lam(a, p, VarRef(a)), VarRef(c))
+    t = Pair(first, second)
     with pytest.raises(FuelExhausted):
         normalize(t, budget=1)
-    assert normalize(t, budget=2) == Pair(VarRef(y), VarRef(y))
+    # Only the redex contracted within the budget kept a normal form, and
+    # using it costs no contraction.
+    assert first._normal is VarRef(b)
+    assert not hasattr(second, "_normal") and not hasattr(t, "_normal")
+    assert normalize(t, budget=1) == Pair(VarRef(b), VarRef(c))
+    # One node in two positions is contracted once.
+    shared = App(Lam(a, q, VarRef(a)), VarRef(b))
+    assert normalize(Pair(shared, shared), budget=1) == Pair(VarRef(b), VarRef(b))
 
 
 # One example per row of the frame table: a term whose hole at the named

@@ -215,6 +215,9 @@ def test_parse_errors_carry_positions():
         (parse_file, "(hyp ²x p)", "1:6: unexpected character '²'"),
         (parse_file, "(hyp case p)", "1:6: 'case' is reserved and cannot name a variable"),
         (parse_file, "(hyp -> p)", "1:6: expected 'ident', found '->'"),
+        # A file wrapper's name, and a rule name, that is missing.
+        (parse_file, "(nd (hyp x p))", "1:5: expected 'ident', found '('"),
+        (parse_file, "(sc)", "1:4: expected 'ident', found ')'"),
         (
             parse_term,
             r"\x:case. x",
