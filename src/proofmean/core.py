@@ -307,14 +307,16 @@ def rebuild(t: Term, changes: Mapping[str, object]) -> Term:
 # ---------- Free variables and substitution ----------
 
 
-def free_vars(t: Term) -> frozenset[Var]:
-    """The variables with a free occurrence in t."""
+def free_vars(t: Term, hole: str | None = None) -> frozenset[Var]:
+    """The variables with a free occurrence in t, leaving out the subterm
+    field `hole` when one is named: the free variables of a frame."""
     if type(t) is VarRef:
         return frozenset((t.var,))
     out: frozenset[Var] = frozenset()
     for name, binder in SUBTERMS[type(t)]:
-        fvs = free_vars(getattr(t, name))
-        out |= fvs if binder is None else fvs - {getattr(t, binder)}
+        if name != hole:
+            fvs = free_vars(getattr(t, name))
+            out |= fvs if binder is None else fvs - {getattr(t, binder)}
     return out
 
 
@@ -410,39 +412,9 @@ def alpha_key(t: Term) -> tuple:
 
 
 def alpha_equal(t1: Term, t2: Term) -> bool:
-    """True iff t1 and t2 differ only in bound-variable names.
-
-    Equal to comparing the two alpha keys, but the terms are walked in
-    lockstep, each pair of binders keyed by their common depth, and the
-    walk stops at the first difference."""
-    return _alpha_equal(t1, t2, {}, {}, 0)
-
-
-def _alpha_equal(
-    t1: Term, t2: Term, env1: dict[Var, int], env2: dict[Var, int], depth: int
-) -> bool:
-    cls = type(t1)
-    if cls is not type(t2):
-        return False
-    if cls is VarRef:
-        return env1.get(t1.var, t1.var) == env2.get(t2.var, t2.var)
-    for f in LABELS[cls]:
-        if getattr(t1, f) != getattr(t2, f):
-            return False
-    for name, binder in SUBTERMS[cls]:
-        s1, s2 = getattr(t1, name), getattr(t2, name)
-        if binder is None:
-            same = _alpha_equal(s1, s2, env1, env2, depth)
-        else:
-            x1, x2 = getattr(t1, binder), getattr(t2, binder)
-            outer1, env1[x1] = env1.get(x1), depth
-            outer2, env2[x2] = env2.get(x2), depth
-            same = _alpha_equal(s1, s2, env1, env2, depth + 1)
-            _restore(env1, x1, outer1)
-            _restore(env2, x2, outer2)
-        if not same:
-            return False
-    return True
+    """True iff t1 and t2 differ only in bound-variable names: they are
+    one node, or their alpha keys are equal."""
+    return t1 is t2 or alpha_key(t1) == alpha_key(t2)
 
 
 def canonicalize(t: Term) -> Term:

@@ -13,7 +13,7 @@ on it (`Node.checked`), and every reader here takes it from there, so a
 derivation is checked once however many questions are asked of it, and
 its end term keeps its normal form (see core). A verdict of `classify`
 carries the evidence it found: the renaming, the two senses or the two
-normal forms.
+normal forms. In gamma mode too, a pair without sums is decided by them.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import Mapping, Union
 
 from . import nd as _nd
 from . import sc as _sc
-from .core import LABELS, SUBTERMS, Context, Formula, Term, Var, VarRef, alpha_equal
-from .core import Record, free_vars, rebuild, record
+from .core import LABELS, SUBTERMS, Absurd, Atom, Context, Formula, Or, Term, Var, VarRef
+from .core import Record, alpha_equal, free_vars, rebuild, record
 from .nd import Checked
 from .rewrite import (
     INCONCLUSIVE,
@@ -267,14 +267,15 @@ def same_denotation(
     """Whether the end terms of d1 and d2 are equal under `mode`.
 
     Derivations of different formulas, or whose denotations share a
-    free variable at two formulas, never share a denotation.
+    free variable at two formulas, never share a denotation. A pair
+    without sums (`_sum_free`) compares normal forms in every mode.
     """
-    n1, n2 = denotation_of(d1), denotation_of(d2)
-    if not _comparable(check(d1), check(d2), n1, n2):
+    c1, c2, n1, n2 = check(d1), check(d2), denotation_of(d1), denotation_of(d2)
+    if not _comparable(c1, c2, n1, n2):
         return False
     # normalize returns a normal form unchanged, so handing `equivalent`
     # the two denotations decides the same question.
-    return equivalent(n1, n2, mode)
+    return alpha_equal(n1, n2) if _sum_free(c1, c2) else equivalent(n1, n2, mode)
 
 
 def _comparable(c1: Checked, c2: Checked, n1: Term, n2: Term) -> bool:
@@ -291,6 +292,28 @@ def _comparable(c1: Checked, c2: Checked, n1: Term, n2: Term) -> bool:
     other = ctx2._bindings
     clash = {v for v, f in ctx1._bindings.items() if other.get(v, f) is not f}
     return not clash or clash.isdisjoint(free_vars(n1) & free_vars(n2))
+
+
+def _sum_free(c1: Checked, c2: Checked) -> bool:
+    """Whether neither conclusion nor either root context mentions `\\/`
+    or `_|_`. Gamma equality of the two normal forms is then beta-eta
+    equality, which their alpha keys decide:
+      - By induction on beta-normal terms, neither holds `inl`, `inr`,
+        `case`, `abort` or an annotation that mentions a sum: an intro
+        form splits its type, a neutral's parts are subformulas of its
+        head variable's type, and a `case` or an `abort` would need a
+        `\\/` or `_|_` type there.
+      - By Yoneda, the free cartesian closed category embeds fully and
+        faithfully into presheaves, which are bicartesian closed; so
+        terms without sums that the sum laws, gamma included, equate
+        are already beta-eta equal."""
+    todo = [f for ctx, _, a in map(conclusion, (c1, c2)) for f in (a, *ctx._bindings.values())]
+    while todo:
+        a = todo.pop()
+        if type(a) is Or or type(a) is Absurd:
+            return False
+        todo += [] if type(a) is Atom else [a.left, a.right]
+    return True
 
 
 # ---------- Classification ----------
@@ -339,23 +362,22 @@ def classify(
     """Place the pair (d1, d2) in the identity landscape.
 
     Plain rewriting equality is decided first, by comparing the normal
-    forms of the end terms; only failing that, and only when the mode
-    allows it, are permutative conversions tried: closed normal forms
-    with different values in the finite model are refuted at once, and
-    otherwise a search from them may come back without a definite
-    answer. Each derivation object is checked once, and both its sense
-    and its denotation are read off that check, however many pairs it
-    takes part in.
+    forms of the end terms. Failing that, gamma mode refutes at once a
+    pair whose formulas have no sums (`_sum_free`), and closed normal
+    forms with different values in the finite model; otherwise a search
+    from them may come back without a definite answer. Each derivation
+    object is checked once, and both its sense and its denotation are
+    read off that check, however many pairs it takes part in.
     """
-    n1, n2 = denotation_of(d1), denotation_of(d2)
-    if not _comparable(check(d1), check(d2), n1, n2):
+    c1, c2, n1, n2 = check(d1), check(d2), denotation_of(d1), denotation_of(d2)
+    if not _comparable(c1, c2, n1, n2):
         return DifferentDenotation((n1, n2))
     if alpha_equal(n1, n2):
         renaming = sense_renaming(d1, d2, multiset)
         if renaming is not None:
             return SameSenseSameDenotation(renaming)
         return DifferentSenseSameDenotation((sense_of(d1, multiset), sense_of(d2, multiset)))
-    if isinstance(mode, BetaEtaGamma):
+    if isinstance(mode, BetaEtaGamma) and not _sum_free(c1, c2):
         # normalize returns a normal form unchanged, so the search starts
         # from n1 and n2 without rewriting them again.
         wide = equivalent(n1, n2, mode)

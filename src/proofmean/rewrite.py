@@ -1,13 +1,14 @@
 """Beta, eta, and permutative (gamma) conversions over typed terms.
 
 `normalize` contracts beta and eta redexes bottom-up in one pass, and
-keeps each node's normal form on the node (see core).
-Gamma steps are one commuting law, F[case r {x. s | y. u}] =
-case r {x. F[s] | y. F[u]}, applied in either direction to every frame
-F in one table (_FRAMES) and walked over core.SUBTERMS like every other
-term walk. Two more laws stay named: the pair splits, each an expansion
-composed with reductions, which connect a case of pairs with a pair of
-cases.
+keeps each node's normal form on the node (see core). Gamma steps are
+one commuting law, F[case r {x. s | y. u}] = case r {x. F[s] | y. F[u]},
+applied in either direction to every frame F in one table (_FRAMES),
+walked over core.SUBTERMS, a frame's free variables being
+core.free_vars(F, hole). Two more laws stay named: the pair splits,
+each an expansion composed with reductions, which connect a case of
+pairs with a pair of cases. `equivalent` sees no contexts, so it cannot
+tell the pairs without sums that `meaning` decides by normal forms.
 """
 
 from __future__ import annotations
@@ -120,17 +121,6 @@ _FRAMES: dict[type, tuple[str, ...]] = {
 _OPEN_HOLES = (Fst, Snd)
 
 
-def _frame_fvs(t: Term, hole: str) -> frozenset[Var]:
-    # The free variables of t's subterms other than the hole, each less
-    # its own binder.
-    out: frozenset[Var] = frozenset()
-    for name, binder in SUBTERMS[type(t)]:
-        if name != hole:
-            fvs = free_vars(getattr(t, name))
-            out |= fvs if binder is None else fvs - {getattr(t, binder)}
-    return out
-
-
 def _case_out(t: Term, hole: str, avoid: frozenset[Var]) -> Case:
     # The case at t's hole commuted out of t, after renaming a branch
     # binder that would capture a variable from avoid.
@@ -156,7 +146,7 @@ def _gamma_out(t: Term) -> list[Term]:
         c = getattr(t, hole)
         if type(c) is not Case or hole not in _FRAMES[type(t)]:
             continue
-        avoid = _frame_fvs(t, hole)
+        avoid = free_vars(t, hole)
         if binder is not None:
             z = getattr(t, binder)
             if z in free_vars(c.scrutinee):
@@ -178,7 +168,7 @@ def _gamma_in(t: Term) -> list[Term]:
         if hole not in _FRAMES[cls]:
             continue
         frame = [f for f in cls.__match_args__ if f not in (hole, binder)]
-        if any(getattr(s, f) != getattr(u, f) for f in frame) or _frame_fvs(s, hole) & {x, y}:
+        if any(getattr(s, f) != getattr(u, f) for f in frame) or free_vars(s, hole) & {x, y}:
             continue
         s1, u1 = getattr(s, hole), getattr(u, hole)
         if cls in _OPEN_HOLES and not _one_type(Context({x: a}), s1, Context({y: b}), u1):

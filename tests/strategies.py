@@ -99,11 +99,14 @@ def typed_terms(
     max_size: int = MAX_TERM_CONSTRUCTORS,
     target: Formula | None = None,
     prefix: str = "",
+    sums: bool = True,
 ) -> tuple[dict[Var, Formula], Term, Formula]:
     """A well-typed term with its free-variable context and type.
 
     `target` fixes the type instead of drawing one; `prefix` namespaces
-    the generated variables so two draws can share a context.
+    the generated variables so two draws can share a context. With
+    `sums` false no `case` or `abort` is drawn, so a `target` without
+    `\\/` or `_|_` gives a term and a context without them.
     """
     counter = [0]
     free: dict[Var, Formula] = {}
@@ -133,12 +136,12 @@ def typed_terms(
                 options += ["lam"] * 4
             if isinstance(target, Or):
                 options += ["inj"] * 3
-            options += ["fst", "snd", "abort"]
+            options += ["fst", "snd", "abort"] if sums else ["fst", "snd"]
         if budget >= 3:
             if isinstance(target, And):
                 options += ["pair"] * 3
             options += ["app"]
-        if budget >= 4:
+        if budget >= 4 and sums:
             options += ["case", "case"]
         if not (root and budget >= 2):
             options += ["var", "var"]
@@ -232,6 +235,73 @@ def eta_planted_terms(draw) -> tuple[dict[Var, Formula], Term, Formula]:
         rest = {u: f for u, f in ctx.items() if u != v}
         return {**rest, **ctx2}, App(Lam(v, ctx[v], t), planted), a
     return {**ctx, **ctx2}, substitute(t, v, planted), a
+
+
+@st.composite
+def capture_terms(draw) -> tuple[dict[Var, Formula], Term, Formula]:
+    """A typed term, with its context and type, whose beta redex needs
+    capture-avoiding substitution: `app(\\v. \\z. t, s)` with v free in t
+    and z free in s. Contracting it must rename the inner binder z.
+    Neither draw alone holds such a redex: their variable names never
+    meet. A closed t binds a v it does not use, and a closed s is z
+    itself."""
+    ctx, t, a = draw(typed_terms())
+    z = Var("z")
+    if ctx:
+        v = draw(_sampled(tuple(sorted(ctx, key=lambda u: u.name))))
+    else:
+        v, ctx = Var("v"), {Var("v"): draw(_sampled(ATOMS))}
+    ctx2, s, _ = draw(typed_terms(max_size=6, target=ctx[v], prefix="s"))
+    if ctx2:
+        u = draw(_sampled(tuple(sorted(ctx2, key=lambda u: u.name))))
+        s, ctx2[z] = substitute(s, u, VarRef(z)), ctx2.pop(u)
+    else:
+        s, ctx2 = VarRef(z), {z: ctx[v]}
+    inner = draw(_sampled(ATOMS))
+    rest = {w: f for w, f in ctx.items() if w != v}
+    return {**rest, **ctx2}, App(Lam(v, ctx[v], Lam(z, inner, t)), s), Implies(inner, a)
+
+
+# Formulas without `\/` or `_|_`; the last is that of Church numerals.
+_SUM_FREE_FORMULAS = ATOMS + (
+    And(Atom("p"), Atom("q")),
+    Implies(Atom("p"), Atom("q")),
+    Implies(Atom("p"), And(Atom("p"), Atom("q"))),
+    Implies(Implies(Atom("p"), Atom("p")), Implies(Atom("p"), Atom("p"))),
+)
+
+
+def _detour(t: Term, a: Formula, through_absurd: bool) -> Term:
+    """A beta redex of type a, whose normal form is t's, through a sum
+    (`case inl t {x. x | y. t}`) or through `_|_` (`app(\\f. t, \\e.
+    abort e)`). Its context is t's."""
+    avoid = free_vars(t)
+    if through_absurd:
+        f, e = fresh_var(Var("df"), avoid), Var("de")
+        return App(Lam(f, Implies(Absurd(), a), t), Lam(e, Absurd(), Abort(VarRef(e), a)))
+    x, y = Var("dl"), fresh_var(Var("dr"), avoid)
+    return Case(Inl(t, Atom("q")), x, a, VarRef(x), y, Atom("q"), t)
+
+
+@st.composite
+def sum_free_pairs(draw) -> tuple[_nd.NdDerivation, _nd.NdDerivation]:
+    """Two natural deduction derivations of one formula without `\\/` or
+    `_|_`, whose open hypotheses have neither. Their end terms may: a
+    detour through a sum or `_|_` replaces a free variable, or the
+    whole term, on one side. The other side is that term without the
+    detour, which is equal, or an unrelated term of the same formula."""
+    a = draw(_sampled(_SUM_FREE_FORMULAS))
+    ctx, t, _ = draw(typed_terms(target=a, sums=False))
+    through_absurd = draw(_BOOLEANS)
+    if ctx and draw(_BOOLEANS):
+        v = draw(_sampled(tuple(sorted(ctx, key=lambda u: u.name))))
+        planted = substitute(t, v, _detour(VarRef(v), ctx[v], through_absurd))
+    else:
+        planted = _detour(t, a, through_absurd)
+    if draw(_BOOLEANS):
+        ctx2, other, _ = draw(typed_terms(target=a, prefix="s", sums=False))
+        return _term_to_nd(planted, ctx), _term_to_nd(other, {**ctx, **ctx2})
+    return _term_to_nd(planted, ctx), _term_to_nd(t, ctx)
 
 
 def _variables(t: Term) -> set[Var]:

@@ -20,7 +20,7 @@ from proofmean.meaning import classify
 from proofmean.rewrite import BetaEta, BetaEtaGamma
 from proofmean.sc import cut_nodes
 from proofmean.syntax import render_derivation
-from test_meaning import pair_family
+from test_meaning import church_numeral, pair_family
 
 ID_ND = "(nd ident (imp-i x (hyp x p)))"
 DETOUR_ND = "(nd detour (and-e1 (and-i (imp-i x (hyp x p)) (imp-i y (hyp y q)))))"
@@ -340,6 +340,18 @@ def test_compare_gamma_definitive_answers(write, capsys, schema):
         assert code == 1
         assert payload["verdict"] == "DifferentDenotation"
         assert payload["details"]["fuel"] == fuel
+
+
+def test_compare_gamma_refutes_church_numerals_2_and_4(write, capsys, schema):
+    # No \/ or _|_ in either file, so both modes answer by the normal forms.
+    a = write("two.nd", church_numeral(2))
+    b = write("four.nd", church_numeral(4))
+    for mode in ("beta-eta", "beta-eta-gamma"):
+        code, payload = run_json(capsys, schema, ["compare", a, b, "--json", f"--mode={mode}"])
+        assert code == 1
+        assert payload["verdict"] == "DifferentDenotation"
+    assert main(["compare", a, b, "--mode", "beta-eta-gamma"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "DifferentDenotation"
 
 
 def test_compare_inconclusive_exits_3(write, capsys, schema):

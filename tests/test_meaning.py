@@ -171,6 +171,32 @@ def test_gamma_mode_separates_permutative_variants(load_corpus):
     assert classify(d1, d3, BetaEtaGamma(fuel=4)) == SameDenotationUpToGamma(inconclusive=False)
 
 
+def church_numeral(n: int) -> str:
+    """Church numeral n, a natural deduction derivation of (p->p) -> p -> p."""
+    body = "(hyp x p)"
+    for _ in range(n):
+        body = f"(imp-e (hyp f p->p) {body})"
+    return f"(nd church_{n} (imp-i f (imp-i x {body})))"
+
+
+def test_gamma_mode_decides_a_pair_without_sums_by_its_normal_forms(monkeypatch):
+    # Neither normal form has a case to commute, and every f on a
+    # 2-element set has f^2 = f^4, so neither the search nor the finite
+    # model could tell Church 2 from Church 4; neither is consulted.
+    def fail(*args):
+        raise AssertionError("the model or the search ran")
+
+    monkeypatch.setattr(meaning, "equivalent", fail)
+    two, four = parse(church_numeral(2)), parse(church_numeral(4))
+    verdict = classify(two, four, BetaEtaGamma())
+    assert verdict == DifferentDenotation()
+    assert verdict.normal_forms == (denotation_of(two), denotation_of(four))
+    assert same_denotation(two, four, BetaEtaGamma()) is False
+    again = parse(church_numeral(2))
+    assert classify(two, again, BetaEtaGamma()) == SameSenseSameDenotation()
+    assert same_denotation(two, again, BetaEtaGamma()) is True
+
+
 def test_gamma_mode_reports_fuel_exhaustion():
     d1, d2 = parse(CASE_OF_TUPLE), parse(TUPLE_OF_CASES)
     assert classify(d1, d2, BetaEtaGamma(fuel=1)) == SameDenotationUpToGamma(inconclusive=True)

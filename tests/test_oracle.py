@@ -1,9 +1,9 @@
 """`normalize` against the independent oracle in nbe.py: the oracle's
 normal form of a term must have the key of `normalize`'s.
 
-Drawn terms alone do not separate a correct `normalize` from one whose
-substitution captures a variable, or whose eta step ignores a binder
-free in the function: the planted terms below catch each.
+Plain drawn terms never need a binder renamed, so `capture_terms`
+draws beta redexes that do. Drawn terms do not catch an eta step that
+ignores a binder free in the function; a planted term below does.
 """
 
 from itertools import combinations
@@ -15,7 +15,13 @@ from proofmean.core import Absurd, And, Atom, Implies, Or, Var
 from proofmean.meaning import check, conclusion, denotation_of
 from proofmean.rewrite import equivalent, normalize
 from proofmean.syntax import parse_term, render_term
-from strategies import eta_expand, eta_planted_terms, name_collapsed_terms, typed_terms
+from strategies import (
+    capture_terms,
+    eta_expand,
+    eta_planted_terms,
+    name_collapsed_terms,
+    typed_terms,
+)
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 y, h = Var("y"), Var("h")
@@ -36,9 +42,9 @@ def assert_agrees(ctx, t):
     return expected
 
 
-@given(typed_terms(), eta_planted_terms())
-def test_normalize_agrees_with_the_oracle_on_drawn_terms(case, planted):
-    for ctx, t, _ in (case, planted):
+@given(typed_terms(), eta_planted_terms(), capture_terms())
+def test_normalize_agrees_with_the_oracle_on_drawn_terms(case, planted, captured):
+    for ctx, t, _ in (case, planted, captured):
         assert_agrees(ctx, t)
 
 
