@@ -44,7 +44,7 @@ def check(d: Derivation) -> Checked:
     """The root judgment or sequent of d's kept checker run, checking d
     with the checker of its own calculus if it has none. The root also
     carries the conclusion of every node below it and the variable types."""
-    return _nd.kept(d, _nd.check_nd if isinstance(d, _nd.NdDerivation) else _sc.check_sc)
+    return _nd.kept(d, _nd.check_nd if type(d) in _nd._NdChecker.steps else _sc.check_sc)
 
 
 def conclusion(j: Checked) -> tuple[Context, Term, Formula]:

@@ -11,13 +11,15 @@ concrete syntax writes them, so one walk over the fields gives any
 node's premises, its label, its rendering and its parsing (a
 uniplate-style walk; Mitchell & Runciman, "Uniform boilerplate",
 Haskell Workshop 2007). `Checker` holds the bookkeeping both checkers
-share, and `Checked` is the base of a judgment and a sequent.
+share, and `Checked` is the base of a judgment and a sequent. A
+checker finds a node's rule by one lookup of its class in the
+calculus's table, `steps`, however many rules the calculus has.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, ClassVar, Iterator, Mapping, Union
+from typing import Any, Callable, ClassVar, Iterator, Mapping, Union
 
 from .core import (
     Abort,
@@ -189,11 +191,18 @@ class Judgment(Checked):
 class Checker:
     """What the checkers of both calculi share: one formula per variable
     across the run, the conclusion recorded at every node, and the root
-    that carries both and is kept on the derivation. A subclass's
-    `check` appends each node it concludes to `nodes`. It never reads a
-    kept root: an `imp-i` without a declared formula may take it from
-    the whole run's `types`, so a subtree's conclusion can depend on
-    where it sits."""
+    that carries both and is kept on the derivation. A subclass gives
+    `steps`: for each rule class of its calculus, a plan and a step. The
+    plan lists the node's premise fields in the order they are checked,
+    and any guard where it runs: a check of the node, given the
+    conclusions so far, whose error comes before any of the premises
+    after it. The step builds the node's conclusion from its premises'
+    conclusions. No step reads a kept
+    root: an `imp-i` without a declared formula may take it from the
+    whole run's `types`, so a subtree's conclusion can depend on where
+    it sits."""
+
+    steps: ClassVar[Mapping[type, tuple[tuple[str | Callable[..., None], ...], Callable]]]
 
     def __init__(self) -> None:
         self.types: dict[Var, Formula] = {}
@@ -213,6 +222,25 @@ class Checker:
         for ctx in ctxs:
             merged.update(ctx._bindings)
         return Context._owning(merged)
+
+    def check(self, d: Node) -> Checked:
+        """d's conclusion, recorded in `nodes` after those of its
+        premises. The premises are checked here, by the plan of d's
+        class, and steps and guards only read conclusions, so the
+        recursion takes one frame per level of d, as parsing does."""
+        entry = self.steps.get(type(d))
+        if entry is None:
+            raise TypeError(f"not a derivation node: {d!r}")
+        plan, step = entry
+        got = []
+        for part in plan:
+            if type(part) is str:
+                got.append(self.check(getattr(d, part)))
+            else:
+                part(self, d, *got)
+        out = step(self, d, *got)
+        self.nodes.append((d, out))
+        return out
 
     def run(self, d: Node) -> Checked:
         """Check d and return its root conclusion, carrying the
@@ -234,91 +262,86 @@ def kept(d: Node, check) -> Checked:
 
 
 class _NdChecker(Checker):
-    def check(self, d: NdDerivation) -> Judgment:
-        # Each case sets `out`, which is recorded below.
-        match d:
-            case Hyp(x, a):
-                self.bind(x, a)
-                out = Judgment(Context._owning({x: a}), VarRef(x), a)
-            case ImpI(x, declared, premise):
-                j = self.check(premise)
-                from_open = j.open.get(x)
-                if declared is not None and from_open is not None and from_open != declared:
-                    raise BadDischarge(
-                        f"{x.name} is open at {from_open!r}, not the declared {declared!r}"
-                    )
-                a = declared if declared is not None else from_open
-                if a is None:
-                    a = self.types.get(x)
-                if a is None:
-                    raise BadDischarge(f"cannot determine the formula discharged with {x.name}")
-                self.bind(x, a)
-                out = Judgment(j.open.without(x), Lam(x, a, j.term), Implies(a, j.formula))
-            case ImpE(fun, arg):
-                jf = self.check(fun)
-                ja = self.check(arg)
-                if not isinstance(jf.formula, Implies):
-                    raise RuleMismatch(f"major premise proves {jf.formula!r}, not an implication")
-                if jf.formula.left != ja.formula:
-                    raise RuleMismatch(
-                        f"minor premise proves {ja.formula!r}, expected {jf.formula.left!r}"
-                    )
-                out = Judgment(
-                    self.union(jf.open, ja.open), App(jf.term, ja.term), jf.formula.right
-                )
-            case AndI(left, right):
-                j1 = self.check(left)
-                j2 = self.check(right)
-                out = Judgment(
-                    self.union(j1.open, j2.open),
-                    Pair(j1.term, j2.term),
-                    And(j1.formula, j2.formula),
-                )
-            case AndE1(premise):
-                j = self.check(premise)
-                if not isinstance(j.formula, And):
-                    raise RuleMismatch(f"premise proves {j.formula!r}, not a conjunction")
-                out = Judgment(j.open, Fst(j.term), j.formula.left)
-            case AndE2(premise):
-                j = self.check(premise)
-                if not isinstance(j.formula, And):
-                    raise RuleMismatch(f"premise proves {j.formula!r}, not a conjunction")
-                out = Judgment(j.open, Snd(j.term), j.formula.right)
-            case OrI1(other, premise):
-                j = self.check(premise)
-                out = Judgment(j.open, Inl(j.term, other), Or(j.formula, other))
-            case OrI2(other, premise):
-                j = self.check(premise)
-                out = Judgment(j.open, Inr(j.term, other), Or(other, j.formula))
-            case OrE(scrutinee, x, left, y, right):
-                j0 = self.check(scrutinee)
-                if not isinstance(j0.formula, Or):
-                    raise RuleMismatch(f"major premise proves {j0.formula!r}, not a disjunction")
-                a, b = j0.formula.left, j0.formula.right
-                j1 = self.check(left)
-                j2 = self.check(right)
-                if j1.formula != j2.formula:
-                    raise RuleMismatch(
-                        f"branches prove {j1.formula!r} and {j2.formula!r}, which differ"
-                    )
-                for v, f, j in ((x, a, j1), (y, b, j2)):
-                    got = j.open.get(v)
-                    if got is not None and got != f:
-                        raise BadDischarge(f"{v.name} is open at {got!r}, expected {f!r}")
-                    self.bind(v, f)
-                open_ctx = self.union(j0.open, j1.open.without(x), j2.open.without(y))
-                out = Judgment(
-                    open_ctx, Case(j0.term, x, a, j1.term, y, b, j2.term), j1.formula
-                )
-            case AbsurdE(target, premise):
-                j = self.check(premise)
-                if j.formula != Absurd():
-                    raise RuleMismatch(f"premise proves {j.formula!r}, not absurdity")
-                out = Judgment(j.open, Abort(j.term, target), target)
-            case _:
-                raise TypeError(f"not a derivation node: {d!r}")
-        self.nodes.append((d, out))
-        return out
+    def hyp(self, d: Hyp) -> Judgment:
+        x, a = d.var, d.formula
+        self.bind(x, a)
+        return Judgment(Context._owning({x: a}), VarRef(x), a)
+
+    def imp_i(self, d: ImpI, j: Judgment) -> Judgment:
+        x, declared = d.var, d.hypothesis
+        from_open = j.open.get(x)
+        if declared is not None and from_open is not None and from_open != declared:
+            raise BadDischarge(f"{x.name} is open at {from_open!r}, not the declared {declared!r}")
+        a = declared if declared is not None else from_open
+        if a is None:
+            a = self.types.get(x)
+        if a is None:
+            raise BadDischarge(f"cannot determine the formula discharged with {x.name}")
+        self.bind(x, a)
+        return Judgment(j.open.without(x), Lam(x, a, j.term), Implies(a, j.formula))
+
+    def imp_e(self, d: ImpE, jf: Judgment, ja: Judgment) -> Judgment:
+        if not isinstance(jf.formula, Implies):
+            raise RuleMismatch(f"major premise proves {jf.formula!r}, not an implication")
+        if jf.formula.left != ja.formula:
+            raise RuleMismatch(f"minor premise proves {ja.formula!r}, expected {jf.formula.left!r}")
+        return Judgment(self.union(jf.open, ja.open), App(jf.term, ja.term), jf.formula.right)
+
+    def and_i(self, d: AndI, j1: Judgment, j2: Judgment) -> Judgment:
+        return Judgment(
+            self.union(j1.open, j2.open), Pair(j1.term, j2.term), And(j1.formula, j2.formula)
+        )
+
+    def and_e1(self, d: AndE1, j: Judgment) -> Judgment:
+        if not isinstance(j.formula, And):
+            raise RuleMismatch(f"premise proves {j.formula!r}, not a conjunction")
+        return Judgment(j.open, Fst(j.term), j.formula.left)
+
+    def and_e2(self, d: AndE2, j: Judgment) -> Judgment:
+        if not isinstance(j.formula, And):
+            raise RuleMismatch(f"premise proves {j.formula!r}, not a conjunction")
+        return Judgment(j.open, Snd(j.term), j.formula.right)
+
+    def or_i1(self, d: OrI1, j: Judgment) -> Judgment:
+        return Judgment(j.open, Inl(j.term, d.other), Or(j.formula, d.other))
+
+    def or_i2(self, d: OrI2, j: Judgment) -> Judgment:
+        return Judgment(j.open, Inr(j.term, d.other), Or(d.other, j.formula))
+
+    def disjunction(self, d: OrE, j0: Judgment) -> None:
+        if not isinstance(j0.formula, Or):
+            raise RuleMismatch(f"major premise proves {j0.formula!r}, not a disjunction")
+
+    def or_e(self, d: OrE, j0: Judgment, j1: Judgment, j2: Judgment) -> Judgment:
+        x, y = d.left_var, d.right_var
+        a, b = j0.formula.left, j0.formula.right
+        if j1.formula != j2.formula:
+            raise RuleMismatch(f"branches prove {j1.formula!r} and {j2.formula!r}, which differ")
+        for v, f, j in ((x, a, j1), (y, b, j2)):
+            got = j.open.get(v)
+            if got is not None and got != f:
+                raise BadDischarge(f"{v.name} is open at {got!r}, expected {f!r}")
+            self.bind(v, f)
+        open_ctx = self.union(j0.open, j1.open.without(x), j2.open.without(y))
+        return Judgment(open_ctx, Case(j0.term, x, a, j1.term, y, b, j2.term), j1.formula)
+
+    def absurd_e(self, d: AbsurdE, j: Judgment) -> Judgment:
+        if j.formula != Absurd():
+            raise RuleMismatch(f"premise proves {j.formula!r}, not absurdity")
+        return Judgment(j.open, Abort(j.term, d.target), d.target)
+
+    steps = {
+        Hyp: ((), hyp),
+        ImpI: (("premise",), imp_i),
+        ImpE: (("fun", "arg"), imp_e),
+        AndI: (("left", "right"), and_i),
+        AndE1: (("premise",), and_e1),
+        AndE2: (("premise",), and_e2),
+        OrI1: (("premise",), or_i1),
+        OrI2: (("premise",), or_i2),
+        OrE: (("scrutinee", disjunction, "left", "right"), or_e),
+        AbsurdE: (("premise",), absurd_e),
+    }
 
 
 def check_nd(d: NdDerivation) -> Judgment:

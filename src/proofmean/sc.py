@@ -3,7 +3,9 @@
 The calculus has no structural rules built into the logical ones, so
 weakening and contraction appear as explicit nodes. Antecedents are
 variable contexts; the checker threads terms through each rule by
-substitution and enforces one formula per variable globally.
+substitution and enforces one formula per variable globally. Each
+rule class has a plan and a step in `_ScChecker.steps`, which
+`nd.Checker.check` looks up by the node's class.
 
 RuleMismatch and VariableTypeClash are shared with the natural
 deduction checker and re-exported here.
@@ -192,123 +194,125 @@ class _ScChecker(Checker):
         self.bind(v, f)
         return ctx.extend(v, f)
 
-    def check(self, d: ScDerivation) -> Sequent:
-        # Each case sets `out`, which is recorded below.
-        match d:
-            case Rf(x, a):
-                self.bind(x, a)
-                out = Sequent(Context._owning({x: a}), VarRef(x), a)
-            case AndR(left, right):
-                s1 = self.check(left)
-                s2 = self.check(right)
-                out = Sequent(
-                    self.union(s1.antecedent, s2.antecedent),
-                    Pair(s1.term, s2.term),
-                    And(s1.succedent, s2.succedent),
-                )
-            case AndL(z, x, y, premise):
-                if x == y:
-                    raise RuleMismatch("the two component variables must be distinct")
-                s = self.check(premise)
-                a = s.antecedent.get(x)
-                b = s.antecedent.get(y)
-                if a is None or b is None:
-                    raise RuleMismatch(
-                        f"premise antecedent must contain both {x.name} and {y.name}"
-                    )
-                rest = s.antecedent.without(x).without(y)
-                ante = self.introduce(rest, z, And(a, b))
-                term = substitute_many(s.term, {x: Fst(VarRef(z)), y: Snd(VarRef(z))})
-                out = Sequent(ante, term, s.succedent)
-            case OrR1(other, premise):
-                s = self.check(premise)
-                out = Sequent(s.antecedent, Inl(s.term, other), Or(s.succedent, other))
-            case OrR2(other, premise):
-                s = self.check(premise)
-                out = Sequent(s.antecedent, Inr(s.term, other), Or(other, s.succedent))
-            case OrL(z, x, y, left, right):
-                s1 = self.check(left)
-                s2 = self.check(right)
-                a = s1.antecedent.get(x)
-                b = s2.antecedent.get(y)
-                if a is None:
-                    raise RuleMismatch(f"left premise antecedent must contain {x.name}")
-                if b is None:
-                    raise RuleMismatch(f"right premise antecedent must contain {y.name}")
-                if s1.succedent != s2.succedent:
-                    raise RuleMismatch(
-                        f"premises conclude {s1.succedent!r} and {s2.succedent!r}, which differ"
-                    )
-                rest = self.union(s1.antecedent.without(x), s2.antecedent.without(y))
-                term = Case(VarRef(z), x, a, s1.term, y, b, s2.term)
-                out = Sequent(self.introduce(rest, z, Or(a, b)), term, s1.succedent)
-            case ImpR(x, premise):
-                s = self.check(premise)
-                a = s.antecedent.get(x)
-                if a is None:
-                    raise RuleMismatch(
-                        f"{x.name} must be in the premise antecedent; weaken it in first"
-                    )
-                out = Sequent(
-                    s.antecedent.without(x), Lam(x, a, s.term), Implies(a, s.succedent)
-                )
-            case ImpL(x, y, arg, body):
-                s1 = self.check(arg)
-                s2 = self.check(body)
-                b = s2.antecedent.get(y)
-                if b is None:
-                    raise RuleMismatch(f"second premise antecedent must contain {y.name}")
-                rest = self.union(s1.antecedent, s2.antecedent.without(y))
-                ante = self.introduce(rest, x, Implies(s1.succedent, b))
-                term = substitute(s2.term, y, App(VarRef(x), s1.term))
-                out = Sequent(ante, term, s2.succedent)
-            case AbsurdL(x, target):
-                self.bind(x, Absurd())
-                out = Sequent(
-                    Context._owning({x: Absurd()}), Abort(VarRef(x), target), target
-                )
-            case Weaken(x, a, premise):
-                s = self.check(premise)
-                out = Sequent(self.introduce(s.antecedent, x, a), s.term, s.succedent)
-            case Contract(kept, merged, premise):
-                s = self.check(premise)
-                fk = s.antecedent.get(kept)
-                fm = s.antecedent.get(merged)
-                if fk is None or fm is None:
-                    raise RuleMismatch(
-                        f"premise antecedent must contain both {kept.name} and {merged.name}"
-                    )
-                if fk != fm:
-                    raise RuleMismatch(
-                        f"{kept.name} and {merged.name} stand at {fk!r} and {fm!r}, which differ"
-                    )
-                if kept == merged:
-                    out = s
-                else:
-                    out = Sequent(
-                        s.antecedent.without(merged),
-                        substitute(s.term, merged, VarRef(kept)),
-                        s.succedent,
-                    )
-            case Cut(x, left, right):
-                s1 = self.check(left)
-                s2 = self.check(right)
-                cut_formula = s2.antecedent.get(x)
-                if cut_formula is None:
-                    raise RuleMismatch(
-                        f"cut variable {x.name} must be in the right premise antecedent"
-                    )
-                if cut_formula != s1.succedent:
-                    raise RuleMismatch(
-                        f"left premise concludes {s1.succedent!r}, "
-                        f"but {x.name} stands at {cut_formula!r}"
-                    )
-                rest = self.union(s1.antecedent, s2.antecedent.without(x))
-                out = Sequent(rest, substitute(s2.term, x, s1.term), s2.succedent)
-            case _:
-                raise TypeError(f"not a derivation node: {d!r}")
-        self.nodes.append((d, out))
-        return out
+    def rf(self, d: Rf) -> Sequent:
+        x, a = d.var, d.formula
+        self.bind(x, a)
+        return Sequent(Context._owning({x: a}), VarRef(x), a)
+
+    def and_r(self, d: AndR, s1: Sequent, s2: Sequent) -> Sequent:
+        return Sequent(
+            self.union(s1.antecedent, s2.antecedent),
+            Pair(s1.term, s2.term),
+            And(s1.succedent, s2.succedent),
+        )
+
+    def distinct(self, d: AndL) -> None:
+        if d.first == d.second:
+            raise RuleMismatch("the two component variables must be distinct")
+
+    def and_l(self, d: AndL, s: Sequent) -> Sequent:
+        z, x, y = d.principal, d.first, d.second
+        a = s.antecedent.get(x)
+        b = s.antecedent.get(y)
+        if a is None or b is None:
+            raise RuleMismatch(f"premise antecedent must contain both {x.name} and {y.name}")
+        rest = s.antecedent.without(x).without(y)
+        ante = self.introduce(rest, z, And(a, b))
+        term = substitute_many(s.term, {x: Fst(VarRef(z)), y: Snd(VarRef(z))})
+        return Sequent(ante, term, s.succedent)
+
+    def or_r1(self, d: OrR1, s: Sequent) -> Sequent:
+        return Sequent(s.antecedent, Inl(s.term, d.other), Or(s.succedent, d.other))
+
+    def or_r2(self, d: OrR2, s: Sequent) -> Sequent:
+        return Sequent(s.antecedent, Inr(s.term, d.other), Or(d.other, s.succedent))
+
+    def or_l(self, d: OrL, s1: Sequent, s2: Sequent) -> Sequent:
+        z, x, y = d.principal, d.left_var, d.right_var
+        a = s1.antecedent.get(x)
+        b = s2.antecedent.get(y)
+        if a is None:
+            raise RuleMismatch(f"left premise antecedent must contain {x.name}")
+        if b is None:
+            raise RuleMismatch(f"right premise antecedent must contain {y.name}")
+        if s1.succedent != s2.succedent:
+            raise RuleMismatch(
+                f"premises conclude {s1.succedent!r} and {s2.succedent!r}, which differ"
+            )
+        rest = self.union(s1.antecedent.without(x), s2.antecedent.without(y))
+        term = Case(VarRef(z), x, a, s1.term, y, b, s2.term)
+        return Sequent(self.introduce(rest, z, Or(a, b)), term, s1.succedent)
+
+    def imp_r(self, d: ImpR, s: Sequent) -> Sequent:
+        x = d.var
+        a = s.antecedent.get(x)
+        if a is None:
+            raise RuleMismatch(f"{x.name} must be in the premise antecedent; weaken it in first")
+        return Sequent(s.antecedent.without(x), Lam(x, a, s.term), Implies(a, s.succedent))
+
+    def imp_l(self, d: ImpL, s1: Sequent, s2: Sequent) -> Sequent:
+        x, y = d.principal, d.target
+        b = s2.antecedent.get(y)
+        if b is None:
+            raise RuleMismatch(f"second premise antecedent must contain {y.name}")
+        rest = self.union(s1.antecedent, s2.antecedent.without(y))
+        ante = self.introduce(rest, x, Implies(s1.succedent, b))
+        term = substitute(s2.term, y, App(VarRef(x), s1.term))
+        return Sequent(ante, term, s2.succedent)
+
+    def absurd_l(self, d: AbsurdL) -> Sequent:
+        x, target = d.var, d.target
+        self.bind(x, Absurd())
+        return Sequent(Context._owning({x: Absurd()}), Abort(VarRef(x), target), target)
+
+    def weaken(self, d: Weaken, s: Sequent) -> Sequent:
+        return Sequent(self.introduce(s.antecedent, d.var, d.formula), s.term, s.succedent)
+
+    def contract(self, d: Contract, s: Sequent) -> Sequent:
+        kept, merged = d.kept, d.merged
+        fk = s.antecedent.get(kept)
+        fm = s.antecedent.get(merged)
+        if fk is None or fm is None:
+            raise RuleMismatch(
+                f"premise antecedent must contain both {kept.name} and {merged.name}"
+            )
+        if fk != fm:
+            raise RuleMismatch(
+                f"{kept.name} and {merged.name} stand at {fk!r} and {fm!r}, which differ"
+            )
+        if kept == merged:
+            return s
+        return Sequent(
+            s.antecedent.without(merged), substitute(s.term, merged, VarRef(kept)), s.succedent
+        )
+
+    def cut(self, d: Cut, s1: Sequent, s2: Sequent) -> Sequent:
+        x = d.var
+        cut_formula = s2.antecedent.get(x)
+        if cut_formula is None:
+            raise RuleMismatch(f"cut variable {x.name} must be in the right premise antecedent")
+        if cut_formula != s1.succedent:
+            raise RuleMismatch(
+                f"left premise concludes {s1.succedent!r}, "
+                f"but {x.name} stands at {cut_formula!r}"
+            )
+        rest = self.union(s1.antecedent, s2.antecedent.without(x))
+        return Sequent(rest, substitute(s2.term, x, s1.term), s2.succedent)
+
+    steps = {
+        Rf: ((), rf),
+        AndR: (("left", "right"), and_r),
+        AndL: ((distinct, "premise"), and_l),
+        OrR1: (("premise",), or_r1),
+        OrR2: (("premise",), or_r2),
+        OrL: (("left", "right"), or_l),
+        ImpR: (("premise",), imp_r),
+        ImpL: (("arg", "body"), imp_l),
+        AbsurdL: ((), absurd_l),
+        Weaken: (("premise",), weaken),
+        Contract: (("premise",), contract),
+        Cut: (("left", "right"), cut),
+    }
 
 
 def check_sc(d: ScDerivation) -> Sequent:

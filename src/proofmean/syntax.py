@@ -2,8 +2,11 @@ r"""Concrete syntax: tokenizer, parsers, and renderers.
 
 A text is read in one findall scan of one regular expression,
 _SCANNER, and one recursive descent over the token texts, which also
-checks the discharge labels. A token keeps no offset: an error message
-finds its line:col again with the same _SCANNER.
+checks the discharge labels. The derivation descent keeps its cursor
+in a local and reads bare variables and lone atoms inline; the rest,
+and every error, goes through the general readers. A token keeps no
+offset: an error message finds its line:col again with the same
+_SCANNER.
 
 Formulas, as the table _CONNECTIVES writes the connectives; the formula
 parser and renderer both read it
@@ -186,12 +189,14 @@ class Token(NamedTuple):
 # The whole lexical syntax, one alternative per token: an identifier, an
 # operator, a comment, or any other character but a blank. Blanks make
 # no match. An identifier is a letter followed by letters, digits, _
-# and ', with a hyphen allowed before a letter or digit. [^\W\d_] also
-# takes a few numeric characters such as '²', so tokenize rejects an
-# identifier whose first character is not str.isalpha(); any other
-# single character is an error, reported as _STRAY says.
+# and ', with a hyphen allowed before a letter or digit: runs of [\w']
+# joined by hyphens, so the hyphen is tried once per run, not at every
+# character. [^\W\d_] also takes a few numeric characters such as '²',
+# so tokenize rejects an identifier whose first character is not
+# str.isalpha(); any other single character is an error, reported as
+# _STRAY says.
 _SCANNER = re.compile(
-    r"[^\W\d_](?:[\w']|-[^\W_])*"
+    r"[^\W\d_][\w']*(?:-[^\W_][\w']*)*"
     r"|_\|_|->|/\\|\\/|[\\(){}<>\[\],.:|]"
     r"|;[^\n]*"
     r"|[^ \t\r\n]"
@@ -376,20 +381,39 @@ class _Parser:
 
     def derivation(self, calculus: str) -> "_nd.NdDerivation | _sc.ScDerivation":
         """One rule application of the calculus ("nd" or "sc"), its
-        fields read in declaration order by their kinds. A label-less
-        imp-i whose premise adds no hyp of its variable to self.hyps
-        goes on self.dangling."""
+        fields read in declaration order by their kinds. The cursor
+        stays in the local i, and a bare variable, or an atom that no
+        connective follows, is read on the spot; anything else goes
+        through self.i and the readers above, which report every error.
+        A label-less imp-i whose premise adds no hyp of its variable to
+        self.hyps goes on self.dangling."""
         rules = _RULES[calculus]
-        start = self.i
-        self.expect("(")
-        rule = self.ident()
+        words = self.words
+        start = i = self.i
+        rule = words[i + 1]
+        if words[i] != "(" or rule in _NOT_IDENT:
+            # One of the two raises, at the token at fault.
+            self.expect("(")
+            self.ident()
         entry = rules.get(rule)
         if entry is None:
-            raise UnknownRule(f"{self.where(self.i - 1)}: unknown {_CALCULI[calculus]} rule {rule!r}")
+            raise UnknownRule(f"{self.where(i + 1)}: unknown {_CALCULI[calculus]} rule {rule!r}")
+        i += 2
         cls, kinds = entry
         label = None
         args: list = []
         for kind in kinds:
+            word = words[i]
+            if kind is not _PREMISE and word not in _NOT_NAME:
+                if kind is _VARIABLE:
+                    args.append(Var(word))
+                    i += 1
+                    continue
+                if words[i + 1] not in _INFIX:
+                    args.append(Atom(word))
+                    i += 1
+                    continue
+            self.i = i
             if kind is _PREMISE:
                 args.append(self.derivation(calculus))
             elif kind is _VARIABLE:
@@ -401,6 +425,8 @@ class _Parser:
                 args.append(None)
             else:
                 args.append(self.formula())
+            i = self.i
+        self.i = i
         self.expect(")")
         if cls is _nd.Hyp:
             self.hyps[args[0].name] = self.hyps.get(args[0].name, 0) + 1

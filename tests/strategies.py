@@ -262,6 +262,50 @@ def capture_terms(draw) -> tuple[dict[Var, Formula], Term, Formula]:
     return {**rest, **ctx2}, App(Lam(v, ctx[v], Lam(z, inner, t)), s), Implies(inner, a)
 
 
+@st.composite
+def eta_capture_terms(draw) -> tuple[dict[Var, Formula], Term, Formula]:
+    """A typed term, with its context and type, `\\x. app(f, x)` with x
+    free in f: the shape of an eta redex whose side condition fails, so
+    it must not be contracted. f is drawn at `A -> B`, and x is one of
+    its free variables at A; or, half the time or when it has none, x is
+    new and f becomes `app(app(k, x), f)` for a new variable k."""
+    a = draw(_sampled(ATOMS))
+    ctx, f, target = draw(typed_terms(target=Implies(a, draw(formulas()))))
+    at_a = tuple(sorted((v for v, b in ctx.items() if b == a), key=lambda v: v.name))
+    if at_a and draw(_BOOLEANS):
+        x = draw(_sampled(at_a))
+    else:
+        x, k = Var("x"), Var("k")
+        f = App(App(VarRef(k), VarRef(x)), f)
+        ctx = {**ctx, k: Implies(a, Implies(target, target))}
+    rest = {v: b for v, b in ctx.items() if v != x}
+    return rest, Lam(x, a, App(f, VarRef(x))), target
+
+
+@st.composite
+def pair_split_terms(draw) -> tuple[dict[Var, Formula], Term, Formula]:
+    """A typed term, with its context and type, holding a pair of cases
+    over one sum type: `snd(<case r1 {x. s | y. t}, case r2 {x. s | y.
+    t}>)` replaces a free variable v of a drawn term, or the whole of a
+    closed one. s is what it replaces, and t is drawn at the same type.
+    The scrutinees are variables, two distinct ones or one twice: only
+    over one scrutinee may the two cases merge into a case of pairs."""
+    ctx, term, a = draw(typed_terms())
+    v = draw(_sampled(tuple(sorted(ctx, key=lambda u: u.name)))) if ctx else None
+    s, d = (term, a) if v is None else (VarRef(v), ctx[v])
+    ctx2, t, _ = draw(typed_terms(max_size=6, target=d, prefix="s"))
+    left, right = draw(_sampled(ATOMS)), draw(_sampled(ATOMS))
+    r1, r2 = Var("r1"), Var(draw(_sampled(("r1", "r2"))))
+    x, y = Var("x"), Var("y")
+
+    def case(r: Var) -> Term:
+        return Case(VarRef(r), x, left, s, y, right, t)
+
+    planted = Snd(Pair(case(r1), case(r2)))
+    ctx = {**ctx, **ctx2, r1: Or(left, right), r2: Or(left, right)}
+    return ctx, planted if v is None else substitute(term, v, planted), a
+
+
 # Formulas without `\/` or `_|_`; the last is that of Church numerals.
 _SUM_FREE_FORMULAS = ATOMS + (
     And(Atom("p"), Atom("q")),

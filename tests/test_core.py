@@ -9,6 +9,7 @@ from typing import get_args, get_type_hints
 
 import pytest
 
+from proofmean import nd, sc
 from proofmean.core import (
     Abort,
     Absurd,
@@ -486,3 +487,28 @@ def test_a_wrong_kind_of_argument_raises_type_error(call):
     run, message = WRONG_ARGUMENTS[call]
     with pytest.raises(TypeError, match=f"^{message}: "):
         run()
+
+
+@pytest.mark.parametrize(
+    "checker, derivation", [(nd._NdChecker, nd.NdDerivation), (sc._ScChecker, sc.ScDerivation)]
+)
+def test_each_rule_class_has_exactly_one_checker_step(checker, derivation):
+    # A rule class without a step would be "not a derivation node".
+    assert set(checker.steps) == set(get_args(derivation))
+
+
+@pytest.mark.parametrize(
+    "check, leaf, wrap",
+    [
+        (check_nd, nd.Hyp(x, p), lambda d: nd.OrI1(q, d)),
+        (check_sc, sc.Rf(x, p), lambda d: sc.OrR1(q, d)),
+    ],
+)
+def test_a_checker_run_takes_one_frame_per_level(check, leaf, wrap):
+    # As deep as the recursion limit leaves room for, as parsing goes: a
+    # run that took two frames per level would stop halfway.
+    room = sys.getrecursionlimit() - len(inspect.stack(0)) - 30
+    d = leaf
+    for _ in range(room):
+        d = wrap(d)
+    assert check(d).term is not None

@@ -105,6 +105,9 @@ def test_rule_shape_errors():
         check_nd(AbsurdE(r, Hyp(x, p)))
     with pytest.raises(RuleMismatch):
         check_nd(OrE(Hyp(z, p), x, Hyp(x, q), y, Hyp(y, q)))
+    # The major premise is found no disjunction before a branch is checked.
+    with pytest.raises(RuleMismatch, match="not a disjunction"):
+        check_nd(OrE(Hyp(z, p), x, AndE1(Hyp(x, p)), y, Hyp(y, q)))
 
 
 def test_or_elimination_builds_a_case():

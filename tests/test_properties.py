@@ -84,6 +84,7 @@ from strategies import (
     fresh_renaming,
     name_collapsed_terms,
     nd_derivations,
+    pair_split_terms,
     rename_nd,
     rename_sc,
     sc_derivations,
@@ -217,9 +218,12 @@ def inhabited_in_the_model(case) -> bool:
 @given(
     typed_terms().filter(inhabited_in_the_model),
     eta_planted_terms().filter(inhabited_in_the_model),
+    pair_split_terms().filter(inhabited_in_the_model),
 )
-def test_conversions_keep_the_value_in_the_finite_model(case, planted):
-    for ctx, t, _ in (case, planted):
+def test_conversions_keep_the_value_in_the_finite_model(case, planted, split):
+    # `split` holds a pair of cases over one scrutinee, which may merge,
+    # or over two, which may not.
+    for ctx, t, _ in (case, planted, split):
         try:
             assert_conversions_keep_the_value(ctx, t)
         except OutsideModelBounds:

@@ -81,6 +81,9 @@ def test_and_left_requires_distinct_present_components():
         check_sc(AndL(z, x, x, Rf(x, p)))
     with pytest.raises(RuleMismatch):
         check_sc(AndL(z, x, y, Rf(x, p)))
+    # The distinct components are checked before the premise, which clashes.
+    with pytest.raises(RuleMismatch, match="must be distinct"):
+        check_sc(AndL(z, x, x, AndR(Rf(x, p), Rf(x, q))))
 
 
 def test_or_left_builds_a_case():

@@ -4,6 +4,8 @@ from dataclasses import fields
 from typing import get_args, get_type_hints
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from proofmean import nd, sc
 from proofmean.core import (
@@ -29,6 +31,7 @@ from proofmean.nd import AndI, Hyp, ImpI
 from proofmean.sc import Contract, ImpR, Rf, Weaken
 from proofmean.syntax import (
     _RULES,
+    _SCANNER,
     _TERM_PARTS,
     _TERM_SYNTAX,
     RESERVED,
@@ -94,6 +97,30 @@ def test_identifier_characters_follow_the_str_predicates():
         continues = c.isalnum() or c in "_'"
         assert (_first_identifier("x" + c) == "x" + c) == continues, repr(c)
         assert (_first_identifier("x-" + c) == "x-" + c) == c.isalnum(), repr(c)
+
+
+# The scanner with one alternation per identifier character, verbatim
+# from before its identifier alternative was unrolled. Both must split
+# every text alike.
+REFERENCE_SCANNER = re.compile(
+    r"[^\W\d_](?:[\w']|-[^\W_])*"
+    r"|_\|_|->|/\\|\\/|[\\(){}<>\[\],.:|]"
+    r"|;[^\n]*"
+    r"|[^ \t\r\n]"
+)
+
+# Pieces of text over the token alphabet: letters, é and ² among them,
+# digits, _, ', a hyphen before a letter, a digit, _ or >, every
+# operator, blanks, a comment and a newline.
+TEXT_PIECES = st.sampled_from(
+    [*"pxQé²", *"07", "_", "'", "-a", "-é", "-7", "-_", "->"]
+    + ["_|_", "/\\", "\\/", *"\\(){}<>[],.:|", " ", "\t", "\r", "\n", "; c-2 ->"]
+)
+
+
+@given(st.lists(TEXT_PIECES, max_size=40).map("".join))
+def test_the_scanner_splits_every_text_as_the_reference_does(text):
+    assert _SCANNER.findall(text) == REFERENCE_SCANNER.findall(text)
 
 
 # ---------- Formulas ----------
