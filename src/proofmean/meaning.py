@@ -22,6 +22,7 @@ from collections import Counter
 from dataclasses import field
 from typing import Mapping, Union
 
+from . import core as _core
 from . import nd as _nd
 from . import sc as _sc
 from .core import LABELS, SUBTERMS, Absurd, Atom, Context, Formula, Or, Term, Var, VarRef
@@ -269,13 +270,17 @@ def same_denotation(
     Derivations of different formulas, or whose denotations share a
     free variable at two formulas, never share a denotation. A pair
     without sums (`_sum_free`) compares normal forms in every mode.
+    Closed end terms reach `equivalent` with the formula both
+    derivations prove, so the finite model does not type them again.
     """
     c1, c2, n1, n2 = check(d1), check(d2), denotation_of(d1), denotation_of(d2)
     if not _comparable(c1, c2, n1, n2):
         return False
+    if _sum_free(c1, c2):
+        return alpha_equal(n1, n2)
     # normalize returns a normal form unchanged, so handing `equivalent`
     # the two denotations decides the same question.
-    return alpha_equal(n1, n2) if _sum_free(c1, c2) else equivalent(n1, n2, mode)
+    return equivalent(n1, n2, mode, _closed_formula(c1, c2))
 
 
 def _comparable(c1: Checked, c2: Checked, n1: Term, n2: Term) -> bool:
@@ -292,6 +297,14 @@ def _comparable(c1: Checked, c2: Checked, n1: Term, n2: Term) -> bool:
     other = ctx2._bindings
     clash = {v for v, f in ctx1._bindings.items() if other.get(v, f) is not f}
     return not clash or clash.isdisjoint(free_vars(n1) & free_vars(n2))
+
+
+def _closed_formula(c1: Checked, c2: Checked) -> Formula | None:
+    """The formula of two comparable conclusions when both root
+    contexts are empty, and so both end terms closed; otherwise None."""
+    ctx1, _, a = conclusion(c1)
+    ctx2, _, _ = conclusion(c2)
+    return None if ctx1._bindings or ctx2._bindings else a
 
 
 def _sum_free(c1: Checked, c2: Checked) -> bool:
@@ -361,18 +374,21 @@ def classify(
 ) -> Verdict:
     """Place the pair (d1, d2) in the identity landscape.
 
-    Plain rewriting equality is decided first, by comparing the normal
-    forms of the end terms. Failing that, gamma mode refutes at once a
-    pair whose formulas have no sums (`_sum_free`), and closed normal
-    forms with different values in the finite model; otherwise a search
-    from them may come back without a definite answer. Each derivation
-    object is checked once, and both its sense and its denotation are
-    read off that check, however many pairs it takes part in.
+    Plain rewriting equality is decided first, by comparing the alpha
+    keys of the end terms' normal forms. Failing that, gamma mode
+    refutes at once a pair whose formulas have no sums (`_sum_free`),
+    and closed normal forms that some argument tuple separates in the
+    finite model, at the formula the check found; otherwise a search
+    from them, handed the two keys, may come back without a definite
+    answer. Each derivation object is checked once, and both its sense
+    and its denotation are read off that check, however many pairs it
+    takes part in.
     """
     c1, c2, n1, n2 = check(d1), check(d2), denotation_of(d1), denotation_of(d2)
     if not _comparable(c1, c2, n1, n2):
         return DifferentDenotation((n1, n2))
-    if alpha_equal(n1, n2):
+    keys = None if n1 is n2 else (_core.alpha_key(n1), _core.alpha_key(n2))
+    if keys is None or keys[0] == keys[1]:
         renaming = sense_renaming(d1, d2, multiset)
         if renaming is not None:
             return SameSenseSameDenotation(renaming)
@@ -380,7 +396,7 @@ def classify(
     if isinstance(mode, BetaEtaGamma) and not _sum_free(c1, c2):
         # normalize returns a normal form unchanged, so the search starts
         # from n1 and n2 without rewriting them again.
-        wide = equivalent(n1, n2, mode)
+        wide = equivalent(n1, n2, mode, _closed_formula(c1, c2), keys)
         if wide is True:
             return SameDenotationUpToGamma(False, (n1, n2))
         if wide is INCONCLUSIVE:

@@ -36,6 +36,7 @@ from .core import (
     SUBTERMS,
     Snd,
     Term,
+    UnboundVariable,
     Var,
     VarRef,
     _restore,
@@ -312,14 +313,16 @@ def _normalize(u: Term, steps: list[int], budget: int) -> Term:
     return n
 
 
-def _gamma_search(n1: Term, n2: Term, fuel: int) -> "Literal[True] | Inconclusive":
+def _gamma_search(
+    n1: Term, n2: Term, fuel: int, keys: tuple[tuple, tuple]
+) -> "Literal[True] | Inconclusive":
     # Bidirectional layers from the beta-eta normal forms n1 and n2,
-    # closed under single gamma steps; meeting is success. Running out
-    # of fuel or exhausting both closures is open: the closures follow
-    # only this module's gamma laws, so their missing each other proves
-    # no difference.
-    seen1 = {alpha_key(n1)}
-    seen2 = {alpha_key(n2)}
+    # whose alpha keys are `keys`, closed under single gamma steps;
+    # meeting is success. Running out of fuel or exhausting both
+    # closures is open: the closures follow only this module's gamma
+    # laws, so their missing each other proves no difference.
+    seen1 = {keys[0]}
+    seen2 = {keys[1]}
     frontier1, frontier2 = [n1], [n2]
     if not seen1.isdisjoint(seen2):
         return True
@@ -375,9 +378,11 @@ class FiniteModel:
     model is bicartesian closed, so every beta, eta and gamma law holds
     in it: terms with different values are not equal in any mode.
     `value` compiles a term once and runs the result, one step per node
-    visited. One instance spends one MODEL_STEP_BUDGET across all its
-    calls, element enumerations included, and raises OutsideModelBounds
-    past it or past MODEL_SIZE_BOUND.
+    visited. `separate` compares two closed terms one argument tuple at
+    a time and stops at the first tuple where they differ. One instance
+    spends one MODEL_STEP_BUDGET across all its calls, element
+    enumerations included, and raises OutsideModelBounds past it or
+    past MODEL_SIZE_BOUND.
     """
 
     def __init__(self) -> None:
@@ -429,15 +434,45 @@ class FiniteModel:
         "Using closures for code generation", 1987). Every variable is
         read from one frame list: env's values fill the first slots, and
         each binder writes the slot at its depth, so no binder copies an
-        environment. Compiling spends no step and cannot fail on a node
-        that is never reached. Each closure call spends one step, so a
-        step is spent per visit of a node, a binder's elements are
-        enumerated only when its lambda runs, and an abort raises
-        TypeError only when reached. Every free variable of t must have
-        a value in env.
+        environment. Compiling spends no step, and fails only on a free
+        variable of t without a value in env, with UnboundVariable as in
+        `type_of`. Each closure call spends one step, so a step is spent
+        per visit of a node, a binder's elements are enumerated only when
+        its lambda runs, and an abort raises TypeError only when reached.
         """
         frame = list(env.values())
         return self._compile(t, {v: i for i, v in enumerate(env)}, len(frame), frame)()
+
+    def separate(self, t1: Term, t2: Term, a: Formula) -> tuple | None:
+        """The first argument tuple at which the closed terms t1 and t2,
+        both of type a, take different values, or None if there is none.
+
+        Both terms' lambdas are peeled while a is an implication and both
+        are lambdas, and the two bodies are compiled once, with each
+        peeled binder at its own frame slot. Both bodies then run on each
+        tuple of the peeled binders' elements, in `itertools.product`
+        order, until their results differ. So the two values differ
+        exactly when such a tuple exists, and steps are spent, as in
+        `value`, only on the tuples tried (Statman 1982 compares closed
+        terms in a finite model argument by argument).
+        """
+        scope1: dict[Var, int] = {}
+        scope2: dict[Var, int] = {}
+        domains = []
+        while type(a) is Implies and type(t1) is Lam and type(t2) is Lam:
+            scope1[t1.bound] = scope2[t2.bound] = len(domains)
+            domains.append(self.elements(a.left))
+            if not domains[-1]:
+                return None
+            a, t1, t2 = a.right, t1.body, t2.body
+        frame = [None] * len(domains)
+        body1 = self._compile(t1, scope1, len(frame), frame)
+        body2 = self._compile(t2, scope2, len(frame), frame)
+        for args in product(*domains):
+            frame[: len(args)] = args
+            if body1() != body2():
+                return args
+        return None
 
     def _compile(
         self, t: Term, scope: dict[Var, int], depth: int, frame: list
@@ -461,8 +496,11 @@ class FiniteModel:
                 kids.append(self._compile(getattr(t, name), scope, depth + 1, frame))
                 _restore(scope, x, outer)
         if cls is VarRef:
+            slot = scope.get(t.var)
+            if slot is None:
+                raise UnboundVariable(f"unbound variable {t.var.name}")
 
-            def run(spend=spend, frame=frame, slot=scope[t.var]):
+            def run(spend=spend, frame=frame, slot=slot):
                 spend(1)
                 return frame[slot]
 
@@ -518,35 +556,50 @@ class FiniteModel:
         return run
 
 
-def _refuted_in_model(n1: Term, n2: Term) -> bool:
-    # True only when both terms are closed, share one type, and take
-    # different values within the model's bounds; any other case is
-    # left to the search.
+def _refuted_in_model(n1: Term, n2: Term, formula: Formula | None = None) -> bool:
+    # True only when both terms are closed, share one type, and some
+    # argument tuple separates them within the model's bounds; any other
+    # case is left to the search. A caller that has checked both terms
+    # closed at one formula hands it over, and neither is typed again.
     try:
-        if type_of(Context(), n1) != type_of(Context(), n2):
-            return False
-        model = FiniteModel()
-        return model.value(n1, {}) != model.value(n2, {})
+        if formula is None:
+            formula = type_of(Context(), n1)
+            if type_of(Context(), n2) != formula:
+                return False
+        return FiniteModel().separate(n1, n2, formula) is not None
     except ProofmeanError:
         return False
 
 
-def equivalent(t1: Term, t2: Term, mode: EqualityMode = BetaEta()) -> "bool | Inconclusive":
+def equivalent(
+    t1: Term,
+    t2: Term,
+    mode: EqualityMode = BetaEta(),
+    formula: Formula | None = None,
+    keys: tuple[tuple, tuple] | None = None,
+) -> "bool | Inconclusive":
     """Whether t1 and t2 denote the same conversion class under mode.
 
     BetaEta compares the two normal forms; on typed terms that decides
     beta-eta equality. BetaEtaGamma answers False only when the closed
-    normal forms take different values in the finite model. Otherwise
-    it searches from them, and answers True when the search spaces
-    meet and INCONCLUSIVE when they do not, whether the fuel ran out or
-    both spaces closed.
+    normal forms take different values in the finite model, found one
+    argument tuple at a time. Otherwise it searches from them, and
+    answers True when the search spaces meet and INCONCLUSIVE when they
+    do not, whether the fuel ran out or both spaces closed.
+
+    A caller that knows more hands it over, and gamma mode skips the
+    work: `formula` when both terms are closed and of that type, so the
+    model types neither, and `keys`, the alpha keys of the two normal
+    forms, which the search starts from. Without `formula` the model
+    types both terms, and declines unless both are closed and share
+    one type.
     """
     match mode:
         case BetaEta():
             return alpha_equal(normalize(t1), normalize(t2))
         case BetaEtaGamma(fuel):
             n1, n2 = normalize(t1), normalize(t2)
-            if _refuted_in_model(n1, n2):
+            if _refuted_in_model(n1, n2, formula):
                 return False
-            return _gamma_search(n1, n2, fuel)
+            return _gamma_search(n1, n2, fuel, keys or (alpha_key(n1), alpha_key(n2)))
     raise TypeError(f"not an equality mode: {mode!r}")

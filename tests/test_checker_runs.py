@@ -6,7 +6,8 @@ details are all read off those runs. A derivation keeps its run, and
 its end term keeps its normal form, so asking again takes no checker
 run and no contraction, and the kept run makes no reference cycle.
 Each file is tokenized once, and the benchmark's trace counts its
-tokens from that call.
+tokens from that call. A gamma-mode classify of a closed pair types
+neither term and builds each alpha key once.
 """
 
 import contextlib
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from gamma_examples import CASE_OF_TUPLE, TUPLE_OF_CASES
-from proofmean import meaning, nd, rewrite, sc, syntax
+from proofmean import core, meaning, nd, rewrite, sc, syntax
 from proofmean.cli import main
 from proofmean.core import Atom, Var
 from proofmean.meaning import classify
@@ -167,6 +168,31 @@ def test_denotation_after_classify_needs_no_checker_run(
     classify_all()
     assert contractions() == 0
     assert checks() == len(derivations)
+
+
+def test_gamma_classify_types_no_term_and_builds_each_alpha_key_once(monkeypatch, load_corpus):
+    # A closed pair that only the gamma search joins. The model takes
+    # the formula from the check, and the search starts from the two
+    # keys the equality test built; its one further key is of the one
+    # successor of sc_dist_1's normal form, which is sc_dist_3's.
+    count = {"type_of": 0, "alpha_key": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            count[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in count:
+        fn = counting(name, getattr(core, name))
+        monkeypatch.setattr(core, name, fn)
+        monkeypatch.setattr(rewrite, name, fn)
+    d1 = load_corpus("sc_dist_1.sc").derivation
+    d2 = load_corpus("sc_dist_3.sc").derivation
+    verdict = classify(d1, d2, BetaEtaGamma())
+    assert verdict == meaning.SameDenotationUpToGamma(inconclusive=False)
+    assert count == {"type_of": 0, "alpha_key": 3}
 
 
 def test_corpus_normalizes_each_file_once(checks, contractions, corpus_dir, corpus_files):

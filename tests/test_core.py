@@ -48,7 +48,7 @@ from proofmean.meaning import conclusion
 from proofmean.nd import check_nd
 from proofmean.rewrite import FiniteModel, OutsideModelBounds, equivalent
 from proofmean.sc import check_sc
-from proofmean.syntax import parse_file, render_formula
+from proofmean.syntax import parse_file, parse_term, render_formula
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -487,6 +487,20 @@ def test_a_wrong_kind_of_argument_raises_type_error(call):
     run, message = WRONG_ARGUMENTS[call]
     with pytest.raises(TypeError, match=f"^{message}: "):
         run()
+
+
+# Each walk that reads variables' bindings, on a free variable it has no
+# binding for: UnboundVariable, a ProofmeanError, never a KeyError.
+UNBOUND_VARIABLES = {
+    "type_of": lambda: type_of(Context(), parse_term(r"\y:p. x")),
+    "value": lambda: FiniteModel().value(parse_term(r"\y:p. x"), {}),
+}
+
+
+@pytest.mark.parametrize("call", UNBOUND_VARIABLES)
+def test_a_free_variable_without_a_binding_raises_unbound_variable(call):
+    with pytest.raises(UnboundVariable, match="^unbound variable x$"):
+        UNBOUND_VARIABLES[call]()
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from proofmean.core import (
     Case,
     Context,
     Fst,
+    Implies,
     Inl,
     Inr,
     Lam,
@@ -256,6 +257,62 @@ def test_gamma_steps_on_nested_cases_keep_the_value_in_the_finite_model(load_cor
         assert first
         for u in [t, *first, *(g for s in first for g in gamma_steps(s))]:
             assert_conversions_keep_the_value({}, u)
+
+
+def closed_over(ctx, t, a):
+    """t and a abstracted over every variable of ctx, sorted by name."""
+    for v in sorted(ctx, key=lambda v: v.name, reverse=True):
+        t, a = Lam(v, ctx[v], t), Implies(ctx[v], a)
+    return t, a
+
+
+def assert_refuted_exactly_when_the_values_differ(t1, t2, a):
+    # The refutation spends one budget on both terms, so the full values
+    # are taken in one model too; past its bounds nothing is asserted.
+    model = FiniteModel()
+    try:
+        differ = model.value(t1, {}) != model.value(t2, {})
+    except OutsideModelBounds:
+        return
+    assert rewrite._refuted_in_model(t1, t2, a) is differ
+    assert rewrite._refuted_in_model(t1, t2) is differ
+    if not differ:
+        assert FiniteModel().separate(t1, t2, a) is None
+
+
+@st.composite
+def closed_pairs(draw):
+    """Two closed terms of one formula: two draws at one type, each
+    abstracted over the variables free in either."""
+    ctx1, t1, a = draw(typed_terms())
+    ctx2, t2, _ = draw(typed_terms(target=a, prefix="s"))
+    ctx = {**ctx1, **ctx2}
+    (t1, b), (t2, _) = closed_over(ctx, t1, a), closed_over(ctx, t2, a)
+    return t1, t2, b
+
+
+@given(closed_pairs())
+def test_the_refutation_separates_exactly_the_pairs_whose_values_differ(pair):
+    # Each term is also paired with its normal form, which has its value.
+    t1, t2, a = pair
+    n1, n2 = normalize(t1), normalize(t2)
+    for u1, u2 in ((t1, t2), (n1, n2), (t1, n1), (t2, n2)):
+        assert_refuted_exactly_when_the_values_differ(u1, u2, a)
+
+
+def test_the_refutation_separates_exactly_the_corpus_pairs_whose_values_differ(
+    corpus_dir, load_corpus
+):
+    closed = {}
+    for path in sorted(corpus_dir.iterdir()):
+        c = meaning.check(load_corpus(path.name).derivation)
+        ctx, _, a = meaning.conclusion(c)
+        if ctx == Context():
+            closed.setdefault(a, []).append(normalize(c.term))
+    assert any(len(terms) > 1 for terms in closed.values())
+    for a, terms in closed.items():
+        for n1, n2 in product(terms, repeat=2):
+            assert_refuted_exactly_when_the_values_differ(n1, n2, a)
 
 
 # ---------- Cached facts ----------

@@ -335,12 +335,38 @@ def test_finite_model_declines_and_leaves_the_search_to_answer():
         FiniteModel().value(parse_term(many + FST_CASE_TERM), {})
     assert gamma_1(many + FST_CASE_TERM, many + SND_CASE_TERM) is INCONCLUSIVE
 
-    # Past the step budget: fourteen binders over p take 2^14 evaluations
-    # of the body. The two bodies differ, and only the search answers.
-    binders = "".join(rf"\{v}:p. " for v in "abcdefghijklmn")
+    # Past the step budget: fifteen binders over p take 2^15 evaluations
+    # of the body, and the two bodies first differ at tuple 2^13 + 1,
+    # about 16,400 steps in. Only the search answers.
+    binders = "".join(rf"\{v}:p. " for v in "abcdefghijklmno")
     with pytest.raises(OutsideModelBounds, match=f"over {MODEL_STEP_BUDGET} steps"):
         FiniteModel().value(parse_term(binders + "a"), {})
     assert gamma_1(binders + "a", binders + "b") is INCONCLUSIVE
+
+
+def test_finite_model_separates_at_the_first_distinguishing_tuple():
+    # FST_CASE and SND_CASE take 47 steps each to evaluate in full.
+    # Separating them spends 14 on the elements of (p/\p)\/(p/\p) and 4
+    # per body on each of the first two tuples; equal terms try every
+    # tuple, the peeled lambdas themselves spending none.
+    cases = [
+        (FST_CASE_TERM, SND_CASE_TERM, ((0, (0, 1)),), 30),
+        (CASE_OF_TUPLE_TERM, TUPLE_OF_CASES_TERM, None, 198),
+    ]
+    for a, b, tuple_, steps in cases:
+        t1, t2 = parse_term(a), parse_term(b)
+        model = FiniteModel()
+        assert model.separate(t1, t2, type_of(Context(), t1)) == tuple_
+        assert MODEL_STEP_BUDGET - model._steps == steps
+
+    # Fourteen binders over p: each full value takes 2^14 evaluations of
+    # its body, past the budget, but the bodies first differ at tuple
+    # 2^12 + 1, about 8,200 steps in, so the model refutes at any fuel.
+    binders = "".join(rf"\{v}:p. " for v in "abcdefghijklmn")
+    with pytest.raises(OutsideModelBounds, match=f"over {MODEL_STEP_BUDGET} steps"):
+        FiniteModel().value(parse_term(binders + "a"), {})
+    t1, t2 = parse_term(binders + "a"), parse_term(binders + "b")
+    assert equivalent(t1, t2, BetaEtaGamma(fuel=1)) is False
 
 
 DIST = {
