@@ -7,11 +7,11 @@ abort) that every well-formed term has a unique type in a context.
 
 Formulas, variables and term nodes are built once each, from one table
 kept for the whole process, so their `==` and `hash` are identity and
-never recurse. A term node keeps two facts once computed, outside the
-fields that repr reads: `_normal`, its beta-eta normal form (itself if
-normal), set by `rewrite.normalize` on each node it visits, and
-`_skeleton`, set by `meaning._skeleton`. A node never changes, so
-neither goes stale.
+never recurse. A term node keeps three facts once computed, outside
+the fields that repr reads: `_normal`, its beta-eta normal form (itself
+if normal), set by `rewrite.normalize` on each node it visits;
+`_key`, its alpha key, set by `alpha_key`; and `_skeleton`, set by
+`meaning._skeleton`. A node never changes, so none goes stale.
 """
 
 from __future__ import annotations
@@ -39,8 +39,20 @@ class Record:
     and `hash` over the fields not declared `compare=False`."""
 
     def __repr__(self) -> str:
-        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._shown])
-        return f"{type(self).__qualname__}({shown})"
+        # On an explicit stack, so a deep formula or term costs no
+        # recursion, which CPython 3.12 and later cap inside C.
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            item = todo.pop()
+            if not isinstance(item, Record):
+                out.append(item if type(item) is _Text else repr(item))
+                continue
+            out.append(f"{type(item).__qualname__}(")
+            todo.append(_Text(")"))
+            for i, f in reversed(list(enumerate(item._shown))):
+                todo += [getattr(item, f), _Text(f"{', ' if i else ''}{f}=")]
+        return "".join(out)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -58,6 +70,10 @@ class Record:
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, f) for f in self._compared])
+
+
+class _Text(str):
+    """Literal text on `Record.__repr__`'s stack, unlike any field value."""
 
 
 class _Interned(Record):
@@ -405,10 +421,15 @@ def _alpha_key(t: Term, env: dict[Var, int], depth: int, key: list) -> None:
 
 def alpha_key(t: Term) -> tuple:
     """A hashable key equal for exactly the alpha-equivalent terms: one
-    flat tuple, so hashing and comparing it never recurse."""
-    key: list = []
-    _alpha_key(t, {}, 0, key)
-    return tuple(key)
+    flat tuple, so hashing and comparing it never recurse. It is built
+    once per node and kept on the node, as `_key`."""
+    key = getattr(t, "_key", None)
+    if key is None:
+        walk: list = []
+        _alpha_key(t, {}, 0, walk)
+        key = tuple(walk)
+        object.__setattr__(t, "_key", key)
+    return key
 
 
 def alpha_equal(t1: Term, t2: Term) -> bool:

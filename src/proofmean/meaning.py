@@ -13,7 +13,8 @@ on it (`Node.checked`), and every reader here takes it from there, so a
 derivation is checked once however many questions are asked of it, and
 its end term keeps its normal form (see core). A verdict of `classify`
 carries the evidence it found: the renaming, the two senses or the two
-normal forms. In gamma mode too, a pair without sums is decided by them.
+normal forms. `classify` and `same_denotation` take one decision, made
+by `_same`; in gamma mode too, a pair without sums is decided by them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from collections import Counter
 from dataclasses import field
 from typing import Mapping, Union
 
-from . import core as _core
 from . import nd as _nd
 from . import sc as _sc
 from .core import LABELS, SUBTERMS, Absurd, Atom, Context, Formula, Or, Term, Var, VarRef
@@ -31,7 +31,6 @@ from .nd import Checked
 from .rewrite import (
     INCONCLUSIVE,
     BetaEta,
-    BetaEtaGamma,
     EqualityMode,
     Inconclusive,
     equivalent,
@@ -265,52 +264,46 @@ def denotation_of(d: Derivation) -> Term:
 def same_denotation(
     d1: Derivation, d2: Derivation, mode: EqualityMode = BetaEta()
 ) -> bool | Inconclusive:
-    """Whether the end terms of d1 and d2 are equal under `mode`.
+    """Whether the end terms of d1 and d2 are equal under `mode` (see `_same`)."""
+    return _same(check(d1), check(d2), denotation_of(d1), denotation_of(d2), mode)
 
-    Derivations of different formulas, or whose denotations share a
-    free variable at two formulas, never share a denotation. A pair
-    without sums (`_sum_free`) compares normal forms in every mode.
-    Closed end terms reach `equivalent` with the formula both
-    derivations prove, so the finite model does not type them again.
+
+def _same(
+    c1: Checked, c2: Checked, n1: Term, n2: Term, mode: EqualityMode
+) -> bool | Inconclusive:
+    """Whether checked derivations with denotations n1 and n2 share one
+    under `mode`: the one ladder behind `same_denotation` and `classify`.
+
+    They must prove one formula, and each variable free in both n1 and
+    n2 must stand at one formula in both. One free on one side only does
+    not block, as normalizing can drop it and a weakened one never
+    occurs. Then alpha-equal normal forms share a denotation. Otherwise
+    beta-eta mode, and gamma mode on a pair without sums (`_sum_free`),
+    answer False, and gamma mode asks `equivalent`, handing it the
+    formula when both end terms are closed, so the model types neither.
     """
-    c1, c2, n1, n2 = check(d1), check(d2), denotation_of(d1), denotation_of(d2)
-    if not _comparable(c1, c2, n1, n2):
-        return False
-    if _sum_free(c1, c2):
-        return alpha_equal(n1, n2)
-    # normalize returns a normal form unchanged, so handing `equivalent`
-    # the two denotations decides the same question.
-    return equivalent(n1, n2, mode, _closed_formula(c1, c2))
-
-
-def _comparable(c1: Checked, c2: Checked, n1: Term, n2: Term) -> bool:
-    """Whether checked derivations with denotations n1 and n2 may share
-    one: they prove one formula, and each variable free in both n1 and
-    n2 stands at one formula in both. One free on one side only does not
-    block, as normalizing can drop it and a weakened one never occurs."""
-    ctx1, _, f1 = conclusion(c1)
-    ctx2, _, f2 = conclusion(c2)
-    if f1 is not f2:
+    (ctx1, _, f), (ctx2, _, f2) = conclusion(c1), conclusion(c2)
+    if f is not f2:
         return False
     # Each root's context holds its end term's free variables, so the
     # normal forms are read only when the contexts disagree somewhere.
-    other = ctx2._bindings
-    clash = {v for v, f in ctx1._bindings.items() if other.get(v, f) is not f}
-    return not clash or clash.isdisjoint(free_vars(n1) & free_vars(n2))
+    ante1, ante2 = ctx1._bindings, ctx2._bindings
+    clash = {v for v, a in ante1.items() if ante2.get(v, a) is not a}
+    if clash and not clash.isdisjoint(free_vars(n1) & free_vars(n2)):
+        return False
+    if alpha_equal(n1, n2):
+        return True
+    if isinstance(mode, BetaEta) or _sum_free([f, *ante1.values(), *ante2.values()]):
+        return False
+    # normalize returns a normal form unchanged, so handing `equivalent`
+    # the two denotations decides the same question.
+    return equivalent(n1, n2, mode, None if ante1 or ante2 else f)
 
 
-def _closed_formula(c1: Checked, c2: Checked) -> Formula | None:
-    """The formula of two comparable conclusions when both root
-    contexts are empty, and so both end terms closed; otherwise None."""
-    ctx1, _, a = conclusion(c1)
-    ctx2, _, _ = conclusion(c2)
-    return None if ctx1._bindings or ctx2._bindings else a
-
-
-def _sum_free(c1: Checked, c2: Checked) -> bool:
-    """Whether neither conclusion nor either root context mentions `\\/`
-    or `_|_`. Gamma equality of the two normal forms is then beta-eta
-    equality, which their alpha keys decide:
+def _sum_free(todo: list[Formula]) -> bool:
+    """Whether no formula in todo mentions `\\/` or `_|_`. When these are
+    two derivations' formula and root contexts, gamma equality of their
+    normal forms is beta-eta equality, which their alpha keys decide:
       - By induction on beta-normal terms, neither holds `inl`, `inr`,
         `case`, `abort` or an annotation that mentions a sum: an intro
         form splits its type, a neutral's parts are subformulas of its
@@ -320,12 +313,12 @@ def _sum_free(c1: Checked, c2: Checked) -> bool:
         faithfully into presheaves, which are bicartesian closed; so
         terms without sums that the sum laws, gamma included, equate
         are already beta-eta equal."""
-    todo = [f for ctx, _, a in map(conclusion, (c1, c2)) for f in (a, *ctx._bindings.values())]
     while todo:
         a = todo.pop()
         if type(a) is Or or type(a) is Absurd:
             return False
-        todo += [] if type(a) is Atom else [a.left, a.right]
+        if type(a) is not Atom:
+            todo += [a.left, a.right]
     return True
 
 
@@ -372,33 +365,22 @@ def classify(
     mode: EqualityMode = BetaEta(),
     multiset: bool = False,
 ) -> Verdict:
-    """Place the pair (d1, d2) in the identity landscape.
-
-    Plain rewriting equality is decided first, by comparing the alpha
-    keys of the end terms' normal forms. Failing that, gamma mode
-    refutes at once a pair whose formulas have no sums (`_sum_free`),
-    and closed normal forms that some argument tuple separates in the
-    finite model, at the formula the check found; otherwise a search
-    from them, handed the two keys, may come back without a definite
-    answer. Each derivation object is checked once, and both its sense
-    and its denotation are read off that check, however many pairs it
-    takes part in.
+    """Place the pair (d1, d2) in the identity landscape, by `_same`'s
+    answer: alpha-equal normal forms go on to the senses, a gamma-mode
+    "same" or inconclusive answer gives `SameDenotationUpToGamma`, and
+    every other pair has different denotations. Each derivation object
+    is checked once, and its sense and denotation are read off that
+    check, however many pairs it takes part in.
     """
     c1, c2, n1, n2 = check(d1), check(d2), denotation_of(d1), denotation_of(d2)
-    if not _comparable(c1, c2, n1, n2):
+    same = _same(c1, c2, n1, n2, mode)
+    if same is INCONCLUSIVE:
+        return SameDenotationUpToGamma(True, (n1, n2))
+    if not same:
         return DifferentDenotation((n1, n2))
-    keys = None if n1 is n2 else (_core.alpha_key(n1), _core.alpha_key(n2))
-    if keys is None or keys[0] == keys[1]:
-        renaming = sense_renaming(d1, d2, multiset)
-        if renaming is not None:
-            return SameSenseSameDenotation(renaming)
-        return DifferentSenseSameDenotation((sense_of(d1, multiset), sense_of(d2, multiset)))
-    if isinstance(mode, BetaEtaGamma) and not _sum_free(c1, c2):
-        # normalize returns a normal form unchanged, so the search starts
-        # from n1 and n2 without rewriting them again.
-        wide = equivalent(n1, n2, mode, _closed_formula(c1, c2), keys)
-        if wide is True:
-            return SameDenotationUpToGamma(False, (n1, n2))
-        if wide is INCONCLUSIVE:
-            return SameDenotationUpToGamma(True, (n1, n2))
-    return DifferentDenotation((n1, n2))
+    if not alpha_equal(n1, n2):
+        return SameDenotationUpToGamma(False, (n1, n2))
+    renaming = sense_renaming(d1, d2, multiset)
+    if renaming is not None:
+        return SameSenseSameDenotation(renaming)
+    return DifferentSenseSameDenotation((sense_of(d1, multiset), sense_of(d2, multiset)))

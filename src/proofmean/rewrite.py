@@ -1,7 +1,8 @@
 """Beta, eta, and permutative (gamma) conversions over typed terms.
 
 `normalize` contracts beta and eta redexes bottom-up in one pass, and
-keeps each node's normal form on the node (see core). Gamma steps are
+keeps each node's normal form on the node (see core). `equivalent`
+answers alpha-equal normal forms at once, in both modes. Gamma steps are
 one commuting law, F[case r {x. s | y. u}] = case r {x. F[s] | y. F[u]},
 applied in either direction to every frame F in one table (_FRAMES),
 walked over core.SUBTERMS, a frame's free variables being
@@ -313,19 +314,14 @@ def _normalize(u: Term, steps: list[int], budget: int) -> Term:
     return n
 
 
-def _gamma_search(
-    n1: Term, n2: Term, fuel: int, keys: tuple[tuple, tuple]
-) -> "Literal[True] | Inconclusive":
+def _gamma_search(n1: Term, n2: Term, fuel: int) -> "Literal[True] | Inconclusive":
     # Bidirectional layers from the beta-eta normal forms n1 and n2,
-    # whose alpha keys are `keys`, closed under single gamma steps;
+    # which are not alpha-equal, closed under single gamma steps;
     # meeting is success. Running out of fuel or exhausting both
     # closures is open: the closures follow only this module's gamma
     # laws, so their missing each other proves no difference.
-    seen1 = {keys[0]}
-    seen2 = {keys[1]}
+    seen1, seen2 = {alpha_key(n1)}, {alpha_key(n2)}
     frontier1, frontier2 = [n1], [n2]
-    if not seen1.isdisjoint(seen2):
-        return True
 
     def expand(frontier: list[Term], seen: set[object]) -> list[Term]:
         out: list[Term] = []
@@ -572,34 +568,32 @@ def _refuted_in_model(n1: Term, n2: Term, formula: Formula | None = None) -> boo
 
 
 def equivalent(
-    t1: Term,
-    t2: Term,
-    mode: EqualityMode = BetaEta(),
-    formula: Formula | None = None,
-    keys: tuple[tuple, tuple] | None = None,
+    t1: Term, t2: Term, mode: EqualityMode = BetaEta(), formula: Formula | None = None
 ) -> "bool | Inconclusive":
     """Whether t1 and t2 denote the same conversion class under mode.
 
-    BetaEta compares the two normal forms; on typed terms that decides
-    beta-eta equality. BetaEtaGamma answers False only when the closed
-    normal forms take different values in the finite model, found one
-    argument tuple at a time. Otherwise it searches from them, and
-    answers True when the search spaces meet and INCONCLUSIVE when they
-    do not, whether the fuel ran out or both spaces closed.
+    Both modes answer True when the two normal forms are alpha-equal;
+    on typed terms that decides beta-eta equality, and BetaEta answers
+    False otherwise. BetaEtaGamma then answers False only when the
+    closed normal forms take different values in the finite model,
+    found one argument tuple at a time. Otherwise it searches from them,
+    and answers True when the search spaces meet and INCONCLUSIVE when
+    they do not, whether the fuel ran out or both spaces closed.
 
-    A caller that knows more hands it over, and gamma mode skips the
-    work: `formula` when both terms are closed and of that type, so the
-    model types neither, and `keys`, the alpha keys of the two normal
-    forms, which the search starts from. Without `formula` the model
-    types both terms, and declines unless both are closed and share
-    one type.
+    A caller that has checked both terms closed at one formula hands it
+    over as `formula`, and the model types neither. Without it the model
+    types both terms, and declines unless both are closed and share one
+    type. Each normal form keeps its alpha key (see core), so the
+    comparison and the search build it once.
     """
     match mode:
         case BetaEta():
             return alpha_equal(normalize(t1), normalize(t2))
         case BetaEtaGamma(fuel):
             n1, n2 = normalize(t1), normalize(t2)
+            if alpha_equal(n1, n2):
+                return True
             if _refuted_in_model(n1, n2, formula):
                 return False
-            return _gamma_search(n1, n2, fuel, keys or (alpha_key(n1), alpha_key(n2)))
+            return _gamma_search(n1, n2, fuel)
     raise TypeError(f"not an equality mode: {mode!r}")

@@ -172,27 +172,38 @@ def test_denotation_after_classify_needs_no_checker_run(
 
 def test_gamma_classify_types_no_term_and_builds_each_alpha_key_once(monkeypatch, load_corpus):
     # A closed pair that only the gamma search joins. The model takes
-    # the formula from the check, and the search starts from the two
-    # keys the equality test built; its one further key is of the one
-    # successor of sc_dist_1's normal form, which is sc_dist_3's.
-    count = {"type_of": 0, "alpha_key": 0}
+    # the formula from the check, and each alpha key is built once and
+    # kept on its node. Three keys are asked for: the two normal forms'
+    # and that of the one successor of sc_dist_1's normal form. That
+    # successor is sc_dist_3's normal form itself, so two are built.
+    # Keys are kept for the whole session, so every kept one is dropped
+    # first, and a key walk is counted where it starts, not at each
+    # `alpha_key` call, which may read a kept key.
+    for node in core._Interned._table.values():
+        vars(node).pop("_key", None)
+    count = {"type_of": 0, "key walks": 0}
 
-    def counting(name, fn):
-        def counted(*args):
-            count[name] += 1
-            return fn(*args)
+    def counting_type_of(*args):
+        count["type_of"] += 1
+        return type_of(*args)
 
-        return counted
+    def counting_walk(t, env, depth, key):
+        count["key walks"] += not key
+        return walk(t, env, depth, key)
 
-    for name in count:
-        fn = counting(name, getattr(core, name))
-        monkeypatch.setattr(core, name, fn)
-        monkeypatch.setattr(rewrite, name, fn)
+    type_of, walk = core.type_of, core._alpha_key
+    monkeypatch.setattr(core, "type_of", counting_type_of)
+    monkeypatch.setattr(rewrite, "type_of", counting_type_of)
+    monkeypatch.setattr(core, "_alpha_key", counting_walk)
     d1 = load_corpus("sc_dist_1.sc").derivation
     d2 = load_corpus("sc_dist_3.sc").derivation
     verdict = classify(d1, d2, BetaEtaGamma())
     assert verdict == meaning.SameDenotationUpToGamma(inconclusive=False)
-    assert count == {"type_of": 0, "alpha_key": 3}
+    assert count == {"type_of": 0, "key walks": 2}
+    assert classify(d1, d2, BetaEtaGamma()) == verdict
+    assert count == {"type_of": 0, "key walks": 2}
+    n1, n2 = meaning.denotation_of(d1), meaning.denotation_of(d2)
+    assert [rewrite.normalize(g) for g in rewrite.gamma_steps(n1)] == [n2]
 
 
 def test_corpus_normalizes_each_file_once(checks, contractions, corpus_dir, corpus_files):

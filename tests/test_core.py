@@ -223,6 +223,22 @@ def test_a_deep_term_is_built_once_and_hashed_without_recursion():
     assert len({a, b, a.arg}) == 2
 
 
+def test_repr_of_a_deep_formula_needs_no_recursion():
+    # repr must not recurse once per level: that raises RecursionError
+    # at the default limit, and on CPython 3.12 and later recursion
+    # through C stops at a fixed depth that no limit raises.
+    a = p
+    for _ in range(5_000):
+        a = Implies(p, a)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        text = repr(a)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == "Implies(left=Atom(name='p'), right=" * 5_000 + "Atom(name='p')" + ")" * 5_000
+
+
 def test_threads_building_the_same_formulas_get_one_instance_each():
     # A thread can be switched out between the table lookup and the
     # insert; whichever instance is stored first is the one every

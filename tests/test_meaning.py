@@ -197,6 +197,37 @@ def test_gamma_mode_decides_a_pair_without_sums_by_its_normal_forms(monkeypatch)
     assert same_denotation(two, again, BetaEtaGamma()) is True
 
 
+def test_gamma_mode_never_calls_a_pair_at_absurdity_different():
+    # \x:_|_. \y:p. y and \x:_|_. \y:p. abort[p] x are equal in every
+    # bicartesian closed category, as _|_ is initial, and the finite model
+    # agrees. Beta-eta mode tells them apart; gamma mode must not, so a
+    # formula that mentions _|_ does not count as one without sums.
+    a = parse("(imp-i x _|_ (imp-i y p (hyp y p)))")
+    b = parse("(imp-i x _|_ (imp-i y p (absurd-e p (hyp x _|_))))")
+    assert classify(a, b) == DifferentDenotation()
+    assert same_denotation(a, b) is False
+    assert type(classify(a, b, BetaEtaGamma())) is not DifferentDenotation
+    assert same_denotation(a, b, BetaEtaGamma()) is not False
+
+
+def test_same_denotation_asks_no_model_of_alpha_equal_normal_forms(monkeypatch, load_corpus):
+    # Two parses of one file: the ladder answers from their alpha keys,
+    # before gamma mode's finite model or search.
+    tried = []
+    separate = rewrite.FiniteModel.separate
+
+    def counting(self, *args):
+        tried.append(args)
+        return separate(self, *args)
+
+    monkeypatch.setattr(rewrite.FiniteModel, "separate", counting)
+    d1, d2 = (load_corpus("sc_dist_1.sc").derivation for _ in range(2))
+    assert d1 is not d2
+    assert same_denotation(d1, d2, BetaEtaGamma()) is True
+    assert classify(d1, d2, BetaEtaGamma()) == SameSenseSameDenotation()
+    assert tried == []
+
+
 def test_gamma_mode_reports_fuel_exhaustion():
     d1, d2 = parse(CASE_OF_TUPLE), parse(TUPLE_OF_CASES)
     assert classify(d1, d2, BetaEtaGamma(fuel=1)) == SameDenotationUpToGamma(inconclusive=True)

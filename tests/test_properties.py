@@ -386,7 +386,8 @@ def test_gamma_mode_gives_the_beta_eta_verdict_on_pairs_without_sums(pair):
     # form does, so gamma mode answers with the beta-eta verdict and
     # evidence, never inconclusive.
     d1, d2 = pair
-    assert meaning._sum_free(meaning.check(d1), meaning.check(d2))
+    (ctx1, _, a1), (ctx2, _, a2) = (meaning.conclusion(meaning.check(d)) for d in pair)
+    assert meaning._sum_free([a1, a2, *ctx1._bindings.values(), *ctx2._bindings.values()])
     narrow, wide = meaning.classify(d1, d2), meaning.classify(d1, d2, BetaEtaGamma())
     assert type(wide) is type(narrow) and vars(wide) == vars(narrow)
     assert meaning.same_denotation(d1, d2, BetaEtaGamma()) is meaning.same_denotation(d1, d2)
