@@ -71,6 +71,9 @@ class Record:
     def _fields(self) -> tuple:
         return tuple([getattr(self, f) for f in self._compared])
 
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
 
 class _Text(str):
     """Literal text on `Record.__repr__`'s stack, unlike any field value."""
@@ -81,9 +84,6 @@ class _Interned(Record):
     identity (Filliâtre & Conchon, 2006)."""
     _table: dict[tuple, "_Interned"] = {}
     __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __reduce__(self):  # copy and pickle rebuild through __new__
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
 def _intern(key: tuple) -> _Interned:
@@ -99,30 +99,44 @@ def record(cls: type) -> type:
     """Make cls a dataclass, for `fields`, `replace` and `__match_args__`,
     with its base's methods and one constructor whose parameters are its
     fields, with their defaults: an interned class's `__new__`, which
-    looks the fields up in the table, or an `__init__`. A docstring
-    spares dataclass reading a signature."""
+    looks the fields up in the table, or an `__init__`. A class that is
+    not interned is made again with a slot per field, which its
+    `__init__` fills through each slot's descriptor; facts kept on an
+    instance, such as a checker run, still go in its `__dict__`. A
+    docstring spares dataclass reading a signature."""
     cls.__doc__ = cls.__doc__ or f"{cls.__name__}({', '.join(cls.__annotations__)})"
     cls = dataclass(init=False, repr=False, eq=False)(cls)
     names, declared = cls.__match_args__, fields(cls)
-    cls._shown = tuple(f.name for f in declared if f.repr)
-    cls._compared = tuple(f.name for f in declared if f.compare)
+    space = {"_table": _Interned._table, "_intern": _intern}
     params = "".join(f", {f}" for f in names)
     if interned := issubclass(cls, _Interned):
         head = f"def __new__(cls{params}):"
         body = [f"key = (cls{params},)", "return _table.get(key) or _intern(key)"]
     else:
-        # object.__setattr__ keeps the fields in the instance's inline values;
-        # filling self.__dict__ would make a dict per instance, slower to read.
+        cls = _slotted(cls, names)
+        space.update({f"_set_{f}": vars(cls)[f].__set__ for f in names})
         head = f"def __init__(self{params}):"
-        body = [f"_set(self, {f!r}, {f})" for f in names]
+        body = [f"_set_{f}(self, {f})" for f in names]
         body += ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
-    space = {"_set": object.__setattr__, "_table": _Interned._table, "_intern": _intern}
     exec("\n    ".join([head, *(body or ["pass"])]), space)
     make = space.get("__new__") or space["__init__"]
     make.__qualname__ = f"{cls.__qualname__}.{make.__name__}"
     make.__defaults__ = tuple(f.default for f in declared if f.default is not MISSING) or None
     setattr(cls, make.__name__, staticmethod(make) if interned else make)
+    cls._shown = tuple(f.name for f in declared if f.repr)
+    cls._compared = tuple(f.name for f in declared if f.compare)
     return cls
+
+
+def _slotted(cls: type, names: tuple[str, ...]) -> type:
+    # cls made again with a slot per field, as dataclass(slots=True)
+    # does; each default is left to the constructor. The class replaced
+    # is garbage until the collector runs, so it stops being a dataclass
+    # now, lest a walk over Record's subclasses count it.
+    space = {k: v for k, v in vars(cls).items() if k not in names}
+    space.update(__slots__=names, __qualname__=cls.__qualname__)
+    del cls.__dataclass_fields__
+    return type(cls)(cls.__name__, cls.__bases__, space)
 
 
 # ---------- Formulas ----------

@@ -83,14 +83,27 @@ def sense_of(d: Derivation, multiset: bool = False) -> Sense:
     succedent term together with each antecedent variable.
     """
     counts = _occurrences(check(d))
-    return Sense(frozenset(counts), counts if multiset else None)
+    return Sense(frozenset(counts), dict(counts) if multiset else None)
 
 
-def _occurrences(root: Checked) -> dict[Term, int]:
-    # The sense's terms with their counts, in the order the checker
-    # recorded the nodes, root last: each node's term, then the antecedent
-    # variables first seen at that node, by name. So each variable is
-    # sorted and interned once, and the antecedents are counted together.
+def _occurrences(root: Checked) -> Mapping[Term, int]:
+    """The terms of the sense of root's derivation with their counts.
+    They are counted once per root and kept on it, as `_counts`, so
+    `sense_renaming` and both `sense_of` calls of one `classify` walk
+    the recorded nodes once. The mapping is shared: a caller that hands
+    it out hands out a copy."""
+    counts = getattr(root, "_counts", None)
+    if counts is None:
+        counts = _count(root)
+        object.__setattr__(root, "_counts", counts)
+    return counts
+
+
+def _count(root: Checked) -> dict[Term, int]:
+    # In the order the checker recorded the nodes, root last: each
+    # node's term, then the antecedent variables first seen at that
+    # node, by name. So each variable is sorted and interned once, and
+    # the antecedents are counted together.
     counts: dict[Term, int] = {}
     antecedents: list[Var] = []
     seen: set[Var] = set()
@@ -205,7 +218,12 @@ def _search(
     those of counts2. Each term tries, through `_match`, the terms with its
     skeleton (kept on each node, beside `_normal`) and, for multisets,
     its count. The distinct terms are taken in the order given, so the
-    renaming found does not depend on hashing."""
+    renaming found does not depend on hashing. A scan starts at its
+    bucket's lowest unused position: a match there raises it, and a
+    backtrack that frees a term below it lowers it. So the same terms
+    are tried in the same order as from the bucket's start, but a
+    bucket whose terms each match at the first try, as a chain of cuts
+    gives, is scanned once in all, not once per term."""
     keys1 = {e: (_skeleton(e), n if multiset else 0) for e, n in counts1.items()}
     keys2 = {e: (_skeleton(e), n if multiset else 0) for e, n in counts2.items()}
     if Counter(keys1.values()) != Counter(keys2.values()):
@@ -214,6 +232,7 @@ def _search(
     buckets: dict[tuple, list[Term]] = {}
     for e, k in keys2.items():
         buckets.setdefault(k, []).append(e)
+    low = dict.fromkeys(buckets, 0)
     # Scarce skeletons first keeps the search shallow.
     order = sorted(keys1, key=lambda e: len(buckets[keys1[e]]))
 
@@ -225,8 +244,9 @@ def _search(
     start = 0
     while len(chosen) < len(order):
         e1 = order[len(chosen)]
-        bucket = buckets[keys1[e1]]
-        for pos in range(start, len(bucket)):
+        k = keys1[e1]
+        bucket = buckets[k]
+        for pos in range(max(start, low[k]), len(bucket)):
             e2 = bucket[pos]
             if e2 in used:
                 continue
@@ -234,6 +254,8 @@ def _search(
             if _match(e1, e2, rho):
                 used.add(e2)
                 chosen.append((pos, mark))
+                while low[k] < len(bucket) and bucket[low[k]] in used:
+                    low[k] += 1
                 start = 0
                 break
             rho.undo(mark)
@@ -241,7 +263,9 @@ def _search(
             if not chosen:
                 return None
             pos, mark = chosen.pop()
-            used.discard(buckets[keys1[order[len(chosen)]]][pos])
+            k = keys1[order[len(chosen)]]
+            used.discard(buckets[k][pos])
+            low[k] = min(low[k], pos)
             rho.undo(mark)
             start = pos + 1
     return rho.renaming()

@@ -12,14 +12,15 @@ node's premises, its label, its rendering and its parsing (a
 uniplate-style walk; Mitchell & Runciman, "Uniform boilerplate",
 Haskell Workshop 2007). `Checker` holds the bookkeeping both checkers
 share, and `Checked` is the base of a judgment and a sequent. A
-checker finds a node's rule by one lookup of its class in the
-calculus's table, `steps`, however many rules the calculus has.
+checker compiles each rule's plan in the calculus's table, `steps`,
+into one walk, and finds a node's walk by one lookup of its class,
+however many rules the calculus has.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Callable, ClassVar, Iterator, Mapping, Union
+from typing import Any, Callable, ClassVar, Iterator, Mapping, NoReturn, Union
 
 from .core import (
     Abort,
@@ -169,10 +170,12 @@ class Checked(Record):
     """A node's checked conclusion in either calculus: a judgment or a
     sequent. A checker run keeps on its root what it recorded: every
     node below the root with its conclusion, premises first, and each
-    variable's formula. They are not fields, so equality and repr ignore
-    them. Nothing the root holds refers back to its derivation, so
-    keeping it there makes no reference cycle. The end term keeps its
-    own normal form (see core)."""
+    variable's formula; `meaning` keeps the root's counted sense there
+    too. They are not fields, so equality and repr ignore them, and a
+    copy, built by the constructor, carries none of them. Nothing the
+    root holds refers back to its derivation, so keeping it there makes
+    no reference cycle. The end term keeps its own normal form (see
+    core)."""
 
     nodes: tuple[tuple[Node, Checked], ...] = ()
     types: Mapping[Var, Formula] = MappingProxyType({})
@@ -197,12 +200,19 @@ class Checker:
     and any guard where it runs: a check of the node, given the
     conclusions so far, whose error comes before any of the premises
     after it. The step builds the node's conclusion from its premises'
-    conclusions. No step reads a kept
-    root: an `imp-i` without a declared formula may take it from the
-    whole run's `types`, so a subtree's conclusion can depend on where
-    it sits."""
+    conclusions. No step reads a kept root: an `imp-i` without a
+    declared formula may take it from the whole run's `types`, so a
+    subtree's conclusion can depend on where it sits.
+
+    Each plan is compiled into one straight-line walk of its rule
+    class, kept in the subclass's `walks`: it reads the premise fields
+    by name, checks each with the walk its class finds in `walks`, runs
+    the guards where the plan puts them, and records the node. A
+    calculus's walks are compiled together, by one `exec`, when its
+    first check starts, so importing the package compiles none."""
 
     steps: ClassVar[Mapping[type, tuple[tuple[str | Callable[..., None], ...], Callable]]]
+    walks: ClassVar[dict[type, Callable[[Checker, Node], Checked]]]
 
     def __init__(self) -> None:
         self.types: dict[Var, Formula] = {}
@@ -215,32 +225,26 @@ class Checker:
         elif prev != f:
             raise VariableTypeClash(f"{v.name} occurs at both {prev!r} and {f!r}")
 
-    def union(self, *ctxs: Context) -> Context:
-        # Every context entry passed through `bind`, so contexts agree
-        # wherever they overlap and merging needs no check.
-        merged: dict[Var, Formula] = {}
-        for ctx in ctxs:
-            merged.update(ctx._bindings)
-        return Context._owning(merged)
+    def union(self, a: Context, b: Context) -> Context:
+        """The context with the entries of a and b. Every entry passed
+        through `bind`, so contexts agree wherever they overlap and
+        merging needs no check; contexts never change, so when one adds
+        nothing to the other, that other is the union, shared."""
+        if b._bindings.keys() <= a._bindings.keys():
+            return a
+        if a._bindings.keys() <= b._bindings.keys():
+            return b
+        return Context._owning({**a._bindings, **b._bindings})
 
     def check(self, d: Node) -> Checked:
         """d's conclusion, recorded in `nodes` after those of its
-        premises. The premises are checked here, by the plan of d's
-        class, and steps and guards only read conclusions, so the
+        premises, by the walk of d's class. The walks call each other
+        directly, and steps and guards only read conclusions, so the
         recursion takes one frame per level of d, as parsing does."""
-        entry = self.steps.get(type(d))
-        if entry is None:
-            raise TypeError(f"not a derivation node: {d!r}")
-        plan, step = entry
-        got = []
-        for part in plan:
-            if type(part) is str:
-                got.append(self.check(getattr(d, part)))
-            else:
-                part(self, d, *got)
-        out = step(self, d, *got)
-        self.nodes.append((d, out))
-        return out
+        walks = self.walks
+        if not walks:
+            _compile(self.steps, walks)
+        return (walks.get(type(d)) or _unknown(d))(self, d)
 
     def run(self, d: Node) -> Checked:
         """Check d and return its root conclusion, carrying the
@@ -252,6 +256,37 @@ class Checker:
         object.__setattr__(root, "types", self.types)
         object.__setattr__(d, "checked", root)
         return root
+
+
+def _unknown(d: object) -> NoReturn:
+    raise TypeError(f"not a derivation node: {d!r}")
+
+
+def _compile(steps: Mapping[type, tuple], walks: dict[type, Callable]) -> None:
+    # Fill walks from the source of each rule class's walk, as Checker
+    # describes it: the conclusion of the premise at plan position i is
+    # c{i}, and a guard gets those of the premises before it.
+    space = {"walks": walks, "_unknown": _unknown}
+    source = []
+    for cls, (plan, step) in steps.items():
+        name = cls.__name__
+        space[f"{name}_step"] = step
+        body = []
+        for i, part in enumerate(plan):
+            if type(part) is str:
+                body += [f"p = d.{part}", f"c{i} = (walks.get(type(p)) or _unknown(p))(self, p)"]
+            else:
+                space[f"{name}_guard{i}"] = part
+                body.append(f"{name}_guard{i}(self, d{_conclusions(plan[:i])})")
+        body += [f"out = {name}_step(self, d{_conclusions(plan)})"]
+        body += ["self.nodes.append((d, out))", "return out"]
+        source.append("\n    ".join([f"def {name}(self, d):", *body]))
+    exec("\n".join(source), space)
+    walks.update({cls: space[cls.__name__] for cls in steps})
+
+
+def _conclusions(plan: tuple) -> str:
+    return "".join(f", c{i}" for i, part in enumerate(plan) if type(part) is str)
 
 
 def kept(d: Node, check) -> Checked:
@@ -322,7 +357,7 @@ class _NdChecker(Checker):
             if got is not None and got != f:
                 raise BadDischarge(f"{v.name} is open at {got!r}, expected {f!r}")
             self.bind(v, f)
-        open_ctx = self.union(j0.open, j1.open.without(x), j2.open.without(y))
+        open_ctx = self.union(j0.open, self.union(j1.open.without(x), j2.open.without(y)))
         return Judgment(open_ctx, Case(j0.term, x, a, j1.term, y, b, j2.term), j1.formula)
 
     def absurd_e(self, d: AbsurdE, j: Judgment) -> Judgment:
@@ -342,6 +377,7 @@ class _NdChecker(Checker):
         OrE: (("scrutinee", disjunction, "left", "right"), or_e),
         AbsurdE: (("premise",), absurd_e),
     }
+    walks = {}
 
 
 def check_nd(d: NdDerivation) -> Judgment:

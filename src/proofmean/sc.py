@@ -5,7 +5,7 @@ weakening and contraction appear as explicit nodes. Antecedents are
 variable contexts; the checker threads terms through each rule by
 substitution and enforces one formula per variable globally. Each
 rule class has a plan and a step in `_ScChecker.steps`, which
-`nd.Checker.check` looks up by the node's class.
+`nd.Checker` compiles into one walk of the class.
 
 RuleMismatch and VariableTypeClash are shared with the natural
 deduction checker and re-exported here.
@@ -313,6 +313,7 @@ class _ScChecker(Checker):
         Contract: (("premise",), contract),
         Cut: (("left", "right"), cut),
     }
+    walks = {}
 
 
 def check_sc(d: ScDerivation) -> Sequent:

@@ -65,7 +65,7 @@ from .core import (
     VarRef,
     canonicalize,
 )
-from .core import Record, record
+from .core import Record, _Interned, record
 from . import nd as _nd
 from . import sc as _sc
 
@@ -383,12 +383,13 @@ class _Parser:
         """One rule application of the calculus ("nd" or "sc"), its
         fields read in declaration order by their kinds. The cursor
         stays in the local i, and a bare variable, or an atom that no
-        connective follows, is read on the spot; anything else goes
-        through self.i and the readers above, which report every error.
+        connective follows, is read on the spot, from the intern table
+        when it is there; anything else goes through self.i and the
+        readers above, which report every error.
         A label-less imp-i whose premise adds no hyp of its variable to
         self.hyps goes on self.dangling."""
         rules = _RULES[calculus]
-        words = self.words
+        words, table = self.words, _Interned._table
         start = i = self.i
         rule = words[i + 1]
         if words[i] != "(" or rule in _NOT_IDENT:
@@ -406,11 +407,11 @@ class _Parser:
             word = words[i]
             if kind is not _PREMISE and word not in _NOT_NAME:
                 if kind is _VARIABLE:
-                    args.append(Var(word))
+                    args.append(table.get((Var, word)) or Var(word))
                     i += 1
                     continue
                 if words[i + 1] not in _INFIX:
-                    args.append(Atom(word))
+                    args.append(table.get((Atom, word)) or Atom(word))
                     i += 1
                     continue
             self.i = i
@@ -426,8 +427,10 @@ class _Parser:
             else:
                 args.append(self.formula())
             i = self.i
-        self.i = i
-        self.expect(")")
+        if words[i] != ")":
+            self.i = i
+            raise self.unexpected(")")
+        self.i = i + 1
         if cls is _nd.Hyp:
             self.hyps[args[0].name] = self.hyps.get(args[0].name, 0) + 1
         elif label is not None and self.hyps.get(label, 0) == before:

@@ -92,6 +92,34 @@ MUTANTS = [
         "",
         "two cases merge into one only over one scrutinee",
     ),
+    Mutant(
+        "union_shares_its_first_operand_unasked",
+        "nd.py",
+        "        if b._bindings.keys() <= a._bindings.keys():\n            return a\n",
+        "        return a\n",
+        "a conclusion's context holds the open variables of every premise",
+    ),
+    Mutant(
+        "guards_run_after_the_premises",
+        "nd.py",
+        "        for i, part in enumerate(plan):\n",
+        "        for i, part in sorted(enumerate(plan), key=lambda ip: type(ip[1]) is not str):\n",
+        "a rule's guard reports its error before any premise after it is checked",
+    ),
+    Mutant(
+        "low_water_mark_never_lowered",
+        "meaning.py",
+        "            low[k] = min(low[k], pos)\n",
+        "",
+        "a term freed by backtracking can be taken again",
+    ),
+    Mutant(
+        "multiset_sense_hands_out_the_kept_counts",
+        "meaning.py",
+        "dict(counts) if multiset else None",
+        "counts if multiset else None",
+        "a sense handed out cannot change the one kept on the root",
+    ),
 ]
 
 

@@ -6,8 +6,9 @@ details are all read off those runs. A derivation keeps its run, and
 its end term keeps its normal form, so asking again takes no checker
 run and no contraction, and the kept run makes no reference cycle.
 Each file is tokenized once, and the benchmark's trace counts its
-tokens from that call. A gamma-mode classify of a closed pair types
-neither term and builds each alpha key once.
+tokens from that call. Each root's sense is counted once. A
+gamma-mode classify of a closed pair types neither term and builds
+each alpha key once.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import gc
 import io
 import itertools
 import json
+import operator
 import runpy
 import weakref
 from pathlib import Path
@@ -142,6 +144,27 @@ def test_classify_checks_each_derivation_once(checks, load_corpus, corpus_files)
             verdicts.add(type(classify(d1, d2, mode)))
     assert len(verdicts) == 4
     assert checks() == len(derivations)
+
+
+def test_classify_counts_each_roots_sense_once(monkeypatch, load_corpus):
+    # The renaming search and both senses of the verdict read each
+    # root's occurrences, which are counted once and kept on the root.
+    walks = []
+    count = meaning._count
+
+    def counted(root):
+        walks.append(root)
+        return count(root)
+
+    monkeypatch.setattr(meaning, "_count", counted)
+    d1 = load_corpus("sc_inl_cut.sc").derivation
+    d2 = load_corpus("sc_inl_cutfree.sc").derivation
+    verdict = classify(d1, d2, multiset=True)
+    assert type(verdict) is meaning.DifferentSenseSameDenotation
+    roots = [meaning.check(d1), meaning.check(d2)]
+    assert len(walks) == 2 and all(map(operator.is_, walks, roots))
+    assert verdict.senses == (meaning.sense_of(d1, True), meaning.sense_of(d2, True))
+    assert len(walks) == 2
 
 
 def test_corpus_checks_each_file_once(checks, corpus_dir, corpus_files):

@@ -190,6 +190,67 @@ def test_record_classes_hold_one_constructor_and_no_generated_method():
         ], cls
 
 
+def _records() -> list[Record]:
+    # One instance of each record class that is not interned, with a
+    # kept checker run where one can be kept: every rule node of both
+    # calculi, checked roots of both, a multiset sense, the verdicts,
+    # the modes, a source file and a cut. The sense has one element:
+    # a frozenset's repr lists its elements in the order of its hash
+    # table, which a copy may lay out anew.
+    from proofmean import meaning, rewrite, syntax
+
+    h, rf = nd.Hyp(x, p), sc.Rf(x, p)
+    nodes = [
+        h, nd.ImpI(x, None, h), nd.ImpE(h, h), nd.AndI(h, h), nd.AndE1(h), nd.AndE2(h),
+        nd.OrI1(q, h), nd.OrI2(q, h), nd.OrE(h, x, h, y, h), nd.AbsurdE(q, h),
+        rf, sc.AndR(rf, rf), sc.AndL(z, x, y, rf), sc.OrR1(q, rf), sc.OrR2(q, rf),
+        sc.OrL(z, x, y, rf, rf), sc.ImpR(x, rf), sc.ImpL(z, y, rf, rf), sc.AbsurdL(x, q),
+        sc.Weaken(y, q, rf), sc.Contract(x, y, rf), sc.Cut(y, rf, rf),
+    ]
+    d1 = nd.ImpI(x, None, nd.AndI(nd.Hyp(x, p), nd.Hyp(x, p)))
+    d2 = nd.ImpI(y, None, nd.AndI(nd.Hyp(y, p), nd.Hyp(y, p)))
+    cut = sc.Cut(y, sc.Rf(x, p), sc.AndR(sc.Rf(y, p), sc.Rf(y, p)))
+    return [
+        *nodes, d1, check_nd(d1), check_sc(cut),
+        meaning.sense_of(sc.Weaken(x, p, rf), multiset=True),
+        meaning.classify(d1, d2),
+        meaning.DifferentSenseSameDenotation((meaning.sense_of(d1), meaning.sense_of(d2))),
+        meaning.DifferentDenotation((VarRef(x), VarRef(y))),
+        meaning.SameDenotationUpToGamma(True, (VarRef(x), VarRef(y))),
+        rewrite.BetaEta(), rewrite.BetaEtaGamma(3),
+        syntax.parse_file("(nd n (hyp x p))"), *sc.cut_nodes(cut),
+    ]
+
+
+def test_every_record_survives_copy_deepcopy_and_pickle():
+    # A record that is not interned comes back equal, with the same repr,
+    # and still refuses assignment.
+    import proofmean.cli  # noqa: F401  (every module, so every class)
+
+    classes, stack = set(), [Record]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            classes |= {cls} if is_dataclass(cls) and not issubclass(cls, _Interned) else set()
+    records = _records()
+    assert {type(r) for r in records} == classes
+    for record in records:
+        for again in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            got = again(record)
+            assert type(got) is type(record) and got == record, record
+            assert repr(got) == repr(record)
+            with pytest.raises(FrozenInstanceError):
+                got.anything = 1
+
+
+def test_a_copy_is_built_by_its_constructor_and_keeps_no_checker_run():
+    d = nd.AndI(nd.Hyp(x, p), nd.Hyp(y, q))
+    root = check_nd(d)
+    for again in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        assert again(d).checked is None and again(root).nodes == ()
+    assert d.checked is root and len(root.nodes) == 2
+
+
 def test_fields_can_be_given_by_keyword():
     t = VarRef(x)
     lam = Lam(x, p, t)

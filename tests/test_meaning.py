@@ -18,7 +18,7 @@ from proofmean.meaning import (
 )
 from proofmean.nd import AndE1, AndE2, AndI, Hyp, ImpE, ImpI, OrE, check_nd, node_judgments
 from proofmean.rewrite import BetaEta, BetaEtaGamma
-from proofmean.sc import AndR, Rf
+from proofmean.sc import AndR, ImpR, Rf
 from proofmean.syntax import parse, parse_file, parse_term
 
 p, q = Atom("p"), Atom("q")
@@ -56,6 +56,23 @@ def test_multiset_sense_distinguishes_reuse():
     assert sc_counts[VarRef(x)] == 5
     assert same_sense(d_nd, d_sc)
     assert not same_sense(d_nd, d_sc, multiset=True)
+
+
+def test_changing_a_returned_multiset_changes_no_later_answer():
+    # Each root keeps its counted sense; a multiset sense hands out a
+    # copy of it, so a caller that changes the copy changes nothing kept.
+    d1, d2 = (ImpR(v, AndR(Rf(v, p), Rf(v, p))) for v in (x, y))
+    before = sense_of(d1, multiset=True)
+    verdict = classify(d1, d2, multiset=True)
+    assert verdict == SameSenseSameDenotation()
+    counts = sense_of(d1, multiset=True).counts
+    counts[VarRef(x)] += 1
+    counts[Pair(VarRef(y), VarRef(y))] = 5
+    del counts[Pair(VarRef(x), VarRef(x))]
+    assert sense_of(d1, multiset=True) == before
+    pair = Pair(VarRef(x), VarRef(x))
+    assert before.counts == {VarRef(x): 5, pair: 1, Lam(x, p, pair): 1}
+    assert classify(d1, d2, multiset=True).renaming == verdict.renaming == {x: y}
 
 
 def test_sense_renaming_is_a_typed_bijection():
@@ -103,6 +120,41 @@ def test_sense_search_takes_back_a_partial_match():
     rho = meaning._Bijection(tau1, tau2)
     found = meaning._search(Counter(occ1), Counter(occ2), rho, multiset=False)
     assert found == {a: c, a2: c2, b: d, b2: d2}
+
+
+def test_a_backtrack_frees_a_term_that_a_later_one_takes(monkeypatch):
+    # Each sequent cuts away two pairs of one skeleton, in the opposite
+    # order, and ends in <y, y>. <a, y> first takes <b2, w2>, so <b, w>
+    # takes <a2, y2>, and <y, y> then fails: y went to w2. Backtracking
+    # frees both, <a, y> takes <a2, y2>, and <b, w> must take <b2, w2>,
+    # which sits below every term it has tried.
+    taken = []
+    match = meaning._match
+
+    def recording(t1, t2, rho):
+        ok = match(t1, t2, rho)
+        if ok and type(t1) is Pair:
+            taken.append((t1, t2))
+        return ok
+
+    monkeypatch.setattr(meaning, "_match", recording)
+    d1 = parse(
+        "(cut c1 (and-r (rf a p) (rf y q)) (cut c2 (and-r (rf b p) (rf w q))"
+        " (weaken c1 p/\\q (weaken c2 p/\\q (and-r (rf y q) (rf y q))))))"
+    )
+    d2 = parse(
+        "(cut c3 (and-r (rf b2 p) (rf w2 q)) (cut c4 (and-r (rf a2 p) (rf y2 q))"
+        " (weaken c3 p/\\q (weaken c4 p/\\q (and-r (rf y2 q) (rf y2 q))))))"
+    )
+    renaming = sense_renaming(d1, d2)
+    pairs = [parse_term(f"<{u}, {v}>") for u, v in ("ay", "bw", "yy")]
+    images = [parse_term(f"<{u}2, {v}2>") for u, v in ("ay", "bw", "yy")]
+    assert taken == [
+        (pairs[0], images[1]), (pairs[1], images[0]),
+        (pairs[0], images[0]), (pairs[1], images[1]), (pairs[2], images[2]),
+    ]
+    names = {"a": "a2", "y": "y2", "b": "b2", "w": "w2", "c2": "c4", "c1": "c3"}
+    assert renaming == {Var(u): Var(v) for u, v in names.items()}
 
 
 def test_denotation_is_the_normal_form():
