@@ -402,7 +402,8 @@ def classify(
         return SameDenotationUpToGamma(True, (n1, n2))
     if not same:
         return DifferentDenotation((n1, n2))
-    if not alpha_equal(n1, n2):
+    # In beta-eta mode `_same` answers True only for alpha-equal normal forms.
+    if not isinstance(mode, BetaEta) and not alpha_equal(n1, n2):
         return SameDenotationUpToGamma(False, (n1, n2))
     renaming = sense_renaming(d1, d2, multiset)
     if renaming is not None:

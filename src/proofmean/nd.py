@@ -11,9 +11,9 @@ concrete syntax writes them, so one walk over the fields gives any
 node's premises, its label, its rendering and its parsing (a
 uniplate-style walk; Mitchell & Runciman, "Uniform boilerplate",
 Haskell Workshop 2007). `Checker` holds the bookkeeping both checkers
-share, and `Checked` is the base of a judgment and a sequent. A
-checker compiles each rule's plan in the calculus's table, `steps`,
-into one walk, and finds a node's walk by one lookup of its class,
+share, and `Checked` is the base of a judgment and a sequent. Each
+rule class has one checker method, its step, in its calculus's table,
+`steps`, and a node's step is found by one lookup of its class,
 however many rules the calculus has.
 """
 
@@ -195,24 +195,17 @@ class Checker:
     """What the checkers of both calculi share: one formula per variable
     across the run, the conclusion recorded at every node, and the root
     that carries both and is kept on the derivation. A subclass gives
-    `steps`: for each rule class of its calculus, a plan and a step. The
-    plan lists the node's premise fields in the order they are checked,
-    and any guard where it runs: a check of the node, given the
-    conclusions so far, whose error comes before any of the premises
-    after it. The step builds the node's conclusion from its premises'
-    conclusions. No step reads a kept root: an `imp-i` without a
-    declared formula may take it from the whole run's `types`, so a
-    subtree's conclusion can depend on where it sits.
+    `steps`, its calculus's step table: for each rule class, the method
+    that checks a node of that class. A step checks each premise by the
+    step its class finds in the table, in the order the rule's errors
+    come, runs the rule's own tests, records the node with `done` and
+    returns its conclusion. Steps call each other directly, so a run
+    takes one frame per level of the derivation, as parsing does. No
+    step reads a kept root: an `imp-i` without a declared formula may
+    take it from the whole run's `types`, so a subtree's conclusion can
+    depend on where it sits."""
 
-    Each plan is compiled into one straight-line walk of its rule
-    class, kept in the subclass's `walks`: it reads the premise fields
-    by name, checks each with the walk its class finds in `walks`, runs
-    the guards where the plan puts them, and records the node. A
-    calculus's walks are compiled together, by one `exec`, when its
-    first check starts, so importing the package compiles none."""
-
-    steps: ClassVar[Mapping[type, tuple[tuple[str | Callable[..., None], ...], Callable]]]
-    walks: ClassVar[dict[type, Callable[[Checker, Node], Checked]]]
+    steps: ClassVar[Mapping[type, Callable[[Checker, Node], Checked]]]
 
     def __init__(self) -> None:
         self.types: dict[Var, Formula] = {}
@@ -236,21 +229,17 @@ class Checker:
             return b
         return Context._owning({**a._bindings, **b._bindings})
 
-    def check(self, d: Node) -> Checked:
-        """d's conclusion, recorded in `nodes` after those of its
-        premises, by the walk of d's class. The walks call each other
-        directly, and steps and guards only read conclusions, so the
-        recursion takes one frame per level of d, as parsing does."""
-        walks = self.walks
-        if not walks:
-            _compile(self.steps, walks)
-        return (walks.get(type(d)) or _unknown(d))(self, d)
+    def done(self, d: Node, out: Checked) -> Checked:
+        """Record out as d's conclusion, after those of its premises, and
+        return it."""
+        self.nodes.append((d, out))
+        return out
 
     def run(self, d: Node) -> Checked:
-        """Check d and return its root conclusion, carrying the
-        conclusion of every node below d and the variable types of this
-        run, and keep it on d as `d.checked`."""
-        root = rebuild(self.check(d), {})
+        """Check d by the step of its class and return its root
+        conclusion, carrying the conclusion of every node below d and
+        the variable types of this run, and keep it on d as `d.checked`."""
+        root = rebuild(self.steps[type(d)](self, d), {})
         self.nodes.pop()
         object.__setattr__(root, "nodes", tuple(self.nodes))
         object.__setattr__(root, "types", self.types)
@@ -258,35 +247,16 @@ class Checker:
         return root
 
 
-def _unknown(d: object) -> NoReturn:
+class Steps(dict):
+    """A calculus's step table, keyed by rule class. A class with no
+    step in it finds one that rejects the node."""
+
+    def __missing__(self, cls: type) -> Callable[[Checker, object], NoReturn]:
+        return _unknown
+
+
+def _unknown(checker: Checker, d: object) -> NoReturn:
     raise TypeError(f"not a derivation node: {d!r}")
-
-
-def _compile(steps: Mapping[type, tuple], walks: dict[type, Callable]) -> None:
-    # Fill walks from the source of each rule class's walk, as Checker
-    # describes it: the conclusion of the premise at plan position i is
-    # c{i}, and a guard gets those of the premises before it.
-    space = {"walks": walks, "_unknown": _unknown}
-    source = []
-    for cls, (plan, step) in steps.items():
-        name = cls.__name__
-        space[f"{name}_step"] = step
-        body = []
-        for i, part in enumerate(plan):
-            if type(part) is str:
-                body += [f"p = d.{part}", f"c{i} = (walks.get(type(p)) or _unknown(p))(self, p)"]
-            else:
-                space[f"{name}_guard{i}"] = part
-                body.append(f"{name}_guard{i}(self, d{_conclusions(plan[:i])})")
-        body += [f"out = {name}_step(self, d{_conclusions(plan)})"]
-        body += ["self.nodes.append((d, out))", "return out"]
-        source.append("\n    ".join([f"def {name}(self, d):", *body]))
-    exec("\n".join(source), space)
-    walks.update({cls: space[cls.__name__] for cls in steps})
-
-
-def _conclusions(plan: tuple) -> str:
-    return "".join(f", c{i}" for i, part in enumerate(plan) if type(part) is str)
 
 
 def kept(d: Node, check) -> Checked:
@@ -300,9 +270,10 @@ class _NdChecker(Checker):
     def hyp(self, d: Hyp) -> Judgment:
         x, a = d.var, d.formula
         self.bind(x, a)
-        return Judgment(Context._owning({x: a}), VarRef(x), a)
+        return self.done(d, Judgment(Context._owning({x: a}), VarRef(x), a))
 
-    def imp_i(self, d: ImpI, j: Judgment) -> Judgment:
+    def imp_i(self, d: ImpI) -> Judgment:
+        j = _ND[type(d.premise)](self, d.premise)
         x, declared = d.var, d.hypothesis
         from_open = j.open.get(x)
         if declared is not None and from_open is not None and from_open != declared:
@@ -313,41 +284,51 @@ class _NdChecker(Checker):
         if a is None:
             raise BadDischarge(f"cannot determine the formula discharged with {x.name}")
         self.bind(x, a)
-        return Judgment(j.open.without(x), Lam(x, a, j.term), Implies(a, j.formula))
+        return self.done(d, Judgment(j.open.without(x), Lam(x, a, j.term), Implies(a, j.formula)))
 
-    def imp_e(self, d: ImpE, jf: Judgment, ja: Judgment) -> Judgment:
+    def imp_e(self, d: ImpE) -> Judgment:
+        jf = _ND[type(d.fun)](self, d.fun)
+        ja = _ND[type(d.arg)](self, d.arg)
         if not isinstance(jf.formula, Implies):
             raise RuleMismatch(f"major premise proves {jf.formula!r}, not an implication")
         if jf.formula.left != ja.formula:
             raise RuleMismatch(f"minor premise proves {ja.formula!r}, expected {jf.formula.left!r}")
-        return Judgment(self.union(jf.open, ja.open), App(jf.term, ja.term), jf.formula.right)
+        ctx = self.union(jf.open, ja.open)
+        return self.done(d, Judgment(ctx, App(jf.term, ja.term), jf.formula.right))
 
-    def and_i(self, d: AndI, j1: Judgment, j2: Judgment) -> Judgment:
-        return Judgment(
-            self.union(j1.open, j2.open), Pair(j1.term, j2.term), And(j1.formula, j2.formula)
-        )
+    def and_i(self, d: AndI) -> Judgment:
+        j1 = _ND[type(d.left)](self, d.left)
+        j2 = _ND[type(d.right)](self, d.right)
+        ctx = self.union(j1.open, j2.open)
+        return self.done(d, Judgment(ctx, Pair(j1.term, j2.term), And(j1.formula, j2.formula)))
 
-    def and_e1(self, d: AndE1, j: Judgment) -> Judgment:
+    def and_e1(self, d: AndE1) -> Judgment:
+        j = _ND[type(d.premise)](self, d.premise)
         if not isinstance(j.formula, And):
             raise RuleMismatch(f"premise proves {j.formula!r}, not a conjunction")
-        return Judgment(j.open, Fst(j.term), j.formula.left)
+        return self.done(d, Judgment(j.open, Fst(j.term), j.formula.left))
 
-    def and_e2(self, d: AndE2, j: Judgment) -> Judgment:
+    def and_e2(self, d: AndE2) -> Judgment:
+        j = _ND[type(d.premise)](self, d.premise)
         if not isinstance(j.formula, And):
             raise RuleMismatch(f"premise proves {j.formula!r}, not a conjunction")
-        return Judgment(j.open, Snd(j.term), j.formula.right)
+        return self.done(d, Judgment(j.open, Snd(j.term), j.formula.right))
 
-    def or_i1(self, d: OrI1, j: Judgment) -> Judgment:
-        return Judgment(j.open, Inl(j.term, d.other), Or(j.formula, d.other))
+    def or_i1(self, d: OrI1) -> Judgment:
+        j = _ND[type(d.premise)](self, d.premise)
+        return self.done(d, Judgment(j.open, Inl(j.term, d.other), Or(j.formula, d.other)))
 
-    def or_i2(self, d: OrI2, j: Judgment) -> Judgment:
-        return Judgment(j.open, Inr(j.term, d.other), Or(d.other, j.formula))
+    def or_i2(self, d: OrI2) -> Judgment:
+        j = _ND[type(d.premise)](self, d.premise)
+        return self.done(d, Judgment(j.open, Inr(j.term, d.other), Or(d.other, j.formula)))
 
-    def disjunction(self, d: OrE, j0: Judgment) -> None:
+    def or_e(self, d: OrE) -> Judgment:
+        # The major premise is tested before either branch is checked.
+        j0 = _ND[type(d.scrutinee)](self, d.scrutinee)
         if not isinstance(j0.formula, Or):
             raise RuleMismatch(f"major premise proves {j0.formula!r}, not a disjunction")
-
-    def or_e(self, d: OrE, j0: Judgment, j1: Judgment, j2: Judgment) -> Judgment:
+        j1 = _ND[type(d.left)](self, d.left)
+        j2 = _ND[type(d.right)](self, d.right)
         x, y = d.left_var, d.right_var
         a, b = j0.formula.left, j0.formula.right
         if j1.formula != j2.formula:
@@ -357,27 +338,20 @@ class _NdChecker(Checker):
             if got is not None and got != f:
                 raise BadDischarge(f"{v.name} is open at {got!r}, expected {f!r}")
             self.bind(v, f)
-        open_ctx = self.union(j0.open, self.union(j1.open.without(x), j2.open.without(y)))
-        return Judgment(open_ctx, Case(j0.term, x, a, j1.term, y, b, j2.term), j1.formula)
+        ctx = self.union(j0.open, self.union(j1.open.without(x), j2.open.without(y)))
+        return self.done(d, Judgment(ctx, Case(j0.term, x, a, j1.term, y, b, j2.term), j1.formula))
 
-    def absurd_e(self, d: AbsurdE, j: Judgment) -> Judgment:
+    def absurd_e(self, d: AbsurdE) -> Judgment:
+        j = _ND[type(d.premise)](self, d.premise)
         if j.formula != Absurd():
             raise RuleMismatch(f"premise proves {j.formula!r}, not absurdity")
-        return Judgment(j.open, Abort(j.term, d.target), d.target)
+        return self.done(d, Judgment(j.open, Abort(j.term, d.target), d.target))
 
-    steps = {
-        Hyp: ((), hyp),
-        ImpI: (("premise",), imp_i),
-        ImpE: (("fun", "arg"), imp_e),
-        AndI: (("left", "right"), and_i),
-        AndE1: (("premise",), and_e1),
-        AndE2: (("premise",), and_e2),
-        OrI1: (("premise",), or_i1),
-        OrI2: (("premise",), or_i2),
-        OrE: (("scrutinee", disjunction, "left", "right"), or_e),
-        AbsurdE: (("premise",), absurd_e),
-    }
-    walks = {}
+    steps = Steps({Hyp: hyp, ImpI: imp_i, ImpE: imp_e, AndI: and_i, AndE1: and_e1, AndE2: and_e2,
+                   OrI1: or_i1, OrI2: or_i2, OrE: or_e, AbsurdE: absurd_e})
+
+
+_ND = _NdChecker.steps
 
 
 def check_nd(d: NdDerivation) -> Judgment:

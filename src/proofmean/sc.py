@@ -4,8 +4,9 @@ The calculus has no structural rules built into the logical ones, so
 weakening and contraction appear as explicit nodes. Antecedents are
 variable contexts; the checker threads terms through each rule by
 substitution and enforces one formula per variable globally. Each
-rule class has a plan and a step in `_ScChecker.steps`, which
-`nd.Checker` compiles into one walk of the class.
+rule class has one step in `_ScChecker.steps`: a method that checks
+the node's premises through that table, then the rule itself (see
+`nd.Checker`).
 
 RuleMismatch and VariableTypeClash are shared with the natural
 deduction checker and re-exported here.
@@ -37,7 +38,7 @@ from .core import (
     VarRef,
 )
 from .core import Record, record, substitute, substitute_many
-from .nd import Checked, Checker, Node, RuleMismatch, VariableTypeClash, kept, premises
+from .nd import Checked, Checker, Node, RuleMismatch, Steps, VariableTypeClash, kept, premises
 
 __all__ = [
     "Rf",
@@ -197,20 +198,19 @@ class _ScChecker(Checker):
     def rf(self, d: Rf) -> Sequent:
         x, a = d.var, d.formula
         self.bind(x, a)
-        return Sequent(Context._owning({x: a}), VarRef(x), a)
+        return self.done(d, Sequent(Context._owning({x: a}), VarRef(x), a))
 
-    def and_r(self, d: AndR, s1: Sequent, s2: Sequent) -> Sequent:
-        return Sequent(
-            self.union(s1.antecedent, s2.antecedent),
-            Pair(s1.term, s2.term),
-            And(s1.succedent, s2.succedent),
-        )
+    def and_r(self, d: AndR) -> Sequent:
+        s1 = _SC[type(d.left)](self, d.left)
+        s2 = _SC[type(d.right)](self, d.right)
+        ante = self.union(s1.antecedent, s2.antecedent)
+        return self.done(d, Sequent(ante, Pair(s1.term, s2.term), And(s1.succedent, s2.succedent)))
 
-    def distinct(self, d: AndL) -> None:
+    def and_l(self, d: AndL) -> Sequent:
+        # The components are tested distinct before the premise is checked.
         if d.first == d.second:
             raise RuleMismatch("the two component variables must be distinct")
-
-    def and_l(self, d: AndL, s: Sequent) -> Sequent:
+        s = _SC[type(d.premise)](self, d.premise)
         z, x, y = d.principal, d.first, d.second
         a = s.antecedent.get(x)
         b = s.antecedent.get(y)
@@ -219,15 +219,19 @@ class _ScChecker(Checker):
         rest = s.antecedent.without(x).without(y)
         ante = self.introduce(rest, z, And(a, b))
         term = substitute_many(s.term, {x: Fst(VarRef(z)), y: Snd(VarRef(z))})
-        return Sequent(ante, term, s.succedent)
+        return self.done(d, Sequent(ante, term, s.succedent))
 
-    def or_r1(self, d: OrR1, s: Sequent) -> Sequent:
-        return Sequent(s.antecedent, Inl(s.term, d.other), Or(s.succedent, d.other))
+    def or_r1(self, d: OrR1) -> Sequent:
+        s = _SC[type(d.premise)](self, d.premise)
+        return self.done(d, Sequent(s.antecedent, Inl(s.term, d.other), Or(s.succedent, d.other)))
 
-    def or_r2(self, d: OrR2, s: Sequent) -> Sequent:
-        return Sequent(s.antecedent, Inr(s.term, d.other), Or(d.other, s.succedent))
+    def or_r2(self, d: OrR2) -> Sequent:
+        s = _SC[type(d.premise)](self, d.premise)
+        return self.done(d, Sequent(s.antecedent, Inr(s.term, d.other), Or(d.other, s.succedent)))
 
-    def or_l(self, d: OrL, s1: Sequent, s2: Sequent) -> Sequent:
+    def or_l(self, d: OrL) -> Sequent:
+        s1 = _SC[type(d.left)](self, d.left)
+        s2 = _SC[type(d.right)](self, d.right)
         z, x, y = d.principal, d.left_var, d.right_var
         a = s1.antecedent.get(x)
         b = s2.antecedent.get(y)
@@ -241,16 +245,20 @@ class _ScChecker(Checker):
             )
         rest = self.union(s1.antecedent.without(x), s2.antecedent.without(y))
         term = Case(VarRef(z), x, a, s1.term, y, b, s2.term)
-        return Sequent(self.introduce(rest, z, Or(a, b)), term, s1.succedent)
+        return self.done(d, Sequent(self.introduce(rest, z, Or(a, b)), term, s1.succedent))
 
-    def imp_r(self, d: ImpR, s: Sequent) -> Sequent:
+    def imp_r(self, d: ImpR) -> Sequent:
+        s = _SC[type(d.premise)](self, d.premise)
         x = d.var
         a = s.antecedent.get(x)
         if a is None:
             raise RuleMismatch(f"{x.name} must be in the premise antecedent; weaken it in first")
-        return Sequent(s.antecedent.without(x), Lam(x, a, s.term), Implies(a, s.succedent))
+        ante = s.antecedent.without(x)
+        return self.done(d, Sequent(ante, Lam(x, a, s.term), Implies(a, s.succedent)))
 
-    def imp_l(self, d: ImpL, s1: Sequent, s2: Sequent) -> Sequent:
+    def imp_l(self, d: ImpL) -> Sequent:
+        s1 = _SC[type(d.arg)](self, d.arg)
+        s2 = _SC[type(d.body)](self, d.body)
         x, y = d.principal, d.target
         b = s2.antecedent.get(y)
         if b is None:
@@ -258,17 +266,21 @@ class _ScChecker(Checker):
         rest = self.union(s1.antecedent, s2.antecedent.without(y))
         ante = self.introduce(rest, x, Implies(s1.succedent, b))
         term = substitute(s2.term, y, App(VarRef(x), s1.term))
-        return Sequent(ante, term, s2.succedent)
+        return self.done(d, Sequent(ante, term, s2.succedent))
 
     def absurd_l(self, d: AbsurdL) -> Sequent:
         x, target = d.var, d.target
         self.bind(x, Absurd())
-        return Sequent(Context._owning({x: Absurd()}), Abort(VarRef(x), target), target)
+        ante = Context._owning({x: Absurd()})
+        return self.done(d, Sequent(ante, Abort(VarRef(x), target), target))
 
-    def weaken(self, d: Weaken, s: Sequent) -> Sequent:
-        return Sequent(self.introduce(s.antecedent, d.var, d.formula), s.term, s.succedent)
+    def weaken(self, d: Weaken) -> Sequent:
+        s = _SC[type(d.premise)](self, d.premise)
+        ante = self.introduce(s.antecedent, d.var, d.formula)
+        return self.done(d, Sequent(ante, s.term, s.succedent))
 
-    def contract(self, d: Contract, s: Sequent) -> Sequent:
+    def contract(self, d: Contract) -> Sequent:
+        s = _SC[type(d.premise)](self, d.premise)
         kept, merged = d.kept, d.merged
         fk = s.antecedent.get(kept)
         fm = s.antecedent.get(merged)
@@ -281,12 +293,13 @@ class _ScChecker(Checker):
                 f"{kept.name} and {merged.name} stand at {fk!r} and {fm!r}, which differ"
             )
         if kept == merged:
-            return s
-        return Sequent(
-            s.antecedent.without(merged), substitute(s.term, merged, VarRef(kept)), s.succedent
-        )
+            return self.done(d, s)
+        term = substitute(s.term, merged, VarRef(kept))
+        return self.done(d, Sequent(s.antecedent.without(merged), term, s.succedent))
 
-    def cut(self, d: Cut, s1: Sequent, s2: Sequent) -> Sequent:
+    def cut(self, d: Cut) -> Sequent:
+        s1 = _SC[type(d.left)](self, d.left)
+        s2 = _SC[type(d.right)](self, d.right)
         x = d.var
         cut_formula = s2.antecedent.get(x)
         if cut_formula is None:
@@ -297,23 +310,14 @@ class _ScChecker(Checker):
                 f"but {x.name} stands at {cut_formula!r}"
             )
         rest = self.union(s1.antecedent, s2.antecedent.without(x))
-        return Sequent(rest, substitute(s2.term, x, s1.term), s2.succedent)
+        return self.done(d, Sequent(rest, substitute(s2.term, x, s1.term), s2.succedent))
 
-    steps = {
-        Rf: ((), rf),
-        AndR: (("left", "right"), and_r),
-        AndL: ((distinct, "premise"), and_l),
-        OrR1: (("premise",), or_r1),
-        OrR2: (("premise",), or_r2),
-        OrL: (("left", "right"), or_l),
-        ImpR: (("premise",), imp_r),
-        ImpL: (("arg", "body"), imp_l),
-        AbsurdL: ((), absurd_l),
-        Weaken: (("premise",), weaken),
-        Contract: (("premise",), contract),
-        Cut: (("left", "right"), cut),
-    }
-    walks = {}
+    steps = Steps({Rf: rf, AndR: and_r, AndL: and_l, OrR1: or_r1, OrR2: or_r2, OrL: or_l,
+                   ImpR: imp_r, ImpL: imp_l, AbsurdL: absurd_l, Weaken: weaken,
+                   Contract: contract, Cut: cut})
+
+
+_SC = _ScChecker.steps
 
 
 def check_sc(d: ScDerivation) -> Sequent:

@@ -8,10 +8,12 @@ in it, the text that replaces it, and the law the change breaks. The
 old text must occur exactly once, so an edit that removes or repeats
 it fails here loudly, and the entry is updated along with the code.
 For each mutant (or each one named) the tree is copied to a temporary
-directory, the mutant applied there, and tier-1 run with `-x`. Prints
-one line per mutant: "killed" with the first failing test, or
-"survived". Exits 1 when some mutant survived or an old text does not
-occur once, and 0 otherwise. Tier-1 does not collect this file.
+directory, the mutant applied there, and tier-1 run with `-x`, except
+the check of this table in tests/test_mutants.py. Prints one line per
+mutant: "killed" with the first failing test, or "survived". Exits 1
+when some mutant survived or an old text does not occur once, and 0
+otherwise. Tier-1 does not collect this file; tests/test_mutants.py
+checks in tier-1 that every old text occurs once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+# Tier-1 without tests/test_mutants.py, which checks this table against
+# the source and so fails on every mutated tree.
+TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+         "--ignore=tests/test_mutants.py"]
 SKIP = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", ".benchmarks", "__pycache__")
 
 
@@ -100,11 +105,50 @@ MUTANTS = [
         "a conclusion's context holds the open variables of every premise",
     ),
     Mutant(
-        "guards_run_after_the_premises",
+        "or_e_tests_its_disjunction_after_the_branches",
         "nd.py",
-        "        for i, part in enumerate(plan):\n",
-        "        for i, part in sorted(enumerate(plan), key=lambda ip: type(ip[1]) is not str):\n",
-        "a rule's guard reports its error before any premise after it is checked",
+        "        if not isinstance(j0.formula, Or):\n"
+        '            raise RuleMismatch(f"major premise proves {j0.formula!r}, not a disjunction")\n'
+        "        j1 = _ND[type(d.left)](self, d.left)\n"
+        "        j2 = _ND[type(d.right)](self, d.right)\n",
+        "        j1 = _ND[type(d.left)](self, d.left)\n"
+        "        j2 = _ND[type(d.right)](self, d.right)\n"
+        "        if not isinstance(j0.formula, Or):\n"
+        '            raise RuleMismatch(f"major premise proves {j0.formula!r}, not a disjunction")\n',
+        "or-e reports a major premise that is no disjunction before it checks a branch",
+    ),
+    Mutant(
+        "and_l_tests_distinct_components_after_its_premise",
+        "sc.py",
+        "        if d.first == d.second:\n"
+        '            raise RuleMismatch("the two component variables must be distinct")\n'
+        "        s = _SC[type(d.premise)](self, d.premise)\n",
+        "        s = _SC[type(d.premise)](self, d.premise)\n"
+        "        if d.first == d.second:\n"
+        '            raise RuleMismatch("the two component variables must be distinct")\n',
+        "and-l reports equal component variables before it checks its premise",
+    ),
+    Mutant(
+        "bind_accepts_a_clash",
+        "nd.py",
+        "        elif prev != f:\n"
+        '            raise VariableTypeClash(f"{v.name} occurs at both {prev!r} and {f!r}")\n',
+        "",
+        "a variable stands at one formula across the whole derivation",
+    ),
+    Mutant(
+        "introduce_skips_its_freshness_test",
+        "sc.py",
+        "        if existing is not None and existing != f:\n",
+        "        if False:\n",
+        "a rule that adds a variable to a context cannot reuse one at another formula",
+    ),
+    Mutant(
+        "imp_i_skips_its_declared_versus_open_test",
+        "nd.py",
+        "        if declared is not None and from_open is not None and from_open != declared:\n",
+        "        if False:\n",
+        "imp-i discharges a hypothesis at the formula it declares",
     ),
     Mutant(
         "low_water_mark_never_lowered",

@@ -167,6 +167,26 @@ def test_classify_counts_each_roots_sense_once(monkeypatch, load_corpus):
     assert len(walks) == 2
 
 
+def test_beta_eta_classify_compares_alpha_keys_once(monkeypatch):
+    # Renamed copies end in alpha-equal normal forms that are not one
+    # node. `_same` compares their keys, one `alpha_key` call per side;
+    # in beta-eta mode its "same" already means alpha-equal, so
+    # `classify` asks for no key again.
+    calls = []
+    alpha_key = core.alpha_key
+
+    def counted(t):
+        calls.append(t)
+        return alpha_key(t)
+
+    monkeypatch.setattr(core, "alpha_key", counted)
+    d1 = syntax.parse("(imp-i y (imp-i x (and-i (hyp x p) (hyp y p))))")
+    d2 = syntax.parse("(imp-i v (imp-i u (and-i (hyp u p) (hyp v p))))")
+    verdict = classify(d1, d2, BetaEta())
+    assert type(verdict) is meaning.SameSenseSameDenotation
+    assert len(calls) == 2
+
+
 def test_corpus_checks_each_file_once(checks, corpus_dir, corpus_files):
     for mode in ("beta-eta", "beta-eta-gamma"):
         assert run(["corpus", str(corpus_dir), "--mode", mode])[0] == 0
